@@ -14,8 +14,8 @@ from .kernel import (
     exp_phase_integral,
     exp_phase_tail,
     fit_decay,
+    propagate,
     series_coeffs_from_samples,
-    solve_linear_ode,
 )
 from .potentials import (
     Potential,

@@ -9,13 +9,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,35 +35,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, inputs, grids, tolerances, outputs."""
-
-    command: str
-    potential_spec: str | None = None
-    lambdas: tuple = ()
-    alphas: tuple = ()
-    rule: str | None = None
-    rmax: float = 10.0
-    dr: float = 0.05
-    tol: float = 1e-10
-    nsum: int = 30
-    cutoff: float = 200.0
-    orders: bool = False
-    only: str | None = None
-    seed: int = 0
-    out_dir: Path = Path(".")
-    threads: int = 1
-
-
-def _threads() -> int:
-    raw = os.environ.get("KREINLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def parse_potential(spec: str):
@@ -97,13 +66,27 @@ def parse_potential(spec: str):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse '2', 'i', '1+2i', '-0.5-0.5i' (j also accepted)."""
+    """Parse '2', 'i', '1+2i', '-0.5-0.5i' (j also accepted); finite only."""
     cleaned = text.strip().replace("i", "j")
     if cleaned in ("j", "+j"):
         cleaned = "1j"
     if cleaned == "-j":
         cleaned = "-1j"
-    return complex(cleaned)
+    z = complex(cleaned)
+    if not cmath.isfinite(z):
+        raise ValueError(f"not a finite number: {text!r}")
+    return z
+
+
+def _positive(flag: str, x: float) -> float:
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{flag} must be finite and positive, got {x}")
+    return x
+
+
+def _r_grid(args) -> Grid:
+    dr = _positive("--dr", args.dr)
+    return Grid(np.arange(0.0, args.rmax + dr / 2.0, dr))
 
 
 def _fmt(x: float) -> str:
@@ -127,54 +110,49 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    pot = parse_potential(cfg.potential_spec)
-    grid = Grid(np.arange(0.0, cfg.rmax + cfg.dr / 2.0, cfg.dr))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_solve(args) -> int:
+    lams = [parse_complex(t) for t in args.lambdas.split(",")]
+    tol = _positive("--tol", args.tol)
+    pot = parse_potential(args.potential)
+    grid = _r_grid(args)
+    args.out.mkdir(parents=True, exist_ok=True)
 
-    def one(lam):
-        return solve_krein(pot, lam, grid, tol=cfg.tol)
-
-    workers = min(cfg.threads, max(len(cfg.lambdas), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(one, cfg.lambdas))
-    else:
-        paths = [one(lam) for lam in cfg.lambdas]
-
+    paths = [solve_krein(pot, lam, grid, tol=tol) for lam in lams]
     files = []
     for i, kp in enumerate(paths):
         name = f"krein_path_{i}.csv"
-        dump_krein_csv(cfg.out_dir / name, kp)
+        dump_krein_csv(args.out / name, kp)
         files.append(name)
     manifest = {
         "command": "solve",
-        "potential": cfg.potential_spec,
-        "lambdas": [[lam.real, lam.imag] for lam in cfg.lambdas],
-        "rmax": cfg.rmax,
-        "dr": cfg.dr,
-        "tolerances": {"ode_tol": cfg.tol},
+        "potential": args.potential,
+        "lambdas": [[lam.real, lam.imag] for lam in lams],
+        "rmax": args.rmax,
+        "dr": args.dr,
+        "tolerances": {"ode_tol": args.tol},
         "files": files,
     }
-    _write_json(cfg.out_dir / "manifest.json", manifest)
+    _write_json(args.out / "manifest.json", manifest)
     return EXIT_OK
 
 
-def cmd_entropy(cfg: RunConfig) -> int:
-    pot = parse_potential(cfg.potential_spec)
-    grid = Grid(np.arange(0.0, cfg.rmax + cfg.dr / 2.0, cfg.dr))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_entropy(args) -> int:
+    pot = parse_potential(args.potential)
+    if not math.isfinite(pot.l2_norm):
+        raise ValueError("entropy needs a square-integrable coefficient")
+    grid = _r_grid(args)
+    args.out.mkdir(parents=True, exist_ok=True)
 
     scan = equivalence_scan(pot, grid)
-    with open(cfg.out_dir / "entropy_scan.csv", "w", newline="") as fh:
+    with open(args.out / "entropy_scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "E", "D", "ratio"])
         for r, e, d, q in zip(grid.points, scan.E, scan.D, scan.ratio):
             writer.writerow([_fmt(r), _fmt(e), _fmt(d),
                              "" if math.isnan(q) else _fmt(q)])
 
-    esum = entropy_sum(pot, cfg.nsum)
-    sob = sobolev_h_minus1(pot, cfg.cutoff)
+    esum = entropy_sum(pot, args.nsum)
+    sob = sobolev_h_minus1(pot, args.cutoff)
     if esum.total == 0.0 or sob.value == 0.0:
         verdict = "trivial"
         ratio = None
@@ -183,9 +161,9 @@ def cmd_entropy(cfg: RunConfig) -> int:
         verdict = "in-band" if 0.01 <= ratio <= 100.0 else "out-of-band"
     summary = {
         "command": "entropy",
-        "potential": cfg.potential_spec,
-        "rmax": cfg.rmax,
-        "dr": cfg.dr,
+        "potential": args.potential,
+        "rmax": args.rmax,
+        "dr": args.dr,
         "fit_E": _fit_dict(scan.fit_E),
         "fit_D": _fit_dict(scan.fit_D),
         "entropy_sum": {"total": esum.total, "last_term": esum.last_term,
@@ -199,20 +177,21 @@ def cmd_entropy(cfg: RunConfig) -> int:
                        "ratio_floor": 1e-12},
         "files": ["entropy_scan.csv"],
     }
-    _write_json(cfg.out_dir / "entropy_summary.json", summary)
+    _write_json(args.out / "entropy_summary.json", summary)
     return EXIT_OK
 
 
-def cmd_opuc(cfg: RunConfig) -> int:
-    if cfg.rule:
-        name, _, args = cfg.rule.partition(":")
-        c_str, n_str = args.split(",")
+def cmd_opuc(args) -> int:
+    if args.rule:
+        name, _, params = args.rule.partition(":")
+        c_str, n_str = params.split(",")
         seq = VerblunskySeq.from_rule(name, float(c_str), int(n_str))
     else:
-        seq = VerblunskySeq(np.array([parse_complex(a) for a in cfg.alphas]))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        seq = VerblunskySeq(np.array([parse_complex(a)
+                                      for a in args.alphas.split(",")]))
+    args.out.mkdir(parents=True, exist_ok=True)
 
-    with open(cfg.out_dir / "opuc_table.csv", "w", newline="") as fh:
+    with open(args.out / "opuc_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "Re_alpha", "Im_alpha", "lambda_n"])
         for n, a in enumerate(seq.alphas):
@@ -224,7 +203,7 @@ def cmd_opuc(cfg: RunConfig) -> int:
         "n_coefficients": len(seq),
         "files": ["opuc_table.csv"],
     }
-    if cfg.orders:
+    if args.orders:
         co = compare_orders(seq)
         out["orders"] = {
             "rho_alpha": {"rho": co.rho_alpha.rho if math.isfinite(co.rho_alpha.rho) else None,
@@ -233,26 +212,26 @@ def cmd_opuc(cfg: RunConfig) -> int:
                        "flag": co.rho_pi.flag},
             "sampling_radius": co.radius,
         }
-    _write_json(cfg.out_dir / "opuc_summary.json", out)
+    _write_json(args.out / "opuc_summary.json", out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_battery(seed=cfg.seed, only=cfg.only)
-    report = battery_report(results, seed=cfg.seed)
+def cmd_verify(args) -> int:
+    results = run_battery(seed=args.seed, only=args.only)
+    report = battery_report(results, seed=args.seed)
     text = json.dumps(report, indent=2)
     sys.stdout.write(text + "\n")
-    if cfg.out_dir != Path("."):
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        (cfg.out_dir / "verify_report.json").write_text(text + "\n")
+    if args.out != Path("."):
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "verify_report.json").write_text(text + "\n")
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
-def cmd_figure1(cfg: RunConfig) -> int:
+def cmd_figure1(args) -> int:
     pot = build_potential("figure1")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     rs = np.arange(0.0, 8.0 + 0.005, 0.01)
-    with open(cfg.out_dir / "figure1.csv", "w", newline="") as fh:
+    with open(args.out / "figure1.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "f", "tail"])
         for r in rs:
@@ -277,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--rmax", type=float, default=10.0)
     p_solve.add_argument("--dr", type=float, default=0.05)
     p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.add_argument("--out", default=".")
+    p_solve.add_argument("--out", type=Path, default=".")
+    p_solve.set_defaults(run=cmd_solve)
 
     p_ent = sub.add_parser("entropy", help="entropy/variation scan with fits and proxies")
     p_ent.add_argument("--potential", required=True)
@@ -285,22 +265,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--dr", type=float, default=0.25)
     p_ent.add_argument("--nsum", type=int, default=30)
     p_ent.add_argument("--cutoff", type=float, default=200.0)
-    p_ent.add_argument("--out", default=".")
+    p_ent.add_argument("--out", type=Path, default=".")
+    p_ent.set_defaults(run=cmd_entropy)
 
     p_opuc = sub.add_parser("opuc", help="unit-circle recursion tables and order comparison")
     group = p_opuc.add_mutually_exclusive_group(required=True)
     group.add_argument("--alphas", help="comma-separated coefficients, e.g. '0.5,0.2+0.1i'")
     group.add_argument("--rule", help="factorial:c,len or gaussian:c,len")
     p_opuc.add_argument("--orders", action="store_true")
-    p_opuc.add_argument("--out", default=".")
+    p_opuc.add_argument("--out", type=Path, default=".")
+    p_opuc.set_defaults(run=cmd_opuc)
 
     p_ver = sub.add_parser("verify", help="run the built-in identity battery")
     p_ver.add_argument("--only", default=None, help="filter checks by name prefix")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--out", default=".")
+    p_ver.add_argument("--out", type=Path, default=".")
+    p_ver.set_defaults(run=cmd_verify)
 
     p_fig = sub.add_parser("figure1", help="dump the oscillating coefficient and its tail")
-    p_fig.add_argument("--out", default=".")
+    p_fig.add_argument("--out", type=Path, default=".")
+    p_fig.set_defaults(run=cmd_figure1)
 
     return parser
 
@@ -309,29 +293,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    cfg = RunConfig(command=args.command, out_dir=Path(getattr(args, "out", ".")),
-                    threads=_threads())
     try:
-        if args.command == "solve":
-            cfg.potential_spec = args.potential
-            cfg.lambdas = tuple(parse_complex(t) for t in args.lambdas.split(","))
-            cfg.rmax, cfg.dr, cfg.tol = args.rmax, args.dr, args.tol
-            return cmd_solve(cfg)
-        if args.command == "entropy":
-            cfg.potential_spec = args.potential
-            cfg.rmax, cfg.dr = args.rmax, args.dr
-            cfg.nsum, cfg.cutoff = args.nsum, args.cutoff
-            return cmd_entropy(cfg)
-        if args.command == "opuc":
-            cfg.alphas = tuple(args.alphas.split(",")) if args.alphas else ()
-            cfg.rule = args.rule
-            cfg.orders = args.orders
-            return cmd_opuc(cfg)
-        if args.command == "verify":
-            cfg.only, cfg.seed = args.only, args.seed
-            return cmd_verify(cfg)
-        if args.command == "figure1":
-            return cmd_figure1(cfg)
+        return args.run(args)
     except RouteDisagreement as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -341,8 +304,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,21 +19,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson, solve_ivp
+from scipy.integrate import cumulative_simpson, simpson
 
 from .kernel import (
     DecayFit,
     Grid,
     InsufficientDataError,
     KernelError,
-    OdeStepError,
     adaptive_quad,
+    breakpoint_segments,
     fit_decay,
+    propagate,
 )
 from .ordered_exp import CoeffPair, f_of_s
 from .potentials import Potential
-
-J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # oscillation-resolving sample budget: nodes per period and the hard cap
 _NODES_PER_PERIOD = 360
@@ -109,11 +108,6 @@ class SobolevNorm:
         return self.value
 
 
-def _segments(breaks, lo, hi):
-    cuts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
     """Transfer matrix N(r): solution of N' = J Q N, N(0) = identity."""
     if r < 0:
@@ -123,15 +117,8 @@ def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
     def rhs(s, y):
         return (gen.jq_matrix(s) @ y.reshape(2, 2)).ravel()
 
-    y = np.eye(2).ravel()
-    for lo, hi in _segments(gen.breakpoints(), 0.0, r):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=max(tol, 1e-13), atol=tol * 1e-2)
-        if sol.status != 0:
-            raise OdeStepError(f"transfer-matrix stepper failed: {sol.message}",
-                               sol.t[-1] if sol.t.size else lo, y)
-        y = sol.y[:, -1]
-    return y.reshape(2, 2)
+    return propagate(rhs, np.eye(2).ravel(), 0.0, r, tol,
+                     gen.breakpoints()).reshape(2, 2)
 
 
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
@@ -177,9 +164,8 @@ def _entropy_bound(p: Potential, r: float) -> float | None:
 
 
 def _panels(lo, hi, breaks, n_total):
-    cuts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
     out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b in breakpoint_segments(lo, hi, breaks):
         n = max(17, int(round(n_total * (b - a) / (hi - lo))))
         if n % 2 == 0:
             n += 1
@@ -216,14 +202,8 @@ def _entropy_ode(p: Potential, r: float, tol: float = 1e-11) -> float:
         return np.concatenate([dN.ravel(),
                                [c1 @ c1, c1 @ c2, c2 @ c2]])
 
-    y = np.concatenate([np.eye(2).ravel(), np.zeros(3)])
-    for lo, hi in _segments(gen.breakpoints(), r, r + 2.0):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=max(tol, 1e-13), atol=tol * 1e-2)
-        if sol.status != 0:
-            raise OdeStepError(f"transfer-matrix stepper failed: {sol.message}",
-                               sol.t[-1] if sol.t.size else lo, y)
-        y = sol.y[:, -1]
+    y = propagate(rhs, np.concatenate([np.eye(2).ravel(), np.zeros(3)]),
+                  r, r + 2.0, tol, gen.breakpoints())
     g11, g12, g22 = y[4:]
     return g11 * g22 - g12 * g12 - 4.0
 
@@ -260,15 +240,9 @@ def _bridge_F(p: Potential, r: float, n_total: int, tol: float = 1e-11) -> float
         r2 = X[1, :]
         return np.concatenate([dX.ravel(), [r1 @ r1, r1 @ r2, r2 @ r2]])
 
-    y = np.concatenate([np.eye(2).ravel(), np.zeros(3)])
-    t_breaks = sorted((b - r) / 2.0 for b in gen.breakpoints() if r < b < r + 2.0)
-    for lo, hi in _segments(t_breaks, 0.0, 1.0):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=max(tol, 1e-13), atol=tol * 1e-2)
-        if sol.status != 0:
-            raise OdeStepError(f"bridge stepper failed: {sol.message}",
-                               sol.t[-1] if sol.t.size else lo, y)
-        y = sol.y[:, -1]
+    t_breaks = [(b - r) / 2.0 for b in gen.breakpoints() if r < b < r + 2.0]
+    y = propagate(rhs, np.concatenate([np.eye(2).ravel(), np.zeros(3)]),
+                  0.0, 1.0, tol, t_breaks)
     g11, g12, g22 = y[4:]
     return g11 * g22 - g12 * g12
 

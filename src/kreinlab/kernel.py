@@ -1,9 +1,9 @@
 """Shared numerical primitives.
 
-Adaptive quadrature, linear ODE integration with dense output, stretched-
-exponential decay fitting, power-series coefficient extraction from circle
-samples, and the oscillatory tail machinery used for integrands of the form
-trig(omega*e^x) * g(x).
+Adaptive quadrature, ODE propagation across breakpoints with dense output,
+stretched-exponential decay fitting, power-series coefficient extraction from
+circle samples, and the oscillatory tail machinery used for integrands of the
+form trig(omega*e^x) * g(x).
 
 All routines are pure functions of their arguments and deterministic.
 """
@@ -69,10 +69,6 @@ class Grid:
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, n: int) -> "Grid":
-        return cls(np.linspace(lo, hi, n))
 
     @classmethod
     def coerce(cls, obj) -> "Grid":
@@ -201,47 +197,46 @@ def adaptive_quad(f: Callable, a: float, b: float, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# linear ODE integration
+# ODE propagation
 # ---------------------------------------------------------------------------
 
-def solve_linear_ode(coeff: Callable, y0, grid, tol: float) -> np.ndarray:
-    """Solve y' = coeff(t) y with y(grid[0]) = y0, dense output on the grid.
+def breakpoint_segments(lo: float, hi: float, breaks) -> list[tuple[float, float]]:
+    """[lo, hi] cut at the increasing ``breaks`` that lie strictly inside it."""
+    cuts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+    return list(zip(cuts[:-1], cuts[1:]))
 
-    ``coeff`` returns a scalar or a (d, d) matrix; ``y0`` may be a scalar, a
-    vector, or a (d, d) matrix (fundamental-solution mode). Returns an array
-    of states with the grid as leading axis. Complex data is supported.
+
+def propagate(rhs: Callable, y0, lo: float, hi: float, tol: float,
+              breaks=(), t_eval=None) -> np.ndarray:
+    """Integrate y' = rhs(t, y) from y(lo) = y0 (a 1-d array) to hi.
+
+    The interval is cut at ``breaks`` (see breakpoint_segments), so that
+    piecewise coefficients keep the stepper's full order, and the state is
+    carried across the cuts. Each piece is one adaptive DOP853 solve.
+    Returns the state at hi; given ``t_eval`` (increasing points of [lo, hi])
+    it returns the states there instead, as rows read from dense output.
+    A failed step raises OdeStepError with the last time and state reached.
     """
-    grid = Grid.coerce(grid)
-    ts = grid.points
-    y0 = np.asarray(y0)
-    shape = y0.shape
-    c0 = np.asarray(coeff(ts[0]))
-
-    if c0.ndim == 0:
-        def rhs(t, y):
-            return coeff(t) * y
-    elif y0.ndim == 2:
-        d = shape[0]
-
-        def rhs(t, y):
-            return (np.asarray(coeff(t)) @ y.reshape(d, d)).ravel()
-    else:
-        def rhs(t, y):
-            return np.asarray(coeff(t)) @ y
-
-    if ts.size == 1:
-        return y0[None, ...].copy()
-
-    state0 = y0.ravel().astype(complex if np.iscomplexobj(y0) or
-                               np.iscomplexobj(c0) else float)
-    sol = solve_ivp(rhs, (ts[0], ts[-1]), state0, method="DOP853",
-                    t_eval=ts, rtol=max(tol, 1e-13), atol=tol * 1e-2 + 1e-300)
-    if sol.status != 0 or sol.t.size != ts.size:
-        last_t = sol.t[-1] if sol.t.size else ts[0]
-        last_y = sol.y[:, -1].reshape(shape) if sol.t.size else y0
-        raise OdeStepError(f"ODE stepper failed: {sol.message}", last_t, last_y)
-    out = sol.y.T
-    return out.reshape((ts.size,) + shape)
+    y = np.asarray(y0)
+    if t_eval is not None:
+        ts = np.asarray(t_eval, dtype=float)
+        rows = [y[None, :]] if ts[0] == lo else []
+    for a, b in breakpoint_segments(lo, hi, breaks):
+        seg = None
+        if t_eval is not None:
+            inner = ts[(ts > a) & (ts <= b)]
+            seg = inner if inner.size and inner[-1] == b else np.append(inner, b)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", t_eval=seg,
+                        rtol=max(tol, 1e-13), atol=tol * 1e-2 + 1e-300)
+        if sol.status != 0:
+            # with t_eval, sol.t is an empty list until an output point is reached
+            last_t, last_y = (sol.t[-1], sol.y[:, -1]) if len(sol.t) else (a, y)
+            raise OdeStepError(f"ODE stepper failed on [{a}, {b}]: {sol.message}",
+                               last_t, last_y)
+        y = sol.y[:, -1]
+        if t_eval is not None:
+            rows.append(sol.y[:, :inner.size].T)
+    return y if t_eval is None else np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------

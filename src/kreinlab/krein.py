@@ -19,9 +19,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .kernel import DecayFit, Grid, KernelError, OdeStepError, adaptive_quad, fit_decay
+from .kernel import DecayFit, Grid, KernelError, adaptive_quad, fit_decay, propagate
 from .potentials import Potential
 
 
@@ -60,11 +59,6 @@ class SzegoValue:
     converged: bool
 
 
-def _segments(p: Potential, t0: float, t1: float):
-    cuts = [t0] + [b for b in p.breakpoints() if t0 < b < t1] + [t1]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def _solve_many(p: Potential, lams: np.ndarray, grid: Grid, tol: float,
                 with_cum: bool):
     """Vectorized Krein solve over a batch of spectral parameters.
@@ -87,29 +81,9 @@ def _solve_many(p: Potential, lams: np.ndarray, grid: Grid, tol: float,
             return np.concatenate([dP, dPs, np.abs(P) ** 2 + 0j])
         return np.concatenate([dP, dPs])
 
-    dim = 3 * k if with_cum else 2 * k
-    y = np.ones(dim, dtype=complex)
-    if with_cum:
-        y[2 * k:] = 0.0
-
-    out = np.empty((ts.size, dim), dtype=complex)
-    out[0] = y
-    done = 1
-    for lo, hi in _segments(p, ts[0], ts[-1]):
-        inner = ts[(ts > lo) & (ts <= hi)]
-        t_eval = np.concatenate([inner, [hi]]) if inner.size == 0 or inner[-1] != hi \
-            else inner
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", t_eval=t_eval,
-                        rtol=max(tol, 1e-13), atol=tol * 1e-2 + 1e-300)
-        if sol.status != 0:
-            raise OdeStepError(f"Krein stepper failed: {sol.message}",
-                               sol.t[-1] if sol.t.size else lo, y)
-        y = sol.y[:, -1].copy()
-        n_inner = inner.size
-        if n_inner:
-            out[done:done + n_inner] = sol.y[:, :n_inner].T
-            done += n_inner
-    assert done == ts.size
+    y0 = np.ones(3 * k if with_cum else 2 * k, dtype=complex)
+    y0[2 * k:] = 0.0
+    out = propagate(rhs, y0, ts[0], ts[-1], tol, p.breakpoints(), t_eval=ts)
     P = out[:, :k]
     Ps = out[:, k:2 * k]
     cum = out[:, 2 * k:].real if with_cum else None
@@ -142,15 +116,8 @@ def _solve_pair_cross(p: Potential, lam: complex, mu: complex, r: float,
             P1 * np.conj(P2),
         ])
 
-    y = np.array([1, 1, 1, 1, 0], dtype=complex)
-    for lo, hi in _segments(p, 0.0, r):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=max(tol, 1e-13), atol=tol * 1e-2 + 1e-300)
-        if sol.status != 0:
-            raise OdeStepError(f"Krein stepper failed: {sol.message}",
-                               sol.t[-1] if sol.t.size else lo, y)
-        y = sol.y[:, -1]
-    return y
+    return propagate(rhs, np.array([1, 1, 1, 1, 0], dtype=complex), 0.0, r,
+                     tol, p.breakpoints())
 
 
 def reflection_residual(p: Potential, z: complex, r: float,

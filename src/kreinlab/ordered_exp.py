@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson, solve_ivp
+from scipy.integrate import cumulative_simpson, simpson
 
-from .kernel import OdeStepError, SeriesTailWarning
+from .kernel import SeriesTailWarning, propagate
 
 N_GRID = 4097
 
@@ -199,12 +199,8 @@ def ordered_exp_path(A: CoeffPair, t_grid=None, tol: float = 1e-10) -> MatrixPat
 
     if ts.size == 1:
         return MatrixPath(ts, np.eye(2)[None, :, :].copy())
-    sol = solve_ivp(rhs, (ts[0], ts[-1]), np.eye(2).ravel(), method="DOP853",
-                    t_eval=ts, rtol=max(tol, 1e-13), atol=tol * 1e-2)
-    if sol.status != 0:
-        raise OdeStepError(f"ordered exponential stepper failed: {sol.message}",
-                           sol.t[-1] if sol.t.size else ts[0], None)
-    return MatrixPath(ts, sol.y.T.reshape(-1, 2, 2))
+    out = propagate(rhs, np.eye(2).ravel(), ts[0], ts[-1], tol, t_eval=ts)
+    return MatrixPath(ts, out.reshape(-1, 2, 2))
 
 
 def f_of_s(A: CoeffPair, s: complex, n_grid: int | None = None,
@@ -245,12 +241,7 @@ def f_of_s(A: CoeffPair, s: complex, n_grid: int | None = None,
         return (s * np.array([[-qv, pv], [pv, qv]]) @ X).ravel()
 
     y0 = np.eye(2).ravel().astype(complex if is_complex else float)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", t_eval=x,
-                    rtol=ode_tol, atol=ode_tol * 1e-2)
-    if sol.status != 0:
-        raise OdeStepError(f"ordered exponential stepper failed: {sol.message}",
-                           sol.t[-1] if sol.t.size else 0.0, None)
-    X = sol.y.T.reshape(-1, 2, 2)
+    X = propagate(rhs, y0, 0.0, 1.0, ode_tol, t_eval=x).reshape(-1, 2, 2)
     gram = simpson(np.einsum("nij,nkj->nik", X, X), x=x, axis=0)
     out = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
     return complex(out) if is_complex else float(np.real(out))

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -55,8 +56,7 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         assert "usage" in capsys.readouterr().err
 
-    def test_multiple_lambdas_threaded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KREINLAB_THREADS", "2")
+    def test_multiple_lambdas(self, tmp_path):
         assert run(["solve", "--potential", "zero", "--lambda", "1,i",
                     "--rmax", "1", "--out", str(tmp_path)]) == EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -167,6 +167,31 @@ class TestExitCodes:
         code = run(["entropy", "--potential", f"sampled:{src}", "--rmax", "1",
                     "--out", str(tmp_path)])
         assert code == 3
+
+
+class TestInputValidation:
+    SOLVE = ["solve", "--potential", "box:1,1", "--rmax", "1"]
+    ENTROPY = ["entropy", "--rmax", "1", "--nsum", "2"]
+
+    @pytest.mark.parametrize("args, code", [
+        (SOLVE + ["--lambda", "1", "--dr", "0"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "1", "--dr", "-0.05"], EXIT_USAGE),
+        (ENTROPY + ["--potential", "box:1,1", "--dr", "0"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "1", "--tol", "0"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "1", "--tol=-1e-10"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "1", "--tol", "nan"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "1", "--tol", "inf"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "nan"], EXIT_USAGE),
+        (SOLVE + ["--lambda", "1,1e999"], EXIT_USAGE),
+        # constant:1 is not in L2; with a cutoff it is
+        (ENTROPY + ["--potential", "constant:1"], EXIT_USAGE),
+        (ENTROPY + ["--potential", "constant:1,5"], EXIT_OK),
+    ])
+    def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
+        start = time.perf_counter()
+        assert run(args + ["--out", str(tmp_path)]) == code
+        assert time.perf_counter() - start < 10.0
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSampledRoundTrip:

@@ -1,13 +1,16 @@
 """Numerics-kernel tests: quadrature, ODE, decay fits, series coefficients."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.linalg import expm
 
+import kreinlab
 from kreinlab.kernel import (
     DecayFit,
     Grid,
@@ -17,8 +20,8 @@ from kreinlab.kernel import (
     adaptive_quad,
     exp_phase_tail,
     fit_decay,
+    propagate,
     series_coeffs_from_samples,
-    solve_linear_ode,
 )
 
 # High-precision references for the oscillatory tail integral
@@ -116,24 +119,35 @@ class TestOscillatoryTail:
         assert abs(v - direct) < 1e-8
 
 
+def fundamental(A, ts, tol, breaks=()):
+    """X' = A(t) X with X(ts[0]) = I, on the grid ts, by the propagator."""
+
+    def rhs(t, y):
+        return (A(t) @ y.reshape(2, 2)).ravel()
+
+    out = propagate(rhs, np.eye(2).ravel(), ts[0], ts[-1], tol, breaks, t_eval=ts)
+    return out.reshape(-1, 2, 2)
+
+
 class TestSolveLinearOde:
     def test_zero_coeff_constant_path(self):
-        grid = Grid.uniform(0.0, 3.0, 7)
-        path = solve_linear_ode(lambda t: 0.0, 2.5, grid, 1e-10)
+        ts = np.linspace(0.0, 3.0, 7)
+        path = propagate(lambda t, y: 0.0 * y, np.array([2.5]), 0.0, 3.0, 1e-10,
+                         t_eval=ts)
         assert np.allclose(path, 2.5, atol=1e-12)
 
     def test_scalar_phase(self):
         lam = 1.7
-        grid = Grid.uniform(0.0, 1.0, 11)
-        path = solve_linear_ode(lambda t: 1j * lam, 1.0 + 0j, grid, 1e-12)
-        assert np.max(np.abs(path - np.exp(1j * lam * grid.points))) < 1e-9
+        ts = np.linspace(0.0, 1.0, 11)
+        path = propagate(lambda t, y: 1j * lam * y, np.array([1.0 + 0j]), 0.0, 1.0,
+                         1e-12, t_eval=ts)
+        assert np.max(np.abs(path[:, 0] - np.exp(1j * lam * ts))) < 1e-9
 
     def test_diagonal_matrix_vs_expm_oracle(self):
         c = 0.8
         A = np.diag([-2.0 * c, 2.0 * c])
-        grid = Grid.uniform(0.0, 1.0, 5)
-        path = solve_linear_ode(lambda t: A, np.eye(2), grid, 1e-12)
-        for t, X in zip(grid.points, path):
+        ts = np.linspace(0.0, 1.0, 5)
+        for t, X in zip(ts, fundamental(lambda t: A, ts, 1e-12)):
             assert np.max(np.abs(X - expm(A * t))) < 1e-9
 
     def test_liouville_trace_free(self):
@@ -143,15 +157,30 @@ class TestSolveLinearOde:
             return np.array([[-q, p], [p, q]])
 
         tol = 1e-10
-        grid = Grid.uniform(0.0, 1.0, 21)
-        path = solve_linear_ode(A, np.eye(2), grid, tol)
-        dets = np.linalg.det(path)
+        dets = np.linalg.det(fundamental(A, np.linspace(0.0, 1.0, 21), tol))
         assert np.max(np.abs(dets - 1.0)) < 10 * tol
 
     def test_blowup_reports_last_state(self):
         with pytest.raises(OdeStepError) as exc:
-            solve_linear_ode(lambda t: 1.0 / (0.5 - t), 1.0, Grid.uniform(0.0, 1.0, 5), 1e-10)
+            propagate(lambda t, y: y / (0.5 - t), np.array([1.0]), 0.0, 1.0, 1e-10,
+                      t_eval=np.linspace(0.0, 1.0, 5))
         assert exc.value.last_t <= 0.5
+
+    def test_piecewise_constant_across_breakpoint(self):
+        # the generator jumps at t = 0.4; cutting there keeps full order
+        A1 = np.array([[-0.7, 0.9], [0.9, 0.7]])
+        A2 = np.array([[0.5, -1.1], [-1.1, -0.5]])
+        X = fundamental(lambda t: A1 if t < 0.4 else A2, np.array([0.0, 1.0]),
+                        1e-12, breaks=(0.4,))[-1]
+        assert np.max(np.abs(X - expm(0.6 * A2) @ expm(0.4 * A1))) < 1e-12
+
+
+def test_solve_ivp_bound_only_in_kernel():
+    # every ODE in the package goes through kernel.propagate
+    for info in pkgutil.iter_modules(kreinlab.__path__):
+        mod = importlib.import_module(f"kreinlab.{info.name}")
+        binds = any(obj is solve_ivp for obj in vars(mod).values())
+        assert binds == (info.name == "kernel"), info.name
 
 
 class TestFitDecay:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from kreinlab.kernel import OdeStepError
 from kreinlab.krein import (
     ZeroSearchError,
     christoffel_darboux_residual,
@@ -67,6 +68,13 @@ class TestClosedFormSolves:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
             solve_krein(ZERO, 1.0, np.array([1.0, 2.0]))
+
+    def test_failed_first_step_raises_ode_step_error(self):
+        # a zero tolerance makes the stepper fail before its first step
+        with pytest.raises(OdeStepError) as exc:
+            solve_krein(BOX, 1.0, np.array([0.0, 1.0]), tol=0.0)
+        assert exc.value.last_t == 0.0
+        assert np.array_equal(exc.value.last_state, [1, 1, 0])
 
 
 class TestReflectionIdentity:
