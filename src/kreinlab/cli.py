@@ -36,6 +36,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 
+MAX_GRID_POINTS = 10 ** 7  # an r grid this long already takes 80 MB per column
+
 
 def parse_potential(spec: str):
     """Parse a potential spec string: zero | box:c,len | constant:c[,cutoff]
@@ -49,25 +51,23 @@ def parse_potential(spec: str):
         if not args:
             raise ValueError("sampled potential needs a CSV path")
         return read_potential_csv(args)
-    vals = [float(x) for x in args.split(",")] if args else []
-    if name == "box":
-        if len(vals) != 2:
-            raise ValueError("box takes two parameters: box:c,length")
-        return build_potential("box", *vals)
-    if name == "constant":
-        if len(vals) not in (1, 2):
-            raise ValueError("constant takes constant:c[,cutoff]")
-        return build_potential("constant", *vals)
-    if name == "gaussian":
-        if len(vals) != 2:
-            raise ValueError("gaussian takes two parameters: gaussian:c,scale")
-        return build_potential("gaussian", *vals)
-    raise ValueError(f"unknown potential spec {spec!r}")
+    forms = {"box": ("two parameters: box:c,length", (2,)),
+             "constant": ("constant:c[,cutoff]", (1, 2)),
+             "gaussian": ("two parameters: gaussian:c,scale", (2,))}
+    if name not in forms:
+        raise ValueError(f"unknown potential spec {spec!r}")
+    usage, counts = forms[name]
+    parts = args.split(",") if args else []
+    if len(parts) not in counts:
+        raise ValueError(f"{name} takes {usage}")
+    return build_potential(name, parse_complex(parts[0]), *map(float, parts[1:]))
 
 
 def parse_complex(text: str) -> complex:
     """Parse '2', 'i', '1+2i', '-0.5-0.5i' (j also accepted); finite only."""
-    cleaned = text.strip().replace("i", "j")
+    cleaned = text.strip()
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     if cleaned in ("j", "+j"):
         cleaned = "1j"
     if cleaned == "-j":
@@ -86,6 +86,11 @@ def _positive(flag: str, x: float) -> float:
 
 def _r_grid(args) -> Grid:
     dr = _positive("--dr", args.dr)
+    steps = args.rmax / dr
+    if not steps < MAX_GRID_POINTS:  # floor(steps) + 1 points; also nan and inf
+        count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(f"--rmax {args.rmax:g} at --dr {dr:g} needs {count} grid "
+                         f"points; the limit is {MAX_GRID_POINTS}")
     return Grid(np.arange(0.0, args.rmax + dr / 2.0, dr))
 
 

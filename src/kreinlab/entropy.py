@@ -59,10 +59,6 @@ class DiracMatrixQ:
         a = self.potential(2.0 * np.asarray(s, dtype=float))
         return -2.0 * np.real(a), 2.0 * np.imag(a)
 
-    def q_matrix(self, s) -> np.ndarray:
-        p, q = self.pq(s)
-        return np.array([[-q, p], [p, q]], dtype=float)
-
     def jq_matrix(self, s) -> np.ndarray:
         p, q = self.pq(s)
         return np.array([[p, q], [q, -p]], dtype=float)

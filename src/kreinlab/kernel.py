@@ -131,15 +131,12 @@ _G7_IDX = np.arange(1, 15, 2)  # Gauss nodes sit at the odd Kronrod nodes
 
 
 def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop."""
-    try:
-        y = np.asarray(f(x))
-        if y.shape == x.shape:
-            return y
-    except Exception:
-        pass
-    cast = complex if np.iscomplexobj(x) else float
-    return np.asarray([f(cast(xi)) for xi in x])
+    """f on the whole node array in one call; f must accept arrays."""
+    y = np.asarray(f(x))
+    if y.shape != x.shape:
+        raise ValueError(f"function returned shape {y.shape} on {x.size} nodes; "
+                         "it must map an array to an array of the same shape")
+    return y
 
 
 def _gk15(f, a, b):
@@ -155,7 +152,8 @@ def adaptive_quad(f: Callable, a: float, b: float, tol: float,
                   max_intervals: int = 8000):
     """Integrate f over [a, b] to within tol*(1 + |Q|).
 
-    Works for real- or complex-valued integrands. Raises QuadratureError
+    Works for real- or complex-valued integrands; f is called on arrays of
+    nodes and must return an array of the same shape. Raises QuadratureError
     (carrying the best estimate and the achieved error bound) if the
     requested tolerance is not reached within the interval budget.
     """
@@ -328,9 +326,9 @@ def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
                                n_samples: int | None = None) -> np.ndarray:
     """Taylor coefficients of f at 0 up to ``degree`` by circle sampling.
 
-    Samples f on n equispaced points of |s| = radius and inverts the discrete
-    Fourier transform. Exact (to roundoff) on polynomials of degree <= degree
-    whenever n > degree.
+    Samples f on n equispaced points of |s| = radius, in one call on the
+    array of all n points, and inverts the discrete Fourier transform. Exact
+    (to roundoff) on polynomials of degree <= degree whenever n > degree.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -280,9 +280,7 @@ def decay_probe_D(p: Potential, z0: complex, window,
     window = Grid.coerce(window)
     if window.points[0] <= 0:
         raise ValueError("probe window must start at r > 0")
-    full = Grid(np.concatenate([[0.0], window.points]))
-    P, _, _ = _solve_many(p, np.array([z0]), full, ode_tol, with_cum=False)
-    mags = np.abs(P[1:, 0])
+    mags = probe_magnitudes(p, z0, window, ode_tol)
     return fit_decay(np.column_stack([window.points, mags]), floor=floor)
 
 

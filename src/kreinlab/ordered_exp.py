@@ -169,7 +169,6 @@ def ordered_exp(A: CoeffPair, t: float, mode: str = "ode", n_terms: int = 12,
         A = CoeffPair(A.p, A.q, n_grid=n_grid)
     if mode == "series":
         x, terms = _series_terms(A, n_terms)
-        idx = np.searchsorted(x, t)
         stack = np.array([np.array([[np.interp(t, x, M[:, i, j]) for j in (0, 1)]
                                     for i in (0, 1)]) for M in terms])
         X = stack.sum(axis=0)
@@ -187,64 +186,64 @@ def ordered_exp(A: CoeffPair, t: float, mode: str = "ode", n_terms: int = 12,
     raise ValueError("mode must be 'series' or 'ode'")
 
 
+def _sa_path(A: CoeffPair, s: np.ndarray, ts: np.ndarray, tol: float) -> np.ndarray:
+    """X_{sA} at the times ``ts`` for each s of a 1-d batch, shape (ts, s, 2, 2).
+
+    The whole batch is one ``propagate`` call; the state is complex only when
+    ``s`` is.
+    """
+    def rhs(t, y):
+        pv = float(A.p(t))
+        qv = float(A.q(t))
+        M = np.array([[-qv, pv], [pv, qv]])
+        return np.matmul(s[:, None, None] * M, y.reshape(-1, 2, 2)).ravel()
+
+    y0 = np.tile(np.eye(2, dtype=s.dtype).ravel(), s.size)
+    X = propagate(rhs, y0, ts[0], ts[-1], tol, t_eval=ts)
+    return X.reshape(ts.size, s.size, 2, 2)
+
+
 def ordered_exp_path(A: CoeffPair, t_grid=None, tol: float = 1e-10) -> MatrixPath:
     """X_A on a grid of times in [0, 1] via the adaptive stepper."""
     ts = _grid(1025) if t_grid is None else np.asarray(t_grid, dtype=float)
-
-    def rhs(t, y):
-        pv = float(A.p(t))
-        qv = float(A.q(t))
-        X = y.reshape(2, 2)
-        return (np.array([[-qv, pv], [pv, qv]]) @ X).ravel()
-
     if ts.size == 1:
         return MatrixPath(ts, np.eye(2)[None, :, :].copy())
-    out = propagate(rhs, np.eye(2).ravel(), ts[0], ts[-1], tol, t_eval=ts)
-    return MatrixPath(ts, out.reshape(-1, 2, 2))
+    return MatrixPath(ts, _sa_path(A, np.ones(1), ts, tol)[:, 0])
 
 
-def f_of_s(A: CoeffPair, s: complex, n_grid: int | None = None,
+def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
            ode_tol: float = 1e-11):
     """F_A(s) = det int_0^1 X_{sA}(t) X_{sA}(t)^T dt (plain transpose).
 
-    Real for real s; accepts complex s for analytic continuation (used by the
-    circle-sampling coefficient route). Commuting generators (p or q
-    identically zero) use exact closed-form paths on a fine grid; the general
-    case integrates the matrix ODE.
+    ``s`` is a number or a 1-d array of them; an array gives an array of the
+    same length, computed as one batch. Values are real unless some s has a
+    nonzero imaginary part (analytic continuation, used by the
+    circle-sampling coefficient route); a scalar s gives a Python float or
+    complex. Commuting generators (p or q identically zero) use exact
+    closed-form paths on a fine grid; the general case integrates the matrix
+    ODE.
     """
     if n_grid is not None and n_grid != A.n_grid:
         A = CoeffPair(A.p, A.q, n_grid=n_grid)
-    x, pv, qv, gp, gq = A._tables()
+    x, _, _, gp, gq = A._tables()
+    ss = np.atleast_1d(np.asarray(s, dtype=complex))
+    if not ss.imag.any():
+        ss = ss.real
+    sg = ss[:, None]
 
     if A.p_is_zero and A.q_is_zero:
-        return 1.0
-    if A.p_is_zero:
-        g = gq
-        plus = simpson(np.exp(2.0 * s * g), x=x)
-        minus = simpson(np.exp(-2.0 * s * g), x=x)
-        out = plus * minus
-        return float(out.real) if not np.iscomplexobj(np.asarray(out)) else complex(out)
-    if A.q_is_zero:
-        g = gp
-        ch = simpson(np.cosh(2.0 * s * g), x=x)
-        sh = simpson(np.sinh(2.0 * s * g), x=x)
+        out = np.ones_like(ss)
+    elif A.p_is_zero:
+        out = simpson(np.exp(2.0 * sg * gq), x=x) * simpson(np.exp(-2.0 * sg * gq), x=x)
+    elif A.q_is_zero:
+        ch = simpson(np.cosh(2.0 * sg * gp), x=x)
+        sh = simpson(np.sinh(2.0 * sg * gp), x=x)
         out = ch * ch - sh * sh
-        return float(out.real) if not np.iscomplexobj(np.asarray(out)) else complex(out)
-
-    is_complex = np.iscomplexobj(np.asarray(s)) and complex(s).imag != 0.0
-    s = complex(s) if is_complex else float(np.real(s))
-
-    def rhs(t, y):
-        pv = float(A.p(t))
-        qv = float(A.q(t))
-        X = y.reshape(2, 2)
-        return (s * np.array([[-qv, pv], [pv, qv]]) @ X).ravel()
-
-    y0 = np.eye(2).ravel().astype(complex if is_complex else float)
-    X = propagate(rhs, y0, 0.0, 1.0, ode_tol, t_eval=x).reshape(-1, 2, 2)
-    gram = simpson(np.einsum("nij,nkj->nik", X, X), x=x, axis=0)
-    out = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-    return complex(out) if is_complex else float(np.real(out))
+    else:
+        X = _sa_path(A, ss, x, ode_tol)
+        gram = simpson(np.einsum("nbij,nbkj->nbik", X, X), x=x, axis=0)
+        out = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    return out if np.ndim(s) else out.item()
 
 
 def mixed_det(M: np.ndarray, N: np.ndarray) -> float:

@@ -5,9 +5,13 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from kreinlab.cli import EXIT_OK, EXIT_USAGE, main, parse_complex, parse_potential
+from kreinlab.entropy import equivalence_scan
+from kreinlab.kernel import Grid
+from kreinlab.potentials import build_potential
 
 
 def run(args):
@@ -21,11 +25,17 @@ class TestParsing:
         assert parse_complex("-i") == -1j
         assert parse_complex("1+2i") == 1 + 2j
         assert parse_complex("0.5+0.5i") == 0.5 + 0.5j
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_complex("inf")
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_complex("inf+1i")
 
     def test_potential_specs(self):
         assert parse_potential("zero").l2_norm == 0.0
         assert parse_potential("box:1,1")(0.5) == 1.0
         assert parse_potential("gaussian:1,1")(0.0) == 1.0
+        assert parse_potential("gaussian:0.5+0.5i,1").params == (0.5 + 0.5j, 1.0)
+        assert parse_potential("box:1,1").is_real
         assert parse_potential("figure1")(0.0) == pytest.approx(math.sin(1.0))
         with pytest.raises(ValueError):
             parse_potential("wavelet:1")
@@ -88,6 +98,16 @@ class TestEntropy:
                     "--out", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "entropy_summary.json").read_text())
         assert abs(summary["fit_D"]["alpha_hat"] - 1.0) <= 0.3
+
+    def test_complex_coefficient(self, tmp_path):
+        assert run(["entropy", "--potential", "gaussian:0.5+0.5i,1", "--rmax", "1",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "entropy_scan.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = Grid(np.array([float(r["r"]) for r in rows]))
+        scan = equivalence_scan(build_potential("gaussian", 0.5 + 0.5j, 1.0), grid)
+        assert [float(r["E"]) for r in rows] == list(scan.E)
+        assert [float(r["D"]) for r in rows] == list(scan.D)
 
 
 class TestOpuc:
@@ -186,6 +206,9 @@ class TestInputValidation:
         # constant:1 is not in L2; with a cutoff it is
         (ENTROPY + ["--potential", "constant:1"], EXIT_USAGE),
         (ENTROPY + ["--potential", "constant:1,5"], EXIT_OK),
+        (SOLVE + ["--lambda", "inf"], EXIT_USAGE),
+        # 1e15 + 1 grid points: rejected before anything is allocated
+        (SOLVE + ["--lambda", "1", "--rmax", "1e15"], EXIT_USAGE),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()

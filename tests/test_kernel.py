@@ -69,6 +69,11 @@ class TestAdaptiveQuad:
     def test_degenerate_interval(self):
         assert adaptive_quad(np.sin, 1.0, 1.0, 1e-10) == 0.0
 
+    def test_scalar_integrand_raises(self):
+        # integrands are called on arrays of nodes and must return arrays
+        with pytest.raises(ValueError):
+            adaptive_quad(lambda x: 1.0, 0.0, 1.0, 1e-10)
+
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3))
     @settings(deadline=None, max_examples=25)
     def test_linearity(self, k1, k2, scale):
@@ -252,6 +257,21 @@ class TestSeriesCoeffs:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             series_coeffs_from_samples(np.exp, 3, radius=0.0)
+
+    def test_one_call_on_all_samples(self):
+        calls = []
+
+        def f(s):
+            calls.append(np.array(s))
+            return np.exp(s)
+
+        coeffs = series_coeffs_from_samples(f, 3, radius=0.5, n_samples=16)
+        assert len(calls) == 1 and calls[0].shape == (16,)
+        assert np.max(np.abs(coeffs - [1.0, 1.0, 0.5, 1.0 / 6.0])) < 1e-8
+
+    def test_scalar_only_callable_raises(self):
+        with pytest.raises(TypeError):
+            series_coeffs_from_samples(lambda s: complex(s), 3)
 
 
 class TestGrid:

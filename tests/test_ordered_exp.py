@@ -125,6 +125,27 @@ class TestGramDeterminant:
         Ap_fast = CoeffPair.constant(0.6, 0.0)
         assert abs(f_of_s(Ap, 1.3) - f_of_s(Ap_fast, 1.3)) < 1e-8
 
+    @pytest.mark.parametrize("A", [
+        random_coeff_pair(np.random.default_rng(3)),
+        CoeffPair.constant(0.0, 0.7),
+        CoeffPair.constant(0.6, 0.0),
+        CoeffPair.constant(0.0, 0.0),
+    ], ids=["general", "q_only", "p_only", "zero"])
+    @pytest.mark.parametrize("ss", [
+        np.array([1.0, 0.5, -0.3, 0.0]),
+        np.array([0.3 + 0.2j, -0.5j, 0.8 * np.exp(2.0j)]),
+    ], ids=["real", "complex"])
+    def test_array_of_s_matches_scalar_calls(self, A, ss):
+        # a batch takes other ODE steps than single solves, so the two agree
+        # to the solver tolerance: at the propagator's tightest, 1e-13
+        batch = f_of_s(A, ss, n_grid=1025, ode_tol=1e-13)
+        scalars = [f_of_s(A, s, n_grid=1025, ode_tol=1e-13) for s in ss]
+        kind = complex if np.iscomplexobj(ss) else float
+        assert all(type(v) is kind for v in scalars)
+        assert isinstance(batch, np.ndarray) and batch.shape == ss.shape
+        assert np.iscomplexobj(batch) == np.iscomplexobj(ss)
+        assert np.max(np.abs(batch - np.array(scalars))) < 1e-12
+
 
 class TestTaylorRoutes:
     def test_unit_q_reference(self):
