@@ -86,8 +86,10 @@ def _positive(flag: str, x: float) -> float:
 
 def _r_grid(args) -> Grid:
     dr = _positive("--dr", args.dr)
+    if not (math.isfinite(args.rmax) and args.rmax >= 0):
+        raise ValueError(f"--rmax must be finite and nonnegative, got {args.rmax}")
     steps = args.rmax / dr
-    if not steps < MAX_GRID_POINTS:  # floor(steps) + 1 points; also nan and inf
+    if not steps < MAX_GRID_POINTS:  # floor(steps) + 1 points; also inf
         count = math.floor(steps) + 1 if math.isfinite(steps) else steps
         raise ValueError(f"--rmax {args.rmax:g} at --dr {dr:g} needs {count} grid "
                          f"points; the limit is {MAX_GRID_POINTS}")

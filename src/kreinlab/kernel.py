@@ -213,13 +213,14 @@ def propagate(rhs: Callable, y0, lo: float, hi: float, tol: float,
     carried across the cuts. Each piece is one adaptive DOP853 solve.
     Returns the state at hi; given ``t_eval`` (increasing points of [lo, hi])
     it returns the states there instead, as rows read from dense output.
+    When lo == hi the stepper is not called: the result is y0 (or its row).
     A failed step raises OdeStepError with the last time and state reached.
     """
     y = np.asarray(y0)
     if t_eval is not None:
         ts = np.asarray(t_eval, dtype=float)
         rows = [y[None, :]] if ts[0] == lo else []
-    for a, b in breakpoint_segments(lo, hi, breaks):
+    for a, b in breakpoint_segments(lo, hi, breaks) if hi != lo else ():
         seg = None
         if t_eval is not None:
             inner = ts[(ts > a) & (ts <= b)]

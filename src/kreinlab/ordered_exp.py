@@ -72,11 +72,6 @@ class CoeffPair:
         x, _, _, _, gq = self._tables()
         return np.interp(t, x, gq)
 
-    def matrix(self, t) -> np.ndarray:
-        pv = float(self.p(np.asarray(t, dtype=float)))
-        qv = float(self.q(np.asarray(t, dtype=float)))
-        return np.array([[-qv, pv], [pv, qv]])
-
     def scaled(self, s: float) -> "CoeffPair":
         return CoeffPair(lambda t, f=self.p: s * np.asarray(f(t)),
                          lambda t, f=self.q: s * np.asarray(f(t)),
@@ -206,8 +201,6 @@ def _sa_path(A: CoeffPair, s: np.ndarray, ts: np.ndarray, tol: float) -> np.ndar
 def ordered_exp_path(A: CoeffPair, t_grid=None, tol: float = 1e-10) -> MatrixPath:
     """X_A on a grid of times in [0, 1] via the adaptive stepper."""
     ts = _grid(1025) if t_grid is None else np.asarray(t_grid, dtype=float)
-    if ts.size == 1:
-        return MatrixPath(ts, np.eye(2)[None, :, :].copy())
     return MatrixPath(ts, _sa_path(A, np.ones(1), ts, tol)[:, 0])
 
 

@@ -12,6 +12,7 @@ from kreinlab.cli import EXIT_OK, EXIT_USAGE, main, parse_complex, parse_potenti
 from kreinlab.entropy import equivalence_scan
 from kreinlab.kernel import Grid
 from kreinlab.potentials import build_potential
+from kreinlab.verify import run_battery
 
 
 def run(args):
@@ -71,6 +72,19 @@ class TestSolve:
                     "--rmax", "1", "--out", str(tmp_path)]) == EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["files"] == ["krein_path_0.csv", "krein_path_1.csv"]
+
+    def test_zero_rmax_writes_one_row(self, tmp_path):
+        assert run(["solve", "--potential", "box:1,1", "--lambda", "1",
+                    "--rmax", "0", "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "krein_path_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert float(rows[0]["ReP"]) == 1.0 and float(rows[0]["RePstar"]) == 1.0
+
+    def test_negative_rmax_names_the_flag(self, tmp_path, capsys):
+        assert run(["solve", "--potential", "box:1,1", "--lambda", "1",
+                    "--rmax", "-1", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "--rmax" in capsys.readouterr().err
 
 
 class TestEntropy:
@@ -149,6 +163,12 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in report["checks"]] == ["krein.cd"]
 
+    def test_unmatched_filter_is_usage_error(self, capsys):
+        assert run(["verify", "--only", "krien", "--seed", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "matched no check" in captured.err
+        assert captured.out == ""
+
     def test_full_battery_passes(self, capsys, tmp_path):
         assert run(["verify", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -157,6 +177,12 @@ class TestVerify:
         assert all(c["residual"] <= c["tolerance"] for c in report["checks"])
         saved = json.loads((tmp_path / "verify_report.json").read_text())
         assert saved == report
+        # each group has its own generator, so a check run alone draws the same
+        # numbers as in the full battery
+        residuals = {c["name"]: c["residual"] for c in report["checks"]}
+        for name in ("ordered.a4", "ordered.liouville"):
+            alone = {r.name: r.residual for r in run_battery(seed=0, only=name)}
+            assert alone[name] == residuals[name]
 
 
 class TestFigure1:
@@ -209,6 +235,9 @@ class TestInputValidation:
         (SOLVE + ["--lambda", "inf"], EXIT_USAGE),
         # 1e15 + 1 grid points: rejected before anything is allocated
         (SOLVE + ["--lambda", "1", "--rmax", "1e15"], EXIT_USAGE),
+        # a one-point grid: the solve has nothing to step
+        (SOLVE + ["--lambda", "1", "--rmax", "0"], EXIT_OK),
+        (SOLVE + ["--lambda", "1", "--rmax", "-1"], EXIT_USAGE),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()

@@ -211,9 +211,3 @@ class TestClassifyAlpha:
         assert abs(fit.alpha_hat - 1.0) < 0.3
         assert abs(fit.alpha_hat - tail.alpha_hat) < 0.3
 
-
-class TestRatioBand:
-    def test_entropy_sum_vs_sobolev(self):
-        for p in (BOX, BOX2, GAUSS, FIG):
-            ratio = entropy_sum(p, 30).total / float(sobolev_h_minus1(p, 200.0))
-            assert 0.01 <= ratio <= 100.0

@@ -171,6 +171,17 @@ class TestSolveLinearOde:
                       t_eval=np.linspace(0.0, 1.0, 5))
         assert exc.value.last_t <= 0.5
 
+    def test_empty_interval_returns_initial_state(self):
+        # lo == hi: y0 itself, or its single row at t_eval == [lo]; a right-hand
+        # side that raises shows the stepper is not called
+        def rhs(t, y):
+            raise AssertionError("stepper called on an empty interval")
+
+        y0 = np.array([1.0, 2.0])
+        assert np.array_equal(propagate(rhs, y0, 0.7, 0.7, 1e-10), y0)
+        rows = propagate(rhs, y0, 0.0, 0.0, 1e-10, t_eval=[0.0])
+        assert rows.shape == (1, 2) and np.array_equal(rows[0], y0)
+
     def test_piecewise_constant_across_breakpoint(self):
         # the generator jumps at t = 0.4; cutting there keeps full order
         A1 = np.array([[-0.7, 0.9], [0.9, 0.7]])
