@@ -84,6 +84,12 @@ def _positive(flag: str, x: float) -> float:
     return x
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"--seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _r_grid(args) -> Grid:
     dr = _positive("--dr", args.dr)
     if not (math.isfinite(args.rmax) and args.rmax >= 0):
@@ -145,9 +151,8 @@ def cmd_solve(args) -> int:
 
 def cmd_entropy(args) -> int:
     pot = parse_potential(args.potential)
-    if not math.isfinite(pot.l2_norm):
-        raise ValueError("entropy needs a square-integrable coefficient")
     grid = _r_grid(args)
+    sob = sobolev_h_minus1(pot)  # first: it rejects a coefficient not in L2
     args.out.mkdir(parents=True, exist_ok=True)
 
     scan = equivalence_scan(pot, grid)
@@ -159,7 +164,6 @@ def cmd_entropy(args) -> int:
                              "" if math.isnan(q) else _fmt(q)])
 
     esum = entropy_sum(pot, args.nsum)
-    sob = sobolev_h_minus1(pot, args.cutoff)
     if esum.total == 0.0 or sob.value == 0.0:
         verdict = "trivial"
         ratio = None
@@ -175,7 +179,7 @@ def cmd_entropy(args) -> int:
         "fit_D": _fit_dict(scan.fit_D),
         "entropy_sum": {"total": esum.total, "last_term": esum.last_term,
                         "n_terms": esum.n_terms},
-        "sobolev": {"value": sob.value, "cutoff": sob.cutoff,
+        "sobolev": {"value": sob.value, "cutoff": None,
                     "tail_bound": sob.tail_bound},
         "sum_to_sobolev_ratio": ratio,
         "band_verdict": verdict,
@@ -271,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--rmax", type=float, default=10.0)
     p_ent.add_argument("--dr", type=float, default=0.25)
     p_ent.add_argument("--nsum", type=int, default=30)
-    p_ent.add_argument("--cutoff", type=float, default=200.0)
+    p_ent.add_argument("--cutoff", type=float,
+                       help="accepted and ignored: the H^-1 norm has no cutoff")
     p_ent.add_argument("--out", type=Path, default=".")
     p_ent.set_defaults(run=cmd_entropy)
 
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the built-in identity battery")
     p_ver.add_argument("--only", default=None, help="filter checks by name prefix")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--out", type=Path, default=".")
     p_ver.set_defaults(run=cmd_verify)
 

@@ -1,6 +1,6 @@
 """Entropy-type functionals of a coefficient: the Dirac transfer matrix, the
 determinant entropy E, the local variation D, their window scans and decay
-fits, the entropy partial sums, and the negative-Sobolev proxy.
+fits, the entropy partial sums, and the H^-1 norm.
 
 Conventions. The Dirac generator is built from the coefficient at doubled
 argument: Q(s) = ((-q, p), (p, q)) with p(s) = -2 Re a(2s), q(s) = 2 Im a(2s),
@@ -26,7 +26,6 @@ from .kernel import (
     Grid,
     InsufficientDataError,
     KernelError,
-    adaptive_quad,
     breakpoint_segments,
     fit_decay,
     propagate,
@@ -38,6 +37,9 @@ from .potentials import Potential
 _NODES_PER_PERIOD = 360
 _N_CAP = 30_000_000
 _ZERO_SHORTCUT = 1e-7
+# H^-1 norm: nodes per period, and the L2 mass left past an effective support
+_SOBOLEV_NODES_PER_PERIOD = 48
+_MASS_TOL = 1e-16
 
 
 class RouteDisagreement(KernelError):
@@ -94,10 +96,9 @@ class EntropySum:
 
 @dataclass
 class SobolevNorm:
-    """Negative-Sobolev proxy over a frequency window plus a tail bound."""
+    """The H^-1 norm of a coefficient and an estimate of its error."""
 
     value: float
-    cutoff: float
     tail_bound: float
 
     def __float__(self):
@@ -119,15 +120,12 @@ def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
 
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
                    nodes_per_period: int = _NODES_PER_PERIOD):
-    """Total oscillation phase of a(arg_scale * t) over [lo, hi] and the node
-    count needed to resolve it."""
+    """Node count that resolves the oscillation of a(arg_scale * t) on [lo, hi]."""
     if p.osc_rate(arg_scale * hi) == 0.0:
-        return 0.0, 8193
+        return 8193
     # for exponential phases the accumulated phase is the rate difference
-    phase = p.osc_rate(arg_scale * hi) - p.osc_rate(arg_scale * lo)
-    phase = max(phase, 1.0)
-    n = int(phase / (2.0 * math.pi) * nodes_per_period)
-    return phase, max(8193, n)
+    phase = max(p.osc_rate(arg_scale * hi) - p.osc_rate(arg_scale * lo), 1.0)
+    return max(8193, int(phase / (2.0 * math.pi) * nodes_per_period))
 
 
 def _one_sided(f, panel: np.ndarray) -> np.ndarray:
@@ -141,9 +139,6 @@ def _one_sided(f, panel: np.ndarray) -> np.ndarray:
 
 
 def _cum_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    if np.iscomplexobj(y):
-        return (cumulative_simpson(y.real, dx=dx, initial=0.0)
-                + 1j * cumulative_simpson(y.imag, dx=dx, initial=0.0))
     return cumulative_simpson(y, dx=dx, initial=0.0)
 
 
@@ -159,12 +154,13 @@ def _entropy_bound(p: Potential, r: float) -> float | None:
     return 4.0 * vmax ** 2 * (1.0 + 8.0 * vmax)
 
 
-def _panels(lo, hi, breaks, n_total):
+def _panels(lo, hi, breaks, n_total, step=2):
+    """Uniform panels of [lo, hi] cut at breaks, n_total nodes in all; each
+    has n >= 17 nodes with n - 1 a multiple of step."""
     out = []
     for a, b in breakpoint_segments(lo, hi, breaks):
         n = max(17, int(round(n_total * (b - a) / (hi - lo))))
-        if n % 2 == 0:
-            n += 1
+        n += (1 - n) % step
         out.append(np.linspace(a, b, n))
     return out
 
@@ -258,7 +254,7 @@ def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> float:
     if bound is not None and bound < _ZERO_SHORTCUT:
         return 0.0
 
-    phase, n_total = _window_budget(p, r, r + 2.0, 2.0)
+    n_total = _window_budget(p, r, r + 2.0, 2.0)
     if n_total > _N_CAP:
         if bound is not None and bound < 1e-6:
             return 0.0
@@ -288,7 +284,7 @@ def variation_D(p: Potential, r: float) -> float:
     if ts is not None and 16.0 * ts * ts < 1e-10:
         return 0.0
 
-    phase, n_total = _window_budget(p, r, r + 2.0, 1.0)
+    n_total = _window_budget(p, r, r + 2.0, 1.0)
     if n_total > _N_CAP:
         raise KernelError(f"window [{r}, {r + 2}] oscillates too fast to resolve")
 
@@ -314,74 +310,72 @@ def entropy_sum(p: Potential, N: int) -> EntropySum:
                       n_terms=N + 1)
 
 
-def _fourier_truncation(p: Potential, cutoff: float) -> float:
+def _figure1_tail(x: float) -> float:
+    """Bound on |int_x^inf a conj(C)| for figure1. In u = e^t the integrand is
+    sin(u) B(u)/((1 + ln u) u^2), B(u) = int_1^u sin(v)/(1 + ln v) dv; split B
+    into its limit (at most 2), cos(u)/(1 + ln u) and a rest of order 1/u, and
+    bound each integral of sin against a decreasing phi by 2 phi(U)/omega."""
+    k = 1.0 / (1.0 + x)
+    return math.exp(-2.0 * x) * k * (4.0 + 0.5 * k + 2.0 * k * k)
+
+
+def _truncation(p: Potential) -> tuple[float, float]:
+    """Truncation point X of the H^-1 integral and a bound on the part past
+    it: 0 past a support bound; m (|a|_2 / 2 + m) past an effective support
+    (plus 1), where the L2 mass m is below _MASS_TOL (Cauchy-Schwarz and
+    Young); for figure1, _figure1_tail at the first quarter step below 1e-10.
+    The coefficient lives on [0, r_max], so X is at most r_max."""
     if p.support_bound is not None:
-        return min(p.support_bound, p.r_max)
-    eff = p.effective_support(1e-16)
-    if eff is not None:
-        return min(eff + 1.0, p.r_max)
-    # oscillating family: keep the window where phases can beat the cutoff
-    return min(max(math.log(100.0 * (cutoff + 10.0)), 8.0), p.r_max)
-
-
-def _l1_upper(p: Potential, hi: float) -> float:
-    if p.family == "figure1":
-        return math.log(1.0 + hi)
-    if hi <= 0:
-        return 0.0
-    return float(adaptive_quad(lambda x: np.abs(p(x)), 0.0, hi, 1e-8))
-
-
-def sobolev_h_minus1(p: Potential, cutoff: float = 200.0,
-                     n_xi: int = 4097) -> SobolevNorm:
-    """Negative-Sobolev proxy: int_{-cutoff}^{cutoff} |Fa|^2/(1+xi^2) dxi.
-
-    The transform is evaluated by direct quadrature of the defining integral
-    on an oscillation-resolving r-grid; the reported tail bound covers the
-    discarded |xi| > cutoff mass.
-    """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if p.l2_norm == 0.0:
-        return SobolevNorm(0.0, cutoff, 0.0)
-
-    hi = _fourier_truncation(p, cutoff)
-    _, n_r = _window_budget(p, 0.0, hi, 1.0, nodes_per_period=48)
-    n_r = max(n_r, 16385)
-    panels = _panels(0.0, hi, p.breakpoints(), n_r)
-    xs = np.concatenate(panels)
-    avals = np.concatenate(
-        [np.asarray(_one_sided(p, panel), dtype=complex) for panel in panels])
-    wts = np.concatenate([_simpson_w(panel) for panel in panels])
-
-    if n_xi % 2 == 0:
-        n_xi += 1
-    if p.is_real:
-        xi = np.linspace(0.0, cutoff, n_xi)
+        x, bound = p.support_bound, 0.0
+    elif (eff := p.effective_support(_MASS_TOL)) is not None:
+        x, bound = eff + 1.0, _MASS_TOL * (0.5 * p.l2_norm + _MASS_TOL)
+    elif p.family == "figure1":
+        x = 1.0
+        while _figure1_tail(x) > 1e-10:
+            x += 0.25
+        bound = _figure1_tail(x)
     else:
-        xi = np.linspace(-cutoff, cutoff, n_xi)
+        raise ValueError(f"no truncation point known for the {p.family} coefficient")
+    return (x, bound) if x < p.r_max else (p.r_max, 0.0)
 
-    aw = avals * wts
-    # e^{-i xi_j x} along the uniform xi grid by recursive phase rotation:
-    # one complex multiply per node per frequency instead of a transcendental
-    F = np.empty(xi.size, dtype=complex)
-    row = np.exp(-1j * xi[0] * xs)
-    step = np.exp(-1j * (xi[1] - xi[0]) * xs)
-    for j in range(xi.size):
-        F[j] = row @ aw
-        row *= step
-    F /= math.sqrt(2.0 * math.pi)
 
-    density = np.abs(F) ** 2 / (1.0 + xi ** 2)
-    if p.is_real:
-        # |Fa| is even for real coefficients; fold the negative axis
-        value = 2.0 * float(simpson(density, x=xi))
-    else:
-        value = float(simpson(density, x=xi))
+def _h_minus1_sum(panels, values) -> float:
+    """Simpson sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy carried
+    across panels, from cumulative Simpson of a(y) e^{y - x_j} on chunks of
+    about unit length from a node x_j, so no growing exponential exceeds e."""
+    total, c = 0.0, 0.0
+    for x, a in zip(panels, values):
+        h = (x[-1] - x[0]) / (x.size - 1)
+        m = 2 * max(1, int(0.5 / h))
+        grow = np.exp(h * np.arange(m + 1))
+        C = np.empty(a.shape, dtype=np.result_type(a, c))
+        for j in range(0, a.size - 1, m):
+            g = grow[:min(m + 1, a.size - j)]
+            C[j:j + g.size] = (c + _cum_uniform(a[j:j + g.size] * g, h)) / g
+            c = C[j + g.size - 1]
+        total += float(np.real(np.sum(_simpson_w(x) * a * np.conj(C))))
+    return total
 
-    l1 = _l1_upper(p, hi)
-    tail_bound = l1 * l1 / (math.pi * cutoff)
-    return SobolevNorm(value=value, cutoff=cutoff, tail_bound=tail_bound)
+
+def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
+    """H^-1 norm int |Fa|^2/(1+xi^2) dxi, F normalised by 1/sqrt(2 pi), in
+    direct space: 1/2 int int a(x) conj(a(y)) e^{-|x-y|} dx dy, as the
+    inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Simpson pass over
+    oscillation-resolving panels of [0, X] (see _truncation). tail_bound is
+    the error estimate: the change from the same sum on every other node,
+    plus the bound on the part past X. ``cutoff`` is accepted and ignored.
+    Raises ValueError if a is not in L2 or has no known truncation point."""
+    if not math.isfinite(p.l2_norm):
+        raise ValueError("the H^-1 norm needs a square-integrable coefficient")
+    hi, truncated = _truncation(p)
+    if p.l2_norm == 0.0 or hi <= 0.0:
+        return SobolevNorm(0.0, 0.0)
+    n = _window_budget(p, 0.0, hi, 1.0, _SOBOLEV_NODES_PER_PERIOD)
+    panels = _panels(0.0, hi, p.breakpoints(), max(n, 16385), step=4)
+    values = [np.asarray(_one_sided(p, x)) for x in panels]
+    value = _h_minus1_sum(panels, values)
+    coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])
+    return SobolevNorm(value=value, tail_bound=abs(value - coarse) + truncated)
 
 
 def _simpson_w(x: np.ndarray) -> np.ndarray:

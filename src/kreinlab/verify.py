@@ -250,7 +250,7 @@ def check_entropy_band(rng):
     worst = 0.0
     for name in ("box11", "box052", "gaussian", "figure1"):
         pot = _catalog()[name]
-        ratio = ent.entropy_sum(pot, 30).total / float(ent.sobolev_h_minus1(pot, 200.0))
+        ratio = ent.entropy_sum(pot, 30).total / float(ent.sobolev_h_minus1(pot))
         worst = max(worst, ratio / 100.0, 0.01 / ratio)
     return [_result("entropy.band", worst, 1.0,
                     "sum-vs-Sobolev ratio inside [1/100, 100] (ratio to band edge)")]

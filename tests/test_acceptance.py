@@ -117,7 +117,7 @@ def test_criterion_07_entropy_functionals():
     for pot in (BOX, build_potential("box", 0.5, 2), build_potential("gaussian", 1, 1),
                 build_potential("constant", 0.25)):
         for r in (0.0, 0.7, 1.5):
-            _, n_total = ent._window_budget(pot, r, r + 2.0, 2.0)
+            n_total = ent._window_budget(pot, r, r + 2.0, 2.0)
             det_route = ent._entropy_real_commuting(pot, r, n_total)
             bridge = 4.0 * (ent._bridge_F(pot, r, n_total) - 1.0)
             worst_route = max(worst_route,

@@ -169,6 +169,12 @@ class TestVerify:
         assert "matched no check" in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--seed", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+
     def test_full_battery_passes(self, capsys, tmp_path):
         assert run(["verify", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -238,10 +244,16 @@ class TestInputValidation:
         # a one-point grid: the solve has nothing to step
         (SOLVE + ["--lambda", "1", "--rmax", "0"], EXIT_OK),
         (SOLVE + ["--lambda", "1", "--rmax", "-1"], EXIT_USAGE),
+        # rejected by argparse itself, which exits instead of returning
+        (["verify", "--seed", "-1"], EXIT_USAGE),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()
-        assert run(args + ["--out", str(tmp_path)]) == code
+        try:
+            got = run(args + ["--out", str(tmp_path)])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
         assert time.perf_counter() - start < 10.0
         assert "Traceback" not in capsys.readouterr().err
 

@@ -1,11 +1,11 @@
 """Entropy-functional tests: transfer matrix, determinant entropy, variation,
-partial sums, Sobolev proxy, scans and classification."""
+partial sums, the H^-1 norm, scans and classification."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad
 
 import kreinlab.entropy as ent_mod
 from kreinlab.entropy import (
@@ -18,7 +18,7 @@ from kreinlab.entropy import (
     sobolev_h_minus1,
     variation_D,
 )
-from kreinlab.potentials import build_potential, oscillation_classify
+from kreinlab.potentials import Potential, build_potential, oscillation_classify
 
 ZERO = build_potential("zero")
 BOX = build_potential("box", 1, 1)
@@ -75,7 +75,7 @@ class TestEntropyE:
         # ODE with Gram accumulation (the two never share code)
         for pot in (BOX, GAUSS):
             for r in (0.0, 0.7, 1.5):
-                _, n = ent_mod._window_budget(pot, r, r + 2.0, 2.0)
+                n = ent_mod._window_budget(pot, r, r + 2.0, 2.0)
                 fast = ent_mod._entropy_real_commuting(pot, r, n)
                 ode = ent_mod._entropy_ode(pot, r)
                 assert abs(fast - ode) < 1e-8 * (1.0 + abs(fast))
@@ -142,18 +142,46 @@ class TestEntropySum:
         assert abs(s30.total - s20.total) < 1e-10
 
 
+def _gaussian_H(c, scale):
+    """Re int a(x) e^{-x} conj(int_0^x a(y) e^{y} dy) dx for a = c e^{-(x/s)^2}:
+    the inner integral in closed form by erf, the outer one by quad."""
+    s = scale
+    pre = s * math.sqrt(math.pi) / 2.0 * math.exp(s * s / 4.0)
+    e0 = math.erf(s / 2.0)
+
+    def outer(x):
+        return math.exp(-(x / s) ** 2 - x) * pre * (math.erf(x / s - s / 2.0) + e0)
+
+    val, _ = quad(outer, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return abs(c) ** 2 * val
+
+
 class TestSobolev:
     def test_zero(self):
         assert float(sobolev_h_minus1(ZERO, 200.0)) == 0.0
 
     def test_box_closed_form(self):
-        # |Fa|^2 = (1 - cos xi)/(pi xi^2) for the unit box
-        sb = sobolev_h_minus1(BOX, 200.0)
-        xi = np.linspace(-200.0, 200.0, 100001)
-        dens = np.where(np.abs(xi) < 1e-8, 1.0 / (2 * np.pi),
-                        (1 - np.cos(xi)) / (np.pi * np.maximum(xi ** 2, 1e-300)))
-        ref = simpson(dens / (1 + xi ** 2), x=xi)
-        assert abs(sb.value - ref) < 1e-6
+        # the H^-1 norm of c on [0, L) is c^2 (L - 1 + e^{-L})
+        for c, L in ((1.0, 1.0), (0.5, 2.0)):
+            sb = sobolev_h_minus1(build_potential("box", c, L))
+            ref = c * c * (L - 1.0 + math.exp(-L))
+            assert abs(sb.value - ref) <= 1e-13 * ref
+
+    def test_gaussian_erf_double_integral(self):
+        ref = _gaussian_H(1.0, 1.0)
+        sb = sobolev_h_minus1(GAUSS)
+        assert abs(sb.value - ref) <= 1e-12 * ref
+        c = 0.5 + 0.5j
+        sz = sobolev_h_minus1(build_potential("gaussian", c, 1.0))
+        assert abs(sz.value - _gaussian_H(c, 1.0)) <= 1e-12 * ref
+        assert abs(sz.value - abs(c) ** 2 * sb.value) <= 1e-12 * sz.value
+
+    def test_figure1_doubled_nodes(self, monkeypatch):
+        sb = sobolev_h_minus1(FIG)
+        monkeypatch.setattr(ent_mod, "_SOBOLEV_NODES_PER_PERIOD",
+                            2 * ent_mod._SOBOLEV_NODES_PER_PERIOD)
+        fine = sobolev_h_minus1(FIG)
+        assert abs(fine.value - sb.value) <= sb.tail_bound
 
     def test_quadratic_homogeneity(self):
         v1 = float(sobolev_h_minus1(BOX, 200.0))
@@ -162,8 +190,22 @@ class TestSobolev:
 
     def test_tail_bound_reported(self):
         sb = sobolev_h_minus1(GAUSS, 50.0)
-        assert sb.tail_bound > 0
-        assert sb.cutoff == 50.0
+        assert 0.0 <= sb.tail_bound <= 1e-6
+        assert not hasattr(sb, "cutoff")
+
+    def test_cutoff_is_ignored(self):
+        assert sobolev_h_minus1(BOX, 1.0) == sobolev_h_minus1(BOX)
+
+    def test_not_in_l2_raises(self):
+        with pytest.raises(ValueError, match="square-integrable"):
+            sobolev_h_minus1(build_potential("constant", 1))
+
+    def test_no_truncation_point_raises(self):
+        # an L2 coefficient of a family with no support or tail information
+        p = Potential("closed-form", "custom", lambda r: np.exp(-r),
+                      support_bound=None, l2_norm=math.sqrt(0.5))
+        with pytest.raises(ValueError, match="no truncation point"):
+            sobolev_h_minus1(p)
 
 
 class TestEquivalenceScan:
