@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,11 @@ import numpy as np
 from . import __version__
 from .entropy import (
     RouteDisagreement,
-    entropy_sum,
-    equivalence_scan,
+    _scan_of,
+    _sum_of,
+    entropy_E,
     sobolev_h_minus1,
+    variation_D,
 )
 from .kernel import DecayFit, Grid, KernelError
 from .krein import dump_krein_csv, solve_krein
@@ -149,21 +152,46 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _provenance(r, value) -> dict:
+    return {"r": float(r), "value": float(value), "route": value.route,
+            "error": value.error, "nodes": value.nodes}
+
+
 def cmd_entropy(args) -> int:
     pot = parse_potential(args.potential)
     grid = _r_grid(args)
+    if args.nsum < 0:
+        raise ValueError(f"--nsum must be nonnegative, got {args.nsum}")
+    start = time.perf_counter()
     sob = sobolev_h_minus1(pot)  # first: it rejects a coefficient not in L2
     args.out.mkdir(parents=True, exist_ok=True)
+    sobolev_done = time.perf_counter()
 
-    scan = equivalence_scan(pot, grid)
+    # each distinct window once: the sum reuses the scan's E at integer r
+    E = {r: entropy_E(pot, r) for r in grid.points}
+    D = [variation_D(pot, r) for r in grid.points]
+    scan = _scan_of(grid, list(E.values()), D)
     with open(args.out / "entropy_scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "E", "D", "ratio"])
         for r, e, d, q in zip(grid.points, scan.E, scan.D, scan.ratio):
             writer.writerow([_fmt(r), _fmt(e), _fmt(d),
                              "" if math.isnan(q) else _fmt(q)])
+    scan_done = time.perf_counter()
 
-    esum = entropy_sum(pot, args.nsum)
+    windows = [float(n) for n in range(args.nsum + 1)]
+    for r in windows:
+        if r not in E:
+            E[r] = entropy_E(pot, r)
+    esum = _sum_of([E[r] for r in windows])
+    sum_done = time.perf_counter()
+    _write_json(args.out / "entropy_trace.json", {
+        "stages_s": {"sobolev": sobolev_done - start,
+                     "scan": scan_done - sobolev_done,
+                     "sum": sum_done - scan_done},
+        "E": [_provenance(r, v) for r, v in sorted(E.items())],
+        "D": [_provenance(r, v) for r, v in zip(grid.points, D)],
+    })
     if esum.total == 0.0 or sob.value == 0.0:
         verdict = "trivial"
         ratio = None

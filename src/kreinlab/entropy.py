@@ -5,12 +5,18 @@ fits, the entropy partial sums, and the H^-1 norm.
 Conventions. The Dirac generator is built from the coefficient at doubled
 argument: Q(s) = ((-q, p), (p, q)) with p(s) = -2 Re a(2s), q(s) = 2 Im a(2s),
 and the transfer matrix solves N' = J Q N from the identity. E(r) is the
-determinant defect of the Gram integral of N over [r, r+2]; a second route
-computes it through the ordered exponential of A_r(t) = 2 J Q(r + 2t), the
-unique rescaling with X_{A_r}(t) = N(r + 2t). The two routes must agree; a
-disagreement raises RouteDisagreement (for strongly complex coefficients the
-two Gram transpose orders genuinely differ, and the error is the designed
-signal for that).
+determinant defect of the Gram integral of N over [r, r+2].
+
+For a real coefficient the generator is diagonal and E comes from one sampled
+pass over delta(t) = int_{2r}^{2t} a; the same sums on every other node give
+its error estimate, and a difference beyond tolerance raises
+RouteDisagreement. For figure1, past the point where sampling gets
+expensive, E and D come from the asymptotic expansion of its tail integral.
+For a complex coefficient a second route computes E through the ordered
+exponential of A_r(t) = 2 J Q(r + 2t), the unique rescaling with
+X_{A_r}(t) = N(r + 2t); the two routes must agree (for strongly complex
+coefficients the two Gram transpose orders genuinely differ, and the error is
+the designed signal for that).
 """
 
 from __future__ import annotations
@@ -19,36 +25,72 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from numpy.polynomial.polynomial import polyval
+from scipy.integrate import cumulative_simpson
 
 from .kernel import (
     DecayFit,
     Grid,
     InsufficientDataError,
     KernelError,
+    _gauss_panel,
     breakpoint_segments,
+    exp_phase_integral,
     fit_decay,
     propagate,
 )
-from .ordered_exp import CoeffPair, f_of_s
 from .potentials import Potential
 
 # oscillation-resolving sample budget: nodes per period and the hard cap
 _NODES_PER_PERIOD = 360
 _N_CAP = 30_000_000
+# complex coefficients only: a window whose envelope bound is below this is 0
 _ZERO_SHORTCUT = 1e-7
+# rounding floor of a sampled E or D: this many ulps of the terms it is the
+# difference of, plus the smallest normal double; below it the h-against-2h
+# difference is rounding, not discretisation
+_ROUNDING_ULPS = 64
+# the figure1 expansion is used where its error bound is at most this
+# fraction of the value it gives
+_EXPANSION_REL = 1e-7
 # H^-1 norm: nodes per period, and the L2 mass left past an effective support
 _SOBOLEV_NODES_PER_PERIOD = 48
 _MASS_TOL = 1e-16
+# figure1: T(x) = int_x^inf a = cos(e^x) phi1 - sin(e^x) phi2 + rest, with
+# the amplitudes e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in phi1 and phi2
+_F1_TERMS = 6
+# past this x the ulp of e^x is about 0.5, so e^x has no usable phase: the
+# oscillating parts of the moments are bounded there, not computed
+_F1_PHASE_MAX = 36.0
+# error of exp_phase_integral per unit of sup|g| on the amplitudes used here
+# (measured at most 2e-15 against Gauss panels in u = e^x)
+_F1_QUAD = 1e-13
 
 
 class RouteDisagreement(KernelError):
-    """The determinant route and the ordered-exponential bridge disagree."""
+    """The two values computed for one window disagree: for a complex
+    coefficient the determinant route and the ordered-exponential bridge, for
+    a real one the sampled pass on all nodes and on every other node."""
 
     def __init__(self, message, det_route, bridge_route):
         super().__init__(message)
         self.det_route = det_route
         self.bridge_route = bridge_route
+
+
+class WindowValue(float):
+    """E or D on one window, with how it was computed: ``route`` (sampled,
+    expansion, ode, exact_zero or envelope_zero), ``error`` (the error
+    estimate or bound; for ode the gap to the bridge route; for envelope_zero
+    the envelope bound) and ``nodes`` (the sample count, None where nothing
+    was sampled)."""
+
+    def __new__(cls, value, route, error, nodes=None):
+        obj = super().__new__(cls, value)
+        obj.route = route
+        obj.error = float(error)
+        obj.nodes = nodes
+        return obj
 
 
 @dataclass
@@ -154,32 +196,58 @@ def _entropy_bound(p: Potential, r: float) -> float | None:
     return 4.0 * vmax ** 2 * (1.0 + 8.0 * vmax)
 
 
-def _panels(lo, hi, breaks, n_total, step=2):
+def _panels(lo, hi, breaks, n_total):
     """Uniform panels of [lo, hi] cut at breaks, n_total nodes in all; each
-    has n >= 17 nodes with n - 1 a multiple of step."""
+    has n >= 17 nodes with n - 1 a multiple of 4, so that every other node
+    is a Simpson grid too."""
     out = []
     for a, b in breakpoint_segments(lo, hi, breaks):
         n = max(17, int(round(n_total * (b - a) / (hi - lo))))
-        n += (1 - n) % step
+        n += (1 - n) % 4
         out.append(np.linspace(a, b, n))
     return out
 
 
-def _entropy_real_commuting(p: Potential, r: float, n_total: int) -> float:
-    """E(r) for a real coefficient: the generator is diagonal, so the Gram
-    factors into scalar integrals of exp(-+2 int_{2r}^{2t} a)."""
-    gen_breaks = [b / 2.0 for b in p.breakpoints()]
-    g_plus = 0.0
-    g_minus = 0.0
-    offset = 0.0
-    for panel in _panels(r, r + 2.0, gen_breaks, n_total):
-        h = (panel[-1] - panel[0]) / (panel.size - 1)
-        integrand = 2.0 * np.real(_one_sided(lambda t: p(2.0 * t), panel))
-        delta = _cum_uniform(integrand, h) + offset
-        offset = delta[-1]
-        g_minus += simpson(np.exp(-2.0 * delta), dx=h)
-        g_plus += simpson(np.exp(2.0 * delta), dx=h)
-    return g_minus * g_plus - 4.0
+def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
+    """Simpson sums over [lo, hi] of each array in moments(G), G(t) the
+    cumulative integral of f from lo, on panels cut at breaks: row 0 on all
+    nodes, row 1 on every other node. Returns the rows and the node count."""
+    parts = ([], [])
+    offset = [0.0, 0.0]
+    nodes = 0
+    for panel in _panels(lo, hi, breaks, n_total):
+        vals = _one_sided(f, panel)
+        nodes += panel.size
+        for j, step in enumerate((1, 2)):
+            x = panel[::step]
+            G = _cum_uniform(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
+            offset[j] = G[-1]
+            w = _simpson_w(x)
+            parts[j].append([np.sum(w * m) for m in moments(G)])
+    return np.array([np.sum(rows, axis=0) for rows in parts]), nodes
+
+
+def _entropy_sampled(p: Potential, r: float, n_total: int):
+    """E(r) of a real coefficient from one pass over delta(t) = int_{2r}^{2t} a.
+
+    The generator is diagonal, so E = g+ g- - 4 with g+- = int exp(+-2 delta);
+    with C = int cosh 2 delta = 2 + c', c' = int 2 sinh^2 delta and
+    S = int sinh 2 delta, that is 4c' + c'^2 - S^2, which never subtracts the
+    4 (g+ g- - 4 loses all relative precision below the ulps of 4). Returns E
+    from all nodes, E from every other node, the rounding floor of their
+    difference and the node count."""
+    sums, nodes = _sampled_sums(
+        lambda t: 2.0 * np.real(p(2.0 * t)), r, r + 2.0,
+        [b / 2.0 for b in p.breakpoints()], n_total,
+        lambda delta: (2.0 * np.sinh(delta) ** 2, np.sinh(2.0 * delta)))
+    c, S = sums[:, 0], sums[:, 1]
+    E = 4.0 * c + c * c - S * S
+    floor = _rounding(4.0 * c[0] + c[0] ** 2 + S[0] ** 2)
+    return float(E[0]), float(E[1]), floor, nodes
+
+
+def _rounding(terms: float) -> float:
+    return float(_ROUNDING_ULPS * np.finfo(float).eps * terms + np.finfo(float).tiny)
 
 
 def _entropy_ode(p: Potential, r: float, tol: float = 1e-11) -> float:
@@ -200,29 +268,8 @@ def _entropy_ode(p: Potential, r: float, tol: float = 1e-11) -> float:
     return g11 * g22 - g12 * g12 - 4.0
 
 
-def _bridge_F(p: Potential, r: float, n_total: int, tol: float = 1e-11) -> float:
+def _bridge_F(p: Potential, r: float, tol: float = 1e-11) -> float:
     """F_{A_r}(1) via the ordered exponential of A_r(t) = 2 J Q(r + 2t)."""
-    if p.is_real:
-        # A_r is diagonal with entry -q~ where q~(t) = 4 Re a(2r + 4t)
-        qt = lambda t: 4.0 * np.real(p(2.0 * r + 4.0 * np.asarray(t, dtype=float)))
-        t_breaks = sorted((b - 2.0 * r) / 4.0 for b in p.breakpoints()
-                          if 2.0 * r < b < 2.0 * r + 4.0)
-        if not t_breaks and n_total <= 32769:
-            A = CoeffPair(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                          qt, n_grid=max(n_total, 4097))
-            return f_of_s(A, 1.0)
-        # panelized diagonal evaluation (value jumps or oscillation-heavy)
-        plus = 0.0
-        minus = 0.0
-        offset = 0.0
-        for panel in _panels(0.0, 1.0, t_breaks, n_total):
-            h = (panel[-1] - panel[0]) / (panel.size - 1)
-            G = _cum_uniform(_one_sided(qt, panel), h) + offset
-            offset = G[-1]
-            plus += simpson(np.exp(2.0 * G), dx=h)
-            minus += simpson(np.exp(-2.0 * G), dx=h)
-        return plus * minus
-
     gen = DiracMatrixQ(p)
 
     def rhs(t, y):
@@ -239,75 +286,261 @@ def _bridge_F(p: Potential, r: float, n_total: int, tol: float = 1e-11) -> float
     return g11 * g22 - g12 * g12
 
 
-def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> float:
-    """Determinant entropy E(r), cross-checked through two routes.
+# ---------------------------------------------------------------------------
+# figure1 past the sampling range: the expansion of T(x) = int_x^inf a
+# (the asymptotic method of Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383)
+# ---------------------------------------------------------------------------
 
-    Route one evaluates det of the Gram integral of the transfer matrix over
-    [r, r+2]; route two evaluates 4 (F_{A_r}(1) - 1). Windows whose rigorous
-    envelope bound is below 1e-7 short-circuit to exactly 0; windows whose
-    oscillation cannot be resolved within the sample budget raise unless the
-    bound applies.
+def _f1_amplitude_polys(n):
+    """Rows q_0 .. q_n of coefficients in s = 1/(1+x), lowest power first.
+    Integrating trig(e^y) e^{-ky} q_k from x to infinity by parts in u = e^y
+    leaves the boundary term e^{-(k+1)x} q_k(x) and the integrand
+    e^{-(k+1)y} q_{k+1} with q_{k+1} = q_k' - (k+1) q_k, where
+    d/dx s^m = -m s^{m+1}; q_0 = s is the amplitude of a itself."""
+    q = np.zeros((n + 1, n + 2))
+    q[0, 1] = 1.0
+    powers = np.arange(n + 1)
+    for k in range(n):
+        q[k + 1, 1:] = -powers * q[k, :-1]
+        q[k + 1] -= (k + 1) * q[k]
+    return q
+
+
+_F1_Q = _f1_amplitude_polys(_F1_TERMS + 1)
+
+
+def _f1_phis(x):
+    """phi1 and phi2 at x. With E_k = e^{-(k+1)x} q_k, the boundary terms
+    give T = cos(e^x)(E_0 - E_2 + E_4 ...) - sin(e^x)(E_1 - E_3 + E_5 ...)."""
+    x = np.asarray(x, dtype=float)
+    s = 1.0 / (1.0 + x)
+    ex = np.exp(-x)
+    phi = [np.zeros_like(x), np.zeros_like(x)]
+    scale = ex
+    for k in range(_F1_TERMS):
+        term = scale * polyval(s, _F1_Q[k])
+        phi[k % 2] += -term if k % 4 >= 2 else term
+        scale = scale * ex
+    return phi
+
+
+def _f1_rest(x: float) -> float:
+    """Bound on |T - cos(e^y) phi1 + sin(e^y) phi2| for y >= x: the rest is
+    int trig(e^y) e^{-Ky} q_K, and one more integration by parts bounds it
+    by e^{-(K+1)x} (|q_K|(s) + |q_{K+1}|(s) / (K+1)), |q| taking absolute
+    coefficients, which grows with s = 1/(1+x) and so is largest at x."""
+    s = 1.0 / (1.0 + x)
+    K = _F1_TERMS
+    return math.exp(-(K + 1) * x) * (polyval(s, np.abs(_F1_Q[K]))
+                                     + polyval(s, np.abs(_F1_Q[K + 1])) / (K + 1))
+
+
+def _gauss(f, lo: float, hi: float) -> float:
+    """16-point Gauss-Legendre on unit panels: for e^{-nx}, n <= 4, times a
+    polynomial in 1/(1+x) its error is far below double rounding."""
+    edges = np.linspace(lo, hi, max(1, math.ceil(hi - lo)) + 1)
+    return float(np.sum(_gauss_panel(f, edges[:-1], edges[1:])))
+
+
+class _F1Window:
+    """Moments I1 = int T dx and I2 = int T^2 dx of figure1's tail integral
+    over [x0, x1] from its expansion, with error bounds err1 and err2.
+
+    T^2 = rho^2/2 + cos(2e^x)(phi1^2 - phi2^2)/2 - sin(2e^x) phi1 phi2 with
+    rho^2 = phi1^2 + phi2^2. An integral of trig(w e^x) g over the window,
+    with e^{-x}|g| decreasing, is at most 2 e^{-x0} |g(x0)| / w after one
+    integration by parts in u = e^x; osc1 and osc2, the bounds on the
+    oscillating parts of I1 and I2 (two integrals each), take twice that.
+    The smooth part and the bounds are cheap; moments() adds the oscillating
+    integrals, or past _F1_PHASE_MAX leaves them to the bounds."""
+
+    def __init__(self, x0: float, x1: float):
+        self.x0, self.x1 = x0, x1
+        span = x1 - x0
+        phi1, phi2 = _f1_phis(x0)
+        tau = _f1_rest(x0)
+        # rho decreases, so tb bounds |T| on [x0, inf)
+        self.tb = tb = math.hypot(phi1, phi2) + tau
+        self.smooth2 = 0.5 * _gauss(lambda x: sum(f * f for f in _f1_phis(x)), x0, x1)
+
+        def osc(amplitude, w):
+            return 2.0 * 2.0 * 2.0 * math.exp(-x0) * amplitude / w
+
+        self.osc1 = osc(tb, 1.0)
+        self.osc2 = osc(0.5 * tb * tb, 2.0)
+        self.computed = x0 <= _F1_PHASE_MAX
+        # the rest of the expansion: |T - T_K| <= tau, |T^2 - T_K^2| <= 2 tau tb
+        self.err1 = span * tau + (2.0 * _F1_QUAD * tb if self.computed else self.osc1)
+        self.err2 = 2.0 * span * tau * tb + (
+            2.0 * _F1_QUAD * tb * tb if self.computed else self.osc2)
+        self.abs1 = self.osc1 + span * tau       # bound on |I1|
+
+    def moments(self) -> tuple[float, float]:
+        if not self.computed:
+            return 0.0, self.smooth2
+        x0, x1 = self.x0, self.x1
+        i1 = (exp_phase_integral(lambda x: _f1_phis(x)[0], x0, x1, 1.0, "cos")
+              - exp_phase_integral(lambda x: _f1_phis(x)[1], x0, x1, 1.0, "sin"))
+
+        def half_diff(x):
+            phi1, phi2 = _f1_phis(x)
+            return 0.5 * (phi1 * phi1 - phi2 * phi2)
+
+        def product(x):
+            phi1, phi2 = _f1_phis(x)
+            return phi1 * phi2
+
+        i2 = (self.smooth2 + exp_phase_integral(half_diff, x0, x1, 2.0, "cos")
+              - exp_phase_integral(product, x0, x1, 2.0, "sin"))
+        return i1, i2
+
+
+def _figure1_E(p: Potential, r: float,
+               rel: float = _EXPANSION_REL) -> WindowValue | None:
+    """E(r) for figure1 from the expansion, or None where its error bound
+    exceeds rel |E|.
+
+    In x = 2t, delta = c - T on [x0, x0 + 4] with c = T(x0), and the series
+    of cosh and sinh give E = 4 J2 - J1^2 + R4 + rest, J_k = int delta^k dx,
+    R4 = (4/3) J4 + J2^2 - (4/3) J1 J3, |rest| <= 25 m^6 with
+    m = sup|delta| <= 2 tail_sup(x0). c cancels from 4 J2 - J1^2 = 4 I2 - I1^2.
+    J3 and J4 follow from c, I1, I2 and the smooth part (3/8) int rho^4 of
+    int T^4; the harmonics left out of int T^3 and int T^4 are at most
+    12 e^{-x0} tb^n each, which moves R4 by at most 210 e^{-x0} tb^4; errors
+    dc in c (the rest of the expansion, and the rounding of the phase e^x),
+    err1 and err2 move it by at most 200 m^2 (m dc + m err1 + err2). Past
+    _F1_PHASE_MAX c has no usable phase, so R4 is left out and bounded:
+    |R4| <= 43 m^4."""
+    x0 = 2.0 * r
+    span = 4.0
+    w = _F1Window(x0, x0 + span)
+    m = 2.0 * p.tail_sup(x0)
+    if w.computed:
+        dc = _f1_rest(x0) + 2.0 * math.exp(x0) * np.finfo(float).eps * w.tb
+        r4_err = (210.0 * math.exp(-x0) * w.tb ** 4
+                  + 200.0 * m * m * (m * (dc + w.err1) + w.err2))
+    else:
+        r4_err = 43.0 * m ** 4
+    err = (4.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
+           + r4_err + 25.0 * m ** 6)
+    lower = 4.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2 - 43.0 * m ** 4
+    if not err <= rel * lower:
+        return None
+    i1, i2 = w.moments()
+    r4 = 0.0
+    if w.computed:
+        phi1, phi2 = _f1_phis(x0)
+        c = math.cos(math.exp(x0)) * phi1 - math.sin(math.exp(x0)) * phi2
+        i4 = 0.375 * _gauss(lambda x: sum(f * f for f in _f1_phis(x)) ** 2,
+                            x0, x0 + span)
+        j1 = span * c - i1
+        j2 = span * c ** 2 - 2.0 * c * i1 + i2
+        j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2
+        j4 = span * c ** 4 - 4.0 * c ** 3 * i1 + 6.0 * c ** 2 * i2 + i4
+        r4 = 4.0 / 3.0 * j4 + j2 * j2 - 4.0 / 3.0 * j1 * j3
+    return WindowValue(4.0 * i2 - i1 * i1 + r4, "expansion", err)
+
+
+def _figure1_D(r: float, rel: float = _EXPANSION_REL) -> WindowValue | None:
+    """D(r) for figure1 from the expansion, or None where its error bound
+    exceeds rel D. With g = T(r) - T on [r, r+2], D = 2 int g^2 -
+    (int g)^2 = 2 I2 - I1^2 exactly: T(r) cancels."""
+    w = _F1Window(r, r + 2.0)
+    err = 2.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
+    lower = 2.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2
+    if not err <= rel * lower:
+        return None
+    i1, i2 = w.moments()
+    return WindowValue(2.0 * i2 - i1 * i1, "expansion", err)
+
+
+def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> WindowValue:
+    """Determinant entropy E(r), with its route and error estimate.
+
+    Exactly 0 only where the tail envelope bound is exactly 0 (past a support
+    bound, or where the bound underflows). A real coefficient takes one
+    sampled pass (see _entropy_sampled) and raises RouteDisagreement when the
+    pass on every other node differs by more than rel_tol |E| plus a rounding
+    floor; figure1 takes its expansion instead wherever that is accurate to
+    _EXPANSION_REL. A complex coefficient takes the Gram ODE, cross-checked
+    by the ordered-exponential bridge to rel_tol (1 + |E|); its windows with
+    an envelope bound below 1e-7 still return 0. A window that no route can
+    resolve raises KernelError.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     bound = _entropy_bound(p, r)
-    if bound is not None and bound < _ZERO_SHORTCUT:
-        return 0.0
+    if bound == 0.0:
+        return WindowValue(0.0, "exact_zero", 0.0)
 
+    if not p.is_real:
+        if bound is not None and bound < _ZERO_SHORTCUT:
+            return WindowValue(0.0, "envelope_zero", bound)
+        det_route = _entropy_ode(p, r)
+        bridge_route = 4.0 * (_bridge_F(p, r) - 1.0)
+        if abs(det_route - bridge_route) > rel_tol * (1.0 + abs(det_route)):
+            raise RouteDisagreement(
+                f"entropy routes disagree at r={r}: det route {det_route:.12g}, "
+                f"bridge route {bridge_route:.12g}", det_route, bridge_route)
+        return WindowValue(det_route, "ode", abs(det_route - bridge_route))
+
+    if p.family == "figure1" and (value := _figure1_E(p, r)) is not None:
+        return value
     n_total = _window_budget(p, r, r + 2.0, 2.0)
     if n_total > _N_CAP:
-        if bound is not None and bound < 1e-6:
-            return 0.0
         raise KernelError(
             f"window [{r}, {r + 2}] oscillates too fast to resolve "
-            f"({n_total} nodes needed) and no envelope bound applies")
-
-    if p.is_real:
-        det_route = _entropy_real_commuting(p, r, n_total)
-    else:
-        det_route = _entropy_ode(p, r)
-    bridge_route = 4.0 * (_bridge_F(p, r, n_total) - 1.0)
-
-    if abs(det_route - bridge_route) > rel_tol * (1.0 + abs(det_route)):
+            f"({n_total} nodes needed)")
+    fine, coarse, floor, nodes = _entropy_sampled(p, r, n_total)
+    if abs(fine - coarse) > rel_tol * abs(fine) + floor:
         raise RouteDisagreement(
-            f"entropy routes disagree at r={r}: det route {det_route:.12g}, "
-            f"bridge route {bridge_route:.12g}", det_route, bridge_route)
-    return det_route
+            f"sampled entropy at r={r} moves beyond tolerance between h and 2h: "
+            f"{fine:.12g} against {coarse:.12g}", fine, coarse)
+    return WindowValue(fine, "sampled", abs(fine - coarse) + floor, nodes)
 
 
-def variation_D(p: Potential, r: float) -> float:
+def variation_D(p: Potential, r: float) -> WindowValue:
     """Local variation over [r, r+2]:
-    2 int |g|^2 - |int g|^2 with g(t) = int_r^t a."""
+    2 int |g|^2 - |int g|^2 with g(t) = int_r^t a.
+
+    Exactly 0 only where tail_sup is exactly 0. Sampled, with the change on
+    every other node plus a rounding floor as the error estimate; figure1
+    takes its expansion wherever that is accurate to _EXPANSION_REL."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    ts = p.tail_sup(r)
-    if ts is not None and 16.0 * ts * ts < 1e-10:
-        return 0.0
+    if p.tail_sup(r) == 0.0:
+        return WindowValue(0.0, "exact_zero", 0.0)
+    if p.family == "figure1" and (value := _figure1_D(r)) is not None:
+        return value
 
     n_total = _window_budget(p, r, r + 2.0, 1.0)
     if n_total > _N_CAP:
         raise KernelError(f"window [{r}, {r + 2}] oscillates too fast to resolve")
+    fine, coarse, floor, nodes = _variation_sampled(p, r, n_total)
+    return WindowValue(fine, "sampled", abs(fine - coarse) + floor, nodes)
 
-    int_g2 = 0.0
-    int_g = 0.0 + 0.0j
-    offset = 0.0 + 0.0j
-    for panel in _panels(r, r + 2.0, p.breakpoints(), n_total):
-        h = (panel[-1] - panel[0]) / (panel.size - 1)
-        vals = np.asarray(_one_sided(p, panel), dtype=complex)
-        g = _cum_uniform(vals, h) + offset
-        offset = g[-1]
-        int_g2 += simpson(np.abs(g) ** 2, dx=h)
-        int_g += simpson(g.real, dx=h) + 1j * simpson(g.imag, dx=h)
-    return float(2.0 * int_g2 - abs(int_g) ** 2)
+
+def _variation_sampled(p: Potential, r: float, n_total: int):
+    """D(r) from one sampled pass, D from every other node, the rounding
+    floor of their difference and the node count."""
+    sums, nodes = _sampled_sums(
+        lambda t: np.asarray(p(t), dtype=complex), r, r + 2.0, p.breakpoints(),
+        n_total, lambda g: (np.abs(g) ** 2, g.real, g.imag))
+    D = 2.0 * sums[:, 0] - sums[:, 1] ** 2 - sums[:, 2] ** 2
+    return float(D[0]), float(D[1]), _rounding(2.0 * sums[0, 0] + sums[0, 1] ** 2
+                                               + sums[0, 2] ** 2), nodes
+
+
+def _sum_of(terms) -> EntropySum:
+    return EntropySum(total=float(np.sum(terms)), last_term=float(terms[-1]),
+                      n_terms=len(terms))
 
 
 def entropy_sum(p: Potential, N: int) -> EntropySum:
     """Sum of E over integer windows n = 0..N."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    terms = [entropy_E(p, float(n)) for n in range(N + 1)]
-    return EntropySum(total=float(np.sum(terms)), last_term=float(terms[-1]),
-                      n_terms=N + 1)
+    return _sum_of([entropy_E(p, float(n)) for n in range(N + 1)])
 
 
 def _figure1_tail(x: float) -> float:
@@ -371,7 +604,7 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     if p.l2_norm == 0.0 or hi <= 0.0:
         return SobolevNorm(0.0, 0.0)
     n = _window_budget(p, 0.0, hi, 1.0, _SOBOLEV_NODES_PER_PERIOD)
-    panels = _panels(0.0, hi, p.breakpoints(), max(n, 16385), step=4)
+    panels = _panels(0.0, hi, p.breakpoints(), max(n, 16385))
     values = [np.asarray(_one_sided(p, x)) for x in panels]
     value = _h_minus1_sum(panels, values)
     coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])
@@ -395,15 +628,20 @@ def _fit_or_flag(r: np.ndarray, m: np.ndarray) -> DecayFit:
                         n_used=int(np.sum(m > 1e-13)))
 
 
-def equivalence_scan(p: Potential, r_grid, floor: float = 1e-12) -> EntropyScan:
-    """E and D along the grid with ratios and decay fits of both columns."""
-    grid = Grid.coerce(r_grid)
-    E = np.array([entropy_E(p, r) for r in grid.points])
-    D = np.array([variation_D(p, r) for r in grid.points])
+def _scan_of(grid: Grid, E, D, floor: float = 1e-12) -> EntropyScan:
+    E = np.array(E, dtype=float)
+    D = np.array(D, dtype=float)
     ratio = np.where(D > floor, E / np.where(D > floor, D, 1.0), np.nan)
     return EntropyScan(r_grid=grid, E=E, D=D, ratio=ratio,
                        fit_E=_fit_or_flag(grid.points, np.abs(E)),
                        fit_D=_fit_or_flag(grid.points, np.abs(D)))
+
+
+def equivalence_scan(p: Potential, r_grid, floor: float = 1e-12) -> EntropyScan:
+    """E and D along the grid with ratios and decay fits of both columns."""
+    grid = Grid.coerce(r_grid)
+    return _scan_of(grid, [entropy_E(p, r) for r in grid.points],
+                    [variation_D(p, r) for r in grid.points], floor)
 
 
 def classify_alpha(p: Potential, r_grid, floor: float = 1e-13) -> DecayFit:

@@ -52,11 +52,13 @@ class Potential:
         return vals if vals.ndim else vals[()]
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior points where a is not smooth (for panelized quadrature)."""
+        """Points where a is not smooth (for panelized quadrature). A sampled
+        coefficient is piecewise linear between its grid points and 0 outside
+        the grid, so it can jump at the first and at the last of them too."""
         if self.family in ("box", "constant") and self.support_bound is not None:
             return (self.support_bound,)
         if self.kind == "sampled":
-            return tuple(self.sample_grid[1:-1])
+            return tuple(self.sample_grid)
         return ()
 
     def osc_rate(self, x: float) -> float:

@@ -3,8 +3,10 @@
 One test per acceptance criterion, each printing a PASS/FAIL line with its
 measured residuals at the stated tolerance. Where the ``kreinlab verify``
 battery has a check for a criterion, the test calls that check function at
-the criterion's own seed and asserts that every result passed; only what the
-battery does not cover is computed here. Run with ``pytest -s
+the criterion's own seed and asserts that every result passed; a check that
+draws no random numbers is read from the session's one battery run (the
+``battery`` fixture in conftest.py). Only what the battery does not cover is
+computed here. Run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion report, or via the CLI
 battery (``kreinlab verify``) for the JSON form.
 """
@@ -75,9 +77,9 @@ def test_criterion_01_closed_form_solves():
            extra=f"free/constant closed forms, worst {worst:.2e} <= 1e-9")
 
 
-def test_criterion_02_identity_battery():
-    report(2, check_reflection(None) + check_christoffel_darboux(None)
-           + check_szego_modulus(None))
+def test_criterion_02_identity_battery(battery):
+    report(2, battery(check_reflection) + battery(check_christoffel_darboux)
+           + battery(check_szego_modulus))
 
 
 def test_criterion_03_ordered_exponential_oracles():
@@ -89,7 +91,7 @@ def test_criterion_03_ordered_exponential_oracles():
            + check_liouville(det_rng) + check_liouville(det_rng))
 
 
-def test_criterion_04_coefficient_formulas():
+def test_criterion_04_coefficient_formulas(battery):
     A = CoeffPair.constant(0.0, 1.0)
     ta = taylor_a(A, 4)
     sampled = series_coeffs_from_samples(lambda s: np.sinh(s) ** 2 / s ** 2, 4,
@@ -98,7 +100,7 @@ def test_criterion_04_coefficient_formulas():
                  a4_explicit(A), float(sampled[4])]
     ref_err = max(abs(ta[2] - 1.0 / 3.0), abs(ta[4] - 2.0 / 45.0))
     pair_err = max(abs(a - b) for a in a4_routes for b in a4_routes)
-    report(4, check_diagonal_routes(None), ref_err <= 1e-7 and pair_err <= 1e-6,
+    report(4, battery(check_diagonal_routes), ref_err <= 1e-7 and pair_err <= 1e-6,
            f"a2=1/3, a4=2/45 within {ref_err:.2e} <= 1e-7; "
            f"four a4 routes pairwise {pair_err:.2e} <= 1e-6")
 
@@ -111,18 +113,19 @@ def test_criterion_06_smallness_bounds():
     report(6, check_iterated_bounds(default_rng(66)))
 
 
-def test_criterion_07_entropy_functionals():
-    # explicit dual-route agreement over the catalog probes
+def test_criterion_07_entropy_functionals(battery):
+    # the sampled real pass against the transfer-matrix ODE with Gram
+    # accumulation, which shares no code with it, over the catalog probes
     worst_route = 0.0
     for pot in (BOX, build_potential("box", 0.5, 2), build_potential("gaussian", 1, 1),
                 build_potential("constant", 0.25)):
         for r in (0.0, 0.7, 1.5):
             n_total = ent._window_budget(pot, r, r + 2.0, 2.0)
-            det_route = ent._entropy_real_commuting(pot, r, n_total)
-            bridge = 4.0 * (ent._bridge_F(pot, r, n_total) - 1.0)
+            sampled = ent._entropy_sampled(pot, r, n_total)[0]
+            ode = ent._entropy_ode(pot, r)
             worst_route = max(worst_route,
-                              abs(det_route - bridge) / (1.0 + abs(det_route)))
-    report(7, check_entropy_nonneg(None) + check_entropy_references(None),
+                              abs(sampled - ode) / (1.0 + abs(sampled)))
+    report(7, battery(check_entropy_nonneg) + battery(check_entropy_references),
            worst_route <= 1e-6, f"routes {worst_route:.2e} <= 1e-6")
 
 
@@ -130,26 +133,26 @@ def test_criterion_08_quadratic_term_dominates():
     report(8, check_defect_scaling(default_rng(88)))
 
 
-def test_criterion_09_alpha_surrogate_agreement():
+def test_criterion_09_alpha_surrogate_agreement(battery):
     box_tail = oscillation_classify(BOX, np.linspace(1.5, 6.0, 10)).fit.zero_tail
-    report(9, check_alpha_agreement(None), box_tail,
+    report(9, battery(check_alpha_agreement), box_tail,
            f"box tail flagged zero-tail: {box_tail}")
 
 
-def test_criterion_10_sum_vs_sobolev_band():
-    report(10, check_entropy_band(None))
+def test_criterion_10_sum_vs_sobolev_band(battery):
+    report(10, battery(check_entropy_band))
 
 
-def test_criterion_11_resonance_probe():
+def test_criterion_11_resonance_probe(battery):
     # find_pi_zero raises unless |P*(1, z)| < 1e-10 at the zero it returns
-    report(11, check_resonance_probe(None))
+    report(11, battery(check_resonance_probe))
 
 
-def test_criterion_12_order_comparison():
+def test_criterion_12_order_comparison(battery):
     half = VerblunskySeq(np.array([0.5]))
     off = max(abs(orthogonality_check(half, j, k))
               for j in range(3) for k in range(3) if j != k)
-    report(12, check_opuc_orders(None) + check_opuc_weight(None), off <= 1e-9,
+    report(12, battery(check_opuc_orders) + battery(check_opuc_weight), off <= 1e-9,
            f"Gram off-diagonal of [0.5] {off:.1e} <= 1e-9")
 
 

@@ -87,6 +87,28 @@ class TestSolve:
         assert "--rmax" in capsys.readouterr().err
 
 
+def assert_no_silent_zeros(out, nsum):
+    """Every E, D and ratio in entropy_scan.csv is computed and nonzero, and
+    entropy_trace.json carries a route, an error and a node count for each E
+    window of the scan and of the sum and each D window of the scan. A sum
+    window may be an exact zero, where the tail's bound underflows."""
+    with open(out / "entropy_scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(float(r["E"]) > 0.0 and float(r["D"]) > 0.0 for r in rows)
+    assert all(float(r["ratio"]) > 0.0 for r in rows if r["ratio"])
+    trace = json.loads((out / "entropy_trace.json").read_text())
+    assert set(trace["stages_s"]) == {"sobolev", "scan", "sum"}
+    rs = {float(r["r"]) for r in rows}
+    assert [e["r"] for e in trace["E"]] == sorted(rs | set(map(float, range(nsum + 1))))
+    assert [d["r"] for d in trace["D"]] == [float(r["r"]) for r in rows]
+    for entry in trace["E"] + trace["D"]:
+        computed = ("sampled", "expansion")
+        assert entry["route"] in computed + (() if entry["r"] in rs else ("exact_zero",))
+        assert 0.0 <= entry["error"] <= 1e-6 * entry["value"]
+        assert (entry["nodes"] is None) == (entry["route"] != "sampled")
+    return trace
+
+
 class TestEntropy:
     def test_zero_trivial(self, tmp_path):
         assert run(["entropy", "--potential", "zero", "--rmax", "10",
@@ -106,12 +128,15 @@ class TestEntropy:
         a_d = summary["fit_D"]["alpha_hat"]
         assert abs(a_e - a_d) < 0.3
         assert summary["band_verdict"] == "in-band"
+        assert_no_silent_zeros(tmp_path, nsum=30)
 
     def test_figure1_alpha(self, tmp_path):
         assert run(["entropy", "--potential", "figure1", "--rmax", "8",
                     "--out", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "entropy_summary.json").read_text())
         assert abs(summary["fit_D"]["alpha_hat"] - 1.0) <= 0.3
+        trace = assert_no_silent_zeros(tmp_path, nsum=30)
+        assert {e["route"] for e in trace["E"]} == {"sampled", "expansion"}
 
     def test_complex_coefficient(self, tmp_path):
         assert run(["entropy", "--potential", "gaussian:0.5+0.5i,1", "--rmax", "1",
@@ -175,13 +200,14 @@ class TestVerify:
         assert exc.value.code == EXIT_USAGE
         assert "--seed must be a nonnegative integer" in capsys.readouterr().err
 
-    def test_full_battery_passes(self, capsys, tmp_path):
-        assert run(["verify", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+    def test_full_battery_passes(self, verify_run):
+        code, stdout, out = verify_run
+        assert code == EXIT_OK
+        report = json.loads(stdout)
         assert report["all_passed"] and report["n_failed"] == 0
         assert report["n_checks"] >= 30
         assert all(c["residual"] <= c["tolerance"] for c in report["checks"])
-        saved = json.loads((tmp_path / "verify_report.json").read_text())
+        saved = json.loads((out / "verify_report.json").read_text())
         assert saved == report
         # each group has its own generator, so a check run alone draws the same
         # numbers as in the full battery

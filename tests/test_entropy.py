@@ -71,12 +71,12 @@ class TestEntropyE:
         assert val >= -1e-9
 
     def test_ode_route_matches_commuting_route(self):
-        # the vectorized diagonal route validated against the transfer-matrix
+        # the sampled diagonal pass validated against the transfer-matrix
         # ODE with Gram accumulation (the two never share code)
         for pot in (BOX, GAUSS):
             for r in (0.0, 0.7, 1.5):
                 n = ent_mod._window_budget(pot, r, r + 2.0, 2.0)
-                fast = ent_mod._entropy_real_commuting(pot, r, n)
+                fast = ent_mod._entropy_sampled(pot, r, n)[0]
                 ode = ent_mod._entropy_ode(pot, r)
                 assert abs(fast - ode) < 1e-8 * (1.0 + abs(fast))
 
@@ -100,6 +100,101 @@ class TestEntropyE:
         assert exc.value.det_route > 0
         assert exc.value.bridge_route > 0
         assert abs(exc.value.det_route - exc.value.bridge_route) > 1e-6
+
+
+def _gaussian_delta(r, scale):
+    """delta(t) = int_{scale r}^{scale t} e^{-x^2} dx by math.erfc; scale 2
+    gives E's delta, scale 1 D's g."""
+    k = math.sqrt(math.pi) / 2.0
+    e0 = math.erfc(scale * r)
+    return lambda t: k * (e0 - math.erfc(scale * t))
+
+
+def _quad(f, r):
+    return quad(f, r, r + 2.0, epsabs=0.0, epsrel=1e-13, limit=200,
+                points=[r + 0.05, r + 0.2])[0]
+
+
+class TestRealPass:
+    @pytest.mark.parametrize("r", [1.5, 2.0, 2.5])
+    def test_gaussian_against_erfc_quad(self, r):
+        # E = 4c' + c'^2 - S^2 from the closed-form delta integrated by quad
+        delta = _gaussian_delta(r, 2.0)
+        c = _quad(lambda t: 2.0 * math.sinh(delta(t)) ** 2, r)
+        S = _quad(lambda t: math.sinh(2.0 * delta(t)), r)
+        ref = 4.0 * c + c * c - S * S
+        E = entropy_E(GAUSS, r)
+        assert E.route == "sampled"
+        assert abs(E - ref) <= 1e-9 * ref
+
+    def test_injected_error_raises(self):
+        # one interior odd node's sample is off, which moves E by about 1e-3
+        # relative at E = 3.9e-12; the pass on every other node skips it
+        r = 1.625
+        panel = ent_mod._panels(r, r + 2.0, (), ent_mod._window_budget(GAUSS, r, r + 2.0, 2.0))[0]
+        x_odd = 2.0 * panel[101]
+        bad = Potential("closed-form", "gaussian",
+                        lambda x: np.exp(-x * x) + np.where(x == x_odd, 5e-6, 0.0),
+                        support_bound=None, l2_norm=GAUSS.l2_norm, params=GAUSS.params)
+        assert abs(entropy_E(GAUSS, r) - 3.9e-12) < 0.1e-12
+        with pytest.raises(RouteDisagreement) as exc:
+            entropy_E(bad, r)
+        moved = abs(exc.value.det_route / exc.value.bridge_route - 1.0)
+        assert 3e-4 < moved < 3e-3
+
+    def test_tail_windows_are_computed(self):
+        # no envelope shortcut for a real coefficient: E and D far below any
+        # former threshold, against the closed-form integrals
+        for r in (1.5, 1.75, 2.0):
+            assert entropy_E(GAUSS, r) > 0.0
+        for r in (4.0, 5.0, 6.0):
+            g = _gaussian_delta(r, 1.0)
+            ref = 2.0 * _quad(lambda t: g(t) ** 2, r) - _quad(g, r) ** 2
+            D = variation_D(GAUSS, r)
+            assert D.route == "sampled"
+            assert abs(D - ref) <= 1e-9 * ref
+
+    def test_exact_zero_only_where_the_bound_is_zero(self):
+        assert entropy_E(BOX, 0.5).route == "exact_zero"
+        assert variation_D(BOX, 1.0).route == "exact_zero"
+        assert entropy_E(GAUSS, 9.0).route == "sampled"
+        assert entropy_E(GAUSS, 9.0) > 0.0
+
+
+class TestFigure1Expansion:
+    @pytest.mark.parametrize("r", [3.5, 3.75, 4.0])
+    def test_E_matches_sampling(self, r):
+        expansion = ent_mod._figure1_E(FIG, r)
+        fine, coarse, _, _ = ent_mod._entropy_sampled(
+            FIG, r, ent_mod._window_budget(FIG, r, r + 2.0, 2.0))
+        gap = abs(expansion - fine)
+        assert gap <= expansion.error + abs(fine - coarse)
+        assert gap <= 1e-8 * fine
+
+    @pytest.mark.parametrize("r", [4.5, 5.0, 6.0])
+    def test_D_matches_sampling(self, r):
+        # at r = 4.5 the bound is above the route's 1e-7, so ask for any bound
+        expansion = ent_mod._figure1_D(r, rel=math.inf)
+        fine, coarse, _, _ = ent_mod._variation_sampled(
+            FIG, r, ent_mod._window_budget(FIG, r, r + 2.0, 1.0))
+        gap = abs(expansion - fine)
+        assert gap <= expansion.error + abs(fine - coarse)
+        assert gap <= 1e-8 * fine
+
+    def test_routes_along_the_scan(self):
+        # every window out to r = 8 is computed and carries its error; the
+        # expansion takes over where sampling gets expensive
+        for r in np.arange(0.0, 8.01, 0.5):
+            E = entropy_E(FIG, r)
+            assert E > 0.0 and 0.0 <= E.error <= 1e-6 * E
+            assert E.route == ("sampled" if r < 3.0 else "expansion")
+        assert variation_D(FIG, 8.0).route == "expansion"
+
+    def test_past_the_phase_range(self):
+        # from x = 36 on the oscillating parts are bounded, not computed
+        for r in (17.5, 18.5, 40.0):
+            E = entropy_E(FIG, r)
+            assert E.route == "expansion" and 0.0 < E.error <= 1e-7 * E
 
 
 class TestVariationD:
@@ -192,6 +287,13 @@ class TestSobolev:
         sb = sobolev_h_minus1(GAUSS, 50.0)
         assert 0.0 <= sb.tail_bound <= 1e-6
         assert not hasattr(sb, "cutoff")
+
+    def test_sampled_box_off_origin(self):
+        # the grid's end points are jumps of a sampled coefficient: c = 1 on
+        # [0.5, 1.5] has the norm of the unit box, e^{-1}
+        sb = sobolev_h_minus1(build_potential("sampled", [0.5, 1.5], [1.0, 1.0]))
+        assert abs(sb.value - math.exp(-1.0)) <= 1e-13 * math.exp(-1.0)
+        assert sb.tail_bound <= 1e-13
 
     def test_cutoff_is_ignored(self):
         assert sobolev_h_minus1(BOX, 1.0) == sobolev_h_minus1(BOX)
