@@ -9,13 +9,16 @@ from .kernel import (
     InsufficientDataError,
     KernelError,
     OdeStepError,
+    Propagation,
     QuadratureError,
     adaptive_quad,
     exp_phase_integral,
     exp_phase_tail,
+    cumulative_simpson,
     fit_decay,
     propagate,
     series_coeffs_from_samples,
+    simpson,
 )
 from .potentials import (
     Potential,
@@ -34,6 +37,7 @@ from .krein import (
     decay_probe_D,
     dump_krein_csv,
     find_pi_zero,
+    krein_paths,
     pi_modulus_check,
     reflection_residual,
     reproducing_kernel,

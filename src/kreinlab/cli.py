@@ -29,7 +29,7 @@ from .entropy import (
     variation_D,
 )
 from .kernel import DecayFit, Grid, KernelError
-from .krein import dump_krein_csv, solve_krein
+from .krein import dump_krein_csv, krein_paths
 from .opuc import VerblunskySeq, christoffel_lambda, compare_orders
 from .potentials import build_potential, read_potential_csv, tail_integral
 from .verify import battery_report, run_battery
@@ -133,12 +133,22 @@ def cmd_solve(args) -> int:
     grid = _r_grid(args)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    paths = [solve_krein(pot, lam, grid, tol=tol) for lam in lams]
-    files = []
-    for i, kp in enumerate(paths):
-        name = f"krein_path_{i}.csv"
+    start = time.perf_counter()
+    paths, res = krein_paths(pot, lams, grid, tol=tol)   # one batch for all lambda
+    solve_done = time.perf_counter()
+    files = [f"krein_path_{i}.csv" for i in range(len(paths))]
+    for name, kp in zip(files, paths):
         dump_krein_csv(args.out / name, kp)
-        files.append(name)
+    _write_json(args.out / "solve_trace.json", {
+        "stages_s": {"solve": solve_done - start,
+                     "write": time.perf_counter() - solve_done},
+        "paths": [{"lambda": [lam.real, lam.imag], "file": name, "route": "magnus4",
+                   "substeps": res.substeps, "error": float(err),
+                   "cumP2_error": float(cerr)}
+                  for lam, name, err, cerr in zip(lams, files,
+                                                  np.broadcast_to(res.error, len(lams)),
+                                                  res.integral_error)],
+    })
     manifest = {
         "command": "solve",
         "potential": args.potential,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import cumulative_simpson
 
 from .kernel import (
     DecayFit,
@@ -35,9 +34,12 @@ from .kernel import (
     KernelError,
     _gauss_panel,
     breakpoint_segments,
+    cumulative_simpson,
     exp_phase_integral,
     fit_decay,
     propagate,
+    row_gram,
+    simpson_weights,
 )
 from .potentials import Potential
 
@@ -104,8 +106,9 @@ class DiracMatrixQ:
         return -2.0 * np.real(a), 2.0 * np.imag(a)
 
     def jq_matrix(self, s) -> np.ndarray:
+        """JQ(s) = ((p, q), (q, -p)), shape (*s.shape, 2, 2)."""
         p, q = self.pq(s)
-        return np.array([[p, q], [q, -p]], dtype=float)
+        return np.stack([np.stack([p, q], -1), np.stack([q, -p], -1)], -2)
 
     def breakpoints(self):
         return tuple(b / 2.0 for b in self.potential.breakpoints())
@@ -152,12 +155,7 @@ def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
     if r < 0:
         raise ValueError("r must be >= 0")
     gen = DiracMatrixQ(p)
-
-    def rhs(s, y):
-        return (gen.jq_matrix(s) @ y.reshape(2, 2)).ravel()
-
-    return propagate(rhs, np.eye(2).ravel(), 0.0, r, tol,
-                     gen.breakpoints()).reshape(2, 2)
+    return propagate(gen.jq_matrix, np.eye(2), 0.0, r, tol, gen.breakpoints()).y
 
 
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
@@ -178,10 +176,6 @@ def _one_sided(f, panel: np.ndarray) -> np.ndarray:
     x[0] += eps
     x[-1] -= eps
     return f(x)
-
-
-def _cum_uniform(y: np.ndarray, dx: float) -> np.ndarray:
-    return cumulative_simpson(y, dx=dx, initial=0.0)
 
 
 def _entropy_bound(p: Potential, r: float) -> float | None:
@@ -220,9 +214,9 @@ def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
         nodes += panel.size
         for j, step in enumerate((1, 2)):
             x = panel[::step]
-            G = _cum_uniform(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
+            G = cumulative_simpson(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
             offset[j] = G[-1]
-            w = _simpson_w(x)
+            w = simpson_weights(x)
             parts[j].append([np.sum(w * m) for m in moments(G)])
     return np.array([np.sum(rows, axis=0) for rows in parts]), nodes
 
@@ -250,40 +244,25 @@ def _rounding(terms: float) -> float:
     return float(_ROUNDING_ULPS * np.finfo(float).eps * terms + np.finfo(float).tiny)
 
 
+def _gram_det(g: np.ndarray) -> float:
+    return float(g[0] * g[2] - g[1] * g[1])
+
+
 def _entropy_ode(p: Potential, r: float, tol: float = 1e-11) -> float:
-    """E(r) through the transfer-matrix ODE with Gram accumulation."""
+    """E(r) through the transfer matrix from N(r) = I, with the Gram
+    integral of N^T N taken on the propagator's substeps."""
     gen = DiracMatrixQ(p)
-
-    def rhs(s, y):
-        N = y[:4].reshape(2, 2)
-        dN = gen.jq_matrix(s) @ N
-        c1 = N[:, 0]
-        c2 = N[:, 1]
-        return np.concatenate([dN.ravel(),
-                               [c1 @ c1, c1 @ c2, c2 @ c2]])
-
-    y = propagate(rhs, np.concatenate([np.eye(2).ravel(), np.zeros(3)]),
-                  r, r + 2.0, tol, gen.breakpoints())
-    g11, g12, g22 = y[4:]
-    return g11 * g22 - g12 * g12 - 4.0
+    g = propagate(gen.jq_matrix, np.eye(2), r, r + 2.0, tol, gen.breakpoints(),
+                  integrand=lambda N: row_gram(np.swapaxes(N, -1, -2))).integral
+    return _gram_det(g) - 4.0
 
 
 def _bridge_F(p: Potential, r: float, tol: float = 1e-11) -> float:
     """F_{A_r}(1) via the ordered exponential of A_r(t) = 2 J Q(r + 2t)."""
     gen = DiracMatrixQ(p)
-
-    def rhs(t, y):
-        X = y[:4].reshape(2, 2)
-        dX = 2.0 * gen.jq_matrix(r + 2.0 * t) @ X
-        r1 = X[0, :]
-        r2 = X[1, :]
-        return np.concatenate([dX.ravel(), [r1 @ r1, r1 @ r2, r2 @ r2]])
-
     t_breaks = [(b - r) / 2.0 for b in gen.breakpoints() if r < b < r + 2.0]
-    y = propagate(rhs, np.concatenate([np.eye(2).ravel(), np.zeros(3)]),
-                  0.0, 1.0, tol, t_breaks)
-    g11, g12, g22 = y[4:]
-    return g11 * g22 - g12 * g12
+    return _gram_det(propagate(lambda t: 2.0 * gen.jq_matrix(r + 2.0 * t), np.eye(2),
+                               0.0, 1.0, tol, t_breaks, integrand=row_gram).integral)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +563,9 @@ def _h_minus1_sum(panels, values) -> float:
         C = np.empty(a.shape, dtype=np.result_type(a, c))
         for j in range(0, a.size - 1, m):
             g = grow[:min(m + 1, a.size - j)]
-            C[j:j + g.size] = (c + _cum_uniform(a[j:j + g.size] * g, h)) / g
+            C[j:j + g.size] = (c + cumulative_simpson(a[j:j + g.size] * g, h)) / g
             c = C[j + g.size - 1]
-        total += float(np.real(np.sum(_simpson_w(x) * a * np.conj(C))))
+        total += float(np.real(np.sum(simpson_weights(x) * a * np.conj(C))))
     return total
 
 
@@ -609,14 +588,6 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     value = _h_minus1_sum(panels, values)
     coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])
     return SobolevNorm(value=value, tail_bound=abs(value - coarse) + truncated)
-
-
-def _simpson_w(x: np.ndarray) -> np.ndarray:
-    h = (x[-1] - x[0]) / (x.size - 1)
-    w = np.ones(x.size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
 
 
 def _fit_or_flag(r: np.ndarray, m: np.ndarray) -> DecayFit:

@@ -1,9 +1,9 @@
 """Shared numerical primitives.
 
-Adaptive quadrature, ODE propagation across breakpoints with dense output,
-stretched-exponential decay fitting, power-series coefficient extraction from
-circle samples, and the oscillatory tail machinery used for integrands of the
-form trig(omega*e^x) * g(x).
+Adaptive quadrature, Simpson rules, a fourth-order Magnus propagator for
+linear 2x2 systems, stretched-exponential decay fitting, power-series
+coefficient extraction from circle samples, and the oscillatory tail
+machinery used for integrands of the form trig(omega*e^x) * g(x).
 
 All routines are pure functions of their arguments and deterministic.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.polynomial import polyval
 
 
 class KernelError(Exception):
@@ -195,8 +195,171 @@ def adaptive_quad(f: Callable, a: float, b: float, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# ODE propagation
+# Simpson rules on uniform grids
 # ---------------------------------------------------------------------------
+
+def simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on a uniform grid with an odd node count."""
+    if x.size % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of nodes")
+    h = (x[-1] - x[0]) / (x.size - 1)
+    w = np.ones(x.size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * h / 3.0
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of samples y along axis 0 of the grid x."""
+    return np.tensordot(simpson_weights(x), y, axes=1)
+
+
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Integral of samples y (axis 0, spacing dx, at least 3 nodes) from the
+    first node to each node. Each interval takes the quadratic through it and
+    the next node (the last interval, through it and the one before), so the
+    values at even nodes are the composite Simpson sums."""
+    y = np.asarray(y)
+    if y.shape[0] < 3:
+        raise ValueError("cumulative Simpson needs at least 3 nodes")
+
+    def forward(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    fwd = forward(y)
+    bwd = forward(y[::-1])[::-1]
+    parts = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=np.result_type(y, dx))
+    parts[:-1:2] = fwd[::2]
+    parts[1::2] = bwd[::2]
+    parts[-1] = bwd[-1]
+    out = np.zeros(y.shape, dtype=parts.dtype)
+    np.cumsum(parts, axis=0, out=out[1:])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# ODE propagation: fourth-order Magnus for linear 2x2 systems (Iserles &
+# Norsett, Phil. Trans. R. Soc. A 357 (1999) 983; Blanes, Casas, Oteo & Ros,
+# Phys. Rep. 470 (2009) 151)
+# ---------------------------------------------------------------------------
+
+# the two Gauss nodes of a step, as fractions of its width
+_GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# below this |d| the exponential takes the Taylor series in d, to d^6 (the
+# first term left out is below 1e-18 of the sum)
+_TAYLOR_D = 0.1
+_COSH_D = 1.0 / np.array([math.factorial(2 * k) for k in range(7)])
+_SINH_D = 1.0 / np.array([math.factorial(2 * k + 1) for k in range(7)])
+# substeps one propagate call may take before it raises OdeStepError
+_MAX_SUBSTEPS = 2 ** 20
+# pieces are bisected for their integral (not their maps) only while the
+# path has fewer substeps than this; past it a piece's sum stands and its
+# error estimate is reported in integral_error
+_QUAD_SUBSTEPS = 2 ** 16
+# pieces times batch members in one vectorised pass (a pass holds about
+# 2 kB for each): bounds a pass's memory
+_PASS_SIZE = 2 ** 12
+# a tolerance below this is taken as this: below it the two maps of a piece
+# differ by rounding
+_TOL_FLOOR = 1e-14
+
+
+@dataclass
+class Propagation:
+    """What propagate returns. ``y``: the state at hi, or its rows at
+    t_eval. ``integral``: the integral of the integrand from lo to the same
+    points (None without an integrand). ``substeps``: the Magnus steps the
+    result is made of. ``error``: for each batch member, the sum over the
+    pieces of max|T_2 - T_4| / max(1, |T_4|), two steps against four; it
+    estimates the error of the two-step path, so it bounds that of the
+    four-step path returned (a 0-d zero when lo == hi). ``integral_error``:
+    the sum over the pieces of the difference of the Simpson sums on two and
+    on four substeps, which bounds the error of the Boole sums returned."""
+
+    y: np.ndarray
+    integral: np.ndarray | None
+    substeps: int
+    error: np.ndarray
+    integral_error: np.ndarray | None = None
+
+
+def _mul(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Products m k of stacks of 2x2 maps; components 00, 01, 10, 11 on axis 1."""
+    a, b, c, d = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
+    e, f, g, h = k[:, 0], k[:, 1], k[:, 2], k[:, 3]
+    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], axis=1)
+
+
+def _prefix(m: np.ndarray) -> np.ndarray:
+    """Running products m_k ... m_0 of a stack of maps, by doubling."""
+    m = m.copy()
+    s = 1
+    while s < m.shape[0]:
+        m[s:] = _mul(m[s:], m[:-s])
+        s *= 2
+    return m
+
+
+def _apply(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Maps (n, 4, *batch) applied to states (..., *batch, 2, c)."""
+    m = m[..., None]
+    y0, y1 = y[..., 0, :], y[..., 1, :]
+    return np.stack([m[:, 0] * y0 + m[:, 1] * y1, m[:, 2] * y0 + m[:, 3] * y1], axis=-2)
+
+
+def _expm(tau, e, o01, o10) -> np.ndarray:
+    """exp of 2x2 matrices ((tau + e, o01), (o10, tau - e)) given by
+    components. The trace part is exp(tau); the rest squares to d I with
+    d = e^2 + o01 o10, so its exponential is cosh(sqrt d) I + sinh(sqrt d) /
+    sqrt(d) times it, both even in sqrt d: their Taylor series in d where
+    |d| < _TAYLOR_D."""
+    d = e * e + o01 * o10
+    ch, sh = polyval(d, _COSH_D), polyval(d, _SINH_D)
+    small = np.abs(d) < _TAYLOR_D
+    if not small.all():
+        if np.iscomplexobj(d):
+            z = np.sqrt(d)
+            big_ch, big_sh = np.cosh(z), np.sinh(z) / np.where(small, 1.0, z)
+        else:
+            up = np.sqrt(np.maximum(d, 0.0))
+            down = np.sqrt(np.maximum(-d, 0.0))
+            big_ch = np.where(d >= 0, np.cosh(up), np.cos(down))
+            big_sh = (np.where(d >= 0, np.sinh(up), np.sin(down))
+                      / np.where(small, 1.0, up + down))
+        ch, sh = np.where(small, ch, big_ch), np.where(small, sh, big_sh)
+    g = np.exp(tau)
+    gs = g * sh
+    sh *= e
+    m00, m11 = g * (ch + sh), g * (ch - sh)
+    # a triangular matrix has the diagonal exp(tau + e), exp(tau - e): exact,
+    # so that a decoupled component (a zero coefficient) stays exactly constant
+    tri = o01 * o10 == 0
+    if tri.any():
+        m00 = np.where(tri, np.exp(tau + e), m00)
+        m11 = np.where(tri, np.exp(tau - e), m11)
+    return np.stack([m00, gs * o01, gs * o10, m11], axis=1)
+
+
+def _magnus(gen: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One fourth-order Magnus step on each [a_i, b_i]: exp of
+    Omega = (h/2)(A1 + A2) + (sqrt3/12) h^2 [A2, A1] with A1, A2 the generator
+    at the two Gauss nodes. Returns maps of shape (n, 4, *batch)."""
+    n = a.size
+    h = b - a
+    A = np.asarray(gen(np.concatenate([a + _GAUSS2[0] * h, a + _GAUSS2[1] * h])))
+    h = h.reshape((n,) + (1,) * (A.ndim - 3))
+    # components first and contiguous: the arithmetic below runs on them
+    (p00, p01), (p10, p11) = np.ascontiguousarray(np.moveaxis(A[:n], (-2, -1), (0, 1)))
+    (q00, q01), (q10, q11) = np.ascontiguousarray(np.moveaxis(A[n:], (-2, -1), (0, 1)))
+    dp, dq = p00 - p11, q00 - q11
+    k = math.sqrt(3.0) / 12.0 * h * h
+    quarter, half = 0.25 * h, 0.5 * h
+    # Omega = ((tau + e, o01), (o10, tau - e)); the commutator is trace-free
+    return _expm(quarter * (p00 + p11 + q00 + q11),
+                 quarter * (dp + dq) + k * (q01 * p10 - p01 * q10),
+                 half * (p01 + q01) + k * (p01 * dq - q01 * dp),
+                 half * (p10 + q10) + k * (q10 * dp - p10 * dq))
+
 
 def breakpoint_segments(lo: float, hi: float, breaks) -> list[tuple[float, float]]:
     """[lo, hi] cut at the increasing ``breaks`` that lie strictly inside it."""
@@ -204,38 +367,200 @@ def breakpoint_segments(lo: float, hi: float, breaks) -> list[tuple[float, float
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def propagate(rhs: Callable, y0, lo: float, hi: float, tol: float,
-              breaks=(), t_eval=None) -> np.ndarray:
-    """Integrate y' = rhs(t, y) from y(lo) = y0 (a 1-d array) to hi.
+def row_gram(X: np.ndarray) -> np.ndarray:
+    """Entries 00, 01, 11 of X X^T for stacks of 2x2 matrices X, on a last
+    axis of length 3: the integrand of a Gram integral."""
+    r0, r1 = X[..., 0, :], X[..., 1, :]
+    return np.stack([(r0 * r0).sum(-1), (r0 * r1).sum(-1), (r1 * r1).sum(-1)], -1)
 
-    The interval is cut at ``breaks`` (see breakpoint_segments), so that
-    piecewise coefficients keep the stepper's full order, and the state is
-    carried across the cuts. Each piece is one adaptive DOP853 solve.
-    Returns the state at hi; given ``t_eval`` (increasing points of [lo, hi])
-    it returns the states there instead, as rows read from dense output.
-    When lo == hi the stepper is not called: the result is y0 (or its row).
-    A failed step raises OdeStepError with the last time and state reached.
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.stack([x, y], axis=1).reshape((-1,) + x.shape[1:])
+
+
+# A set of pieces is a tuple (a, b, row, maps) of arrays with one entry per
+# piece [a, b]: row marks a b that is a t_eval point, and maps holds the
+# two-step map of a pending piece, or the four quarter-step maps of an
+# accepted one.
+
+def _cat(*sets):
+    return tuple(np.concatenate(f) for f in zip(*sets))
+
+
+def _take(pieces, idx):
+    return tuple(f[idx] for f in pieces)
+
+
+def _halves(a, b, row, left, right):
+    """The two halves of each piece, in order, with the maps of its halves."""
+    mid = 0.5 * (a + b)
+    return (_interleave(a, mid), _interleave(mid, b),
+            _interleave(np.zeros(row.size, bool), row), _interleave(left, right))
+
+
+def _splittable(a, b):
+    mid = 0.5 * (a + b)
+    q1, q3 = 0.5 * (a + mid), 0.5 * (mid + b)
+    return (a < q1) & (q1 < mid) & (mid < q3) & (q3 < b)
+
+
+def _quarter_maps(gen, a, b):
+    """Maps of the four quarter steps of each piece, shape (n, 4, 4, *batch)."""
+    mid = 0.5 * (a + b)
+    q1, q3 = 0.5 * (a + mid), 0.5 * (mid + b)
+    Q = _magnus(gen, np.concatenate([a, q1, mid, q3]), np.concatenate([q1, mid, q3, b]))
+    return np.moveaxis(Q.reshape((4, a.size) + Q.shape[1:]), 0, 1)
+
+
+def _piece_sums(integrand, layout, Q, starts, ends, width):
+    """Boole's rule on the five states of each piece (the Richardson
+    extrapolation of Simpson on two and on four substeps), the difference of
+    those two Simpson sums, and the largest |f| on the piece."""
+    s1 = _apply(Q[:, 0], starts)
+    s2 = _apply(Q[:, 1], s1)
+    s3 = _apply(Q[:, 2], s2)
+    f = np.stack([integrand(layout(s)) for s in (starts, s1, s2, s3, ends)])
+    w = width.reshape((-1,) + (1,) * (f.ndim - 2))
+    two = w / 6.0 * (f[0] + 4.0 * f[2] + f[4])
+    four = w / 12.0 * (f[0] + 4.0 * f[1] + 2.0 * f[2] + 4.0 * f[3] + f[4])
+    return four + (four - two) / 15.0, np.abs(four - two), np.max(np.abs(f), axis=0)
+
+
+# an overflowing or undefined map fails its piece's error test, which is the
+# signal that the piece needs bisecting; numpy need not warn about it too
+@np.errstate(over="ignore", invalid="ignore")
+def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
+              t_eval=None, integrand: Callable | None = None) -> Propagation:
+    """Integrate y' = A(t) y from y(lo) = y0 to hi, for 2x2 generators A.
+
+    ``gen`` maps a 1-d array of times to generators of shape
+    (t.size, *batch, 2, 2); ``y0`` is a vector (*batch, 2) or a matrix
+    (*batch, 2, 2) per batch member. The mesh starts at lo, hi, the
+    ``breaks`` inside (lo, hi) and the ``t_eval`` points (increasing points
+    of [lo, hi]). Each piece takes four fourth-order Magnus steps (see
+    _magnus) and is accepted when they differ from two steps over it by at
+    most tol max(1, |T|) for every batch member; only the pieces that fail
+    are bisected, all of them in one vectorised pass, so a constant
+    generator is exact on the starting mesh.
+
+    With t_eval, ``y`` holds the states there as rows; else the state at hi.
+    ``integrand`` maps states (n, *y0.shape) to values (n, ...); Boole's
+    rule on the five states of each piece accumulates ``integral``, and a
+    piece is bisected too where the Simpson sums on its two and on its four
+    substeps differ by more than tol max(1, |f|) (see _QUAD_SUBSTEPS).
+    When lo == hi the generator is not called. A tol below _TOL_FLOOR is
+    taken as _TOL_FLOOR; a tol <= 0, a piece that cannot be bisected
+    further, or more than _MAX_SUBSTEPS substeps raises OdeStepError with
+    the last time and state the path reached.
     """
-    y = np.asarray(y0)
-    if t_eval is not None:
-        ts = np.asarray(t_eval, dtype=float)
-        rows = [y[None, :]] if ts[0] == lo else []
-    for a, b in breakpoint_segments(lo, hi, breaks) if hi != lo else ():
-        seg = None
-        if t_eval is not None:
-            inner = ts[(ts > a) & (ts <= b)]
-            seg = inner if inner.size and inner[-1] == b else np.append(inner, b)
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", t_eval=seg,
-                        rtol=max(tol, 1e-13), atol=tol * 1e-2 + 1e-300)
-        if sol.status != 0:
-            # with t_eval, sol.t is an empty list until an output point is reached
-            last_t, last_y = (sol.t[-1], sol.y[:, -1]) if len(sol.t) else (a, y)
-            raise OdeStepError(f"ODE stepper failed on [{a}, {b}]: {sol.message}",
-                               last_t, last_y)
-        y = sol.y[:, -1]
-        if t_eval is not None:
-            rows.append(sol.y[:, :inner.size].T)
-    return y if t_eval is None else np.concatenate(rows)
+    y0 = np.asarray(y0)
+    if not tol > 0:
+        raise OdeStepError(f"ODE tolerance must be positive, got {tol}", lo, y0)
+    tol = max(tol, _TOL_FLOOR)
+    ts = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    rows = [] if ts is None or ts[0] != lo else [y0]
+    total = None if integrand is None else np.zeros_like(integrand(y0[None])[0])
+    sums = [total] if rows and total is not None else []
+    total_error = None if total is None else np.zeros(np.shape(total))
+    if lo == hi:
+        return Propagation(y0 if ts is None else np.stack(rows),
+                           total if ts is None or total is None else np.stack(sums),
+                           0, np.zeros(()), total_error)
+
+    mesh = np.unique(np.concatenate([
+        [lo, hi], [b for b in breaks if lo < b < hi],
+        [] if ts is None else ts[(ts > lo) & (ts < hi)]]))
+    # the batch shape, from the generator at the first node the path uses
+    batch = np.shape(gen(lo + _GAUSS2[0] * (mesh[1:2] - lo)))[1:-2]
+    vector = y0.ndim == len(batch) + 1
+    y = y0[..., None] if vector else y0          # (*batch, 2, c)
+
+    def layout(s):
+        return s[..., 0] if vector else s
+
+    todo = (mesh[:-1], mesh[1:],
+            np.isin(mesh[1:], ts) if ts is not None else np.zeros(mesh.size - 1, bool))
+    per_pass = max(1, _PASS_SIZE // max(1, math.prod(batch)))
+    pend = None                 # pending pieces, all before todo in time
+    done = None                 # accepted pieces not yet folded into y
+    error = np.zeros(batch)
+    substeps = 0
+    t_done = lo
+
+    def fail(message):
+        raise OdeStepError(message, t_done, layout(y))
+
+    while todo[0].size or pend[0].size:
+        take = min(todo[0].size, per_pass - (0 if pend is None else pend[0].size))
+        if take > 0:
+            a, b = todo[0][:take], todo[1][:take]
+            mid = 0.5 * (a + b)
+            two = _magnus(gen, np.concatenate([a, mid]), np.concatenate([mid, b]))
+            fresh = (a, b, todo[2][:take], _mul(two[take:], two[:take]))
+            pend = fresh if pend is None else _cat(pend, fresh)
+            todo = _take(todo, slice(take, None))
+
+        # four quarter steps on each of the first pending pieces, against
+        # their two-step maps; the pieces that fail are bisected
+        k = min(pend[0].size, per_pass)
+        rest = _take(pend, slice(k, None))
+        a, b, row, coarse = _take(pend, slice(0, k))
+        Q = _quarter_maps(gen, a, b)
+        left, right = _mul(Q[:, 1], Q[:, 0]), _mul(Q[:, 3], Q[:, 2])
+        fine = _mul(right, left)
+        err = (np.max(np.abs(fine - coarse), axis=1)
+               / np.maximum(1.0, np.max(np.abs(fine), axis=1)))
+        ok = err.reshape(k, -1).max(axis=1) <= tol
+        bad = ~ok
+        if np.any(bad & ~_splittable(a, b)):
+            fail(f"ODE step size underflow near t = {a[bad][0]:.17g}")
+        error += err[ok].sum(axis=0)
+        substeps += 4 * int(ok.sum())
+        accepted = (a[ok], b[ok], row[ok], Q[ok])
+        done = accepted if done is None else _cat(done, accepted)
+        pend = _cat(_halves(a[bad], b[bad], row[bad], left[bad], right[bad]), rest)
+        if substeps + 4 * pend[0].size > _MAX_SUBSTEPS:
+            fail(f"ODE substep budget of {_MAX_SUBSTEPS} exhausted on [{lo}, {hi}]")
+
+        # fold the accepted pieces that come before every pending one into y
+        upto = pend[0][0] if pend[0].size else (todo[0][0] if todo[0].size else math.inf)
+        done = _take(done, np.argsort(done[0]))
+        n = int(np.searchsorted(done[1], upto, side="right"))
+        if n == 0:
+            continue
+        fa, fb, frow, fQ = _take(done, slice(0, n))
+        done = _take(done, slice(n, None))
+        ends = _apply(_prefix(_mul(_mul(fQ[:, 3], fQ[:, 2]), _mul(fQ[:, 1], fQ[:, 0]))), y)
+        if total is not None:
+            starts = np.concatenate([y[None], ends[:-1]])
+            piece, diff, fmax = _piece_sums(integrand, layout, fQ, starts, ends, fb - fa)
+            redo = ((diff > tol * np.maximum(1.0, fmax)).reshape(n, -1).any(axis=1)
+                    & _splittable(fa, fb) & (substeps < _QUAD_SUBSTEPS))
+            if redo.any():
+                # bisect those pieces for their integral; the path stops at
+                # the first, and the pieces past it wait in done again
+                j = int(np.argmax(redo))
+                pend = _cat(_halves(fa[redo], fb[redo], frow[redo],
+                                    _mul(fQ[redo, 1], fQ[redo, 0]),
+                                    _mul(fQ[redo, 3], fQ[redo, 2])), pend)
+                substeps -= 4 * int(redo.sum())
+                later = j + np.nonzero(~redo[j:])[0]
+                done = _cat((fa[later], fb[later], frow[later], fQ[later]), done)
+                if j == 0:
+                    continue
+                ends, fb, frow, piece, diff = ends[:j], fb[:j], frow[:j], piece[:j], diff[:j]
+            cum = total + np.cumsum(piece, axis=0)
+            sums.extend(cum[frow])
+            total = cum[-1]
+            total_error = total_error + diff.sum(axis=0)
+        rows.extend(layout(ends[frow]))
+        y = ends[-1]
+        t_done = fb[-1]
+
+    if ts is None:
+        return Propagation(layout(y), total, substeps, error, total_error)
+    return Propagation(np.stack(rows), None if total is None else np.stack(sums),
+                       substeps, error, total_error)
 
 
 # ---------------------------------------------------------------------------

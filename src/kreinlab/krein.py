@@ -20,8 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DecayFit, Grid, KernelError, adaptive_quad, fit_decay, propagate
+from .kernel import (
+    DecayFit,
+    Grid,
+    KernelError,
+    Propagation,
+    adaptive_quad,
+    fit_decay,
+    propagate,
+)
 from .potentials import Potential
+
+
+# spectral parameters per propagate call of a Krein batch
+_LAM_CHUNK = 2048
 
 
 class ZeroSearchError(KernelError):
@@ -59,65 +71,70 @@ class SzegoValue:
     converged: bool
 
 
-def _solve_many(p: Potential, lams: np.ndarray, grid: Grid, tol: float,
-                with_cum: bool):
-    """Vectorized Krein solve over a batch of spectral parameters.
+def _krein_gen(p: Potential, lams: np.ndarray):
+    """Generators ((i lam, -conj a), (-a, 0)) at times t for each lam."""
 
-    Integration is split at the potential's breakpoints so that piecewise
-    coefficients keep full stepper order. Returns (P, P_star, cum) arrays of
-    shape (n_grid, n_lam); cum is None unless requested.
-    """
+    def gen(t):
+        a = p(t)[:, None]
+        A = np.zeros((t.size, lams.size, 2, 2), dtype=complex)
+        A[..., 0, 0] = 1j * lams
+        A[..., 0, 1] = -np.conj(a)
+        A[..., 1, 0] = -a
+        return A
+
+    return gen
+
+
+def _solve_many(p: Potential, lams, grid: Grid, tol: float,
+                with_cum: bool = False) -> Propagation:
+    """Krein solve for a batch of spectral parameters, cut at the
+    potential's breakpoints: one propagate call per _LAM_CHUNK of them, which
+    bounds the memory of a wide scan. ``y`` has shape (grid, lam, 2): P and
+    P* on the grid; with ``with_cum``, ``integral`` (grid, lam) is the
+    accumulated mass int_0^r |P|^2. ``substeps`` adds up the chunks'."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    k = lams.size
     ts = grid.points
+    parts = [propagate(_krein_gen(p, chunk), np.ones((chunk.size, 2), dtype=complex),
+                       ts[0], ts[-1], tol, p.breakpoints(), t_eval=ts,
+                       integrand=(lambda y: np.abs(y[..., 0]) ** 2) if with_cum else None)
+             for chunk in np.split(lams, range(_LAM_CHUNK, lams.size, _LAM_CHUNK))]
+    if len(parts) == 1:
+        return parts[0]
+    return Propagation(
+        np.concatenate([r.y for r in parts], axis=1),
+        np.concatenate([r.integral for r in parts], axis=1) if with_cum else None,
+        sum(r.substeps for r in parts),
+        np.concatenate([np.broadcast_to(r.error, r.y.shape[1:2]) for r in parts]),
+        np.concatenate([r.integral_error for r in parts]) if with_cum else None)
 
-    def rhs(t, y):
-        a = p(t)
-        P = y[:k]
-        Ps = y[k:2 * k]
-        dP = 1j * lams * P - np.conj(a) * Ps
-        dPs = -a * P
-        if with_cum:
-            return np.concatenate([dP, dPs, np.abs(P) ** 2 + 0j])
-        return np.concatenate([dP, dPs])
 
-    y0 = np.ones(3 * k if with_cum else 2 * k, dtype=complex)
-    y0[2 * k:] = 0.0
-    out = propagate(rhs, y0, ts[0], ts[-1], tol, p.breakpoints(), t_eval=ts)
-    P = out[:, :k]
-    Ps = out[:, k:2 * k]
-    cum = out[:, 2 * k:].real if with_cum else None
-    return P, Ps, cum
+def krein_paths(p: Potential, lams, r_grid, tol: float = 1e-10):
+    """KreinPaths for a list of spectral parameters from one batched solve,
+    and the Propagation behind them (substeps, error estimate per lam)."""
+    grid = Grid.coerce(r_grid)
+    if grid.points[0] != 0.0:
+        raise ValueError("Krein grids must start at r = 0 (unit initial data)")
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    res = _solve_many(p, lams, grid, tol, with_cum=True)
+    return [KreinPath(lam=complex(lam), r_grid=grid, P=res.y[:, i, 0],
+                      P_star=res.y[:, i, 1], cum_P2=res.integral[:, i])
+            for i, lam in enumerate(lams)], res
 
 
 def solve_krein(p: Potential, lam: complex, r_grid, tol: float = 1e-10) -> KreinPath:
     """Integrate the Krein system for one lambda over a grid starting at 0."""
-    grid = Grid.coerce(r_grid)
-    if grid.points[0] != 0.0:
-        raise ValueError("Krein grids must start at r = 0 (unit initial data)")
-    P, Ps, cum = _solve_many(p, np.array([lam]), grid, tol, with_cum=True)
-    return KreinPath(lam=complex(lam), r_grid=grid, P=P[:, 0],
-                     P_star=Ps[:, 0], cum_P2=cum[:, 0])
+    return krein_paths(p, [lam], r_grid, tol)[0][0]
 
 
 def _solve_pair_cross(p: Potential, lam: complex, mu: complex, r: float,
                       tol: float):
     """Joint solve for two parameters plus the cross mass
     int_0^r P(s, lam) conj(P(s, mu)) ds."""
-
-    def rhs(t, y):
-        a = p(t)
-        P1, Ps1, P2, Ps2, _ = y
-        return np.array([
-            1j * lam * P1 - np.conj(a) * Ps1,
-            -a * P1,
-            1j * mu * P2 - np.conj(a) * Ps2,
-            -a * P2,
-            P1 * np.conj(P2),
-        ])
-
-    return propagate(rhs, np.array([1, 1, 1, 1, 0], dtype=complex), 0.0, r,
-                     tol, p.breakpoints())
+    res = propagate(_krein_gen(p, np.array([lam, mu], dtype=complex)),
+                    np.ones((2, 2), dtype=complex), 0.0, r, tol, p.breakpoints(),
+                    integrand=lambda y: y[..., 0, 0] * np.conj(y[..., 1, 0]))
+    (P1, Ps1), (P2, Ps2) = res.y
+    return P1, Ps1, P2, Ps2, res.integral
 
 
 def reflection_residual(p: Potential, z: complex, r: float,
@@ -132,9 +149,9 @@ def reflection_residual_batch(p: Potential, zs, r: float,
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     grid = Grid(np.array([0.0, r]))
     lams = np.concatenate([zs, np.conj(zs)])
-    P, Ps, _ = _solve_many(p, lams, grid, tol, with_cum=False)
+    end = _solve_many(p, lams, grid, tol).y[-1]
     k = zs.size
-    return np.abs(P[-1, :k] - np.exp(1j * zs * r) * np.conj(Ps[-1, k:]))
+    return np.abs(end[:k, 0] - np.exp(1j * zs * r) * np.conj(end[k:, 1]))
 
 
 def christoffel_darboux_residual(p: Potential, lam: complex, mu: complex,
@@ -176,14 +193,14 @@ def szego_limit(p: Potential, lam: complex, horizon: float = 40.0,
     if not math.isfinite(p.l2_norm):
         raise ValueError("szego limit requires a square-integrable coefficient")
     grid = Grid(np.array([0.0, horizon / 2.0, horizon]))
-    _, Ps, _ = _solve_many(p, np.array([lam]), grid, ode_tol, with_cum=False)
-    est = float(abs(Ps[-1, 0] - Ps[-2, 0]))
+    Ps = _solve_many(p, lam, grid, ode_tol).y[:, 0, 1]
+    est = float(abs(Ps[-1] - Ps[-2]))
     converged = est <= tol
     if not converged:
         warnings.warn(
             f"P* half-horizon drift {est:.3e} exceeds {tol:.1e} at lam={lam}",
             SzegoConvergenceWarning)
-    return SzegoValue(lam=complex(lam), value=complex(Ps[-1, 0]),
+    return SzegoValue(lam=complex(lam), value=complex(Ps[-1]),
                       horizon=float(horizon), est_error=est, converged=converged)
 
 
@@ -198,9 +215,7 @@ def pi_modulus_check(p: Potential, lam: complex, horizon: float = 40.0,
 
 
 def _pstar_at(p: Potential, lam: complex, r_end: float, tol: float) -> complex:
-    _, Ps, _ = _solve_many(p, np.array([lam]), Grid(np.array([0.0, r_end])),
-                           tol, with_cum=False)
-    return complex(Ps[-1, 0])
+    return complex(_solve_many(p, lam, Grid(np.array([0.0, r_end])), tol).y[-1, 0, 1])
 
 
 def find_pi_zero(p: Potential, seed: complex | None = None,
@@ -233,9 +248,7 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
         x = np.linspace(rect[0], rect[1], n_scan[0])
         y = np.linspace(rect[2], rect[3], n_scan[1])
         Z = (x[None, :] + 1j * y[:, None]).ravel()
-        _, Ps, _ = _solve_many(p, Z, Grid(np.array([0.0, r_eff])), 1e-8,
-                               with_cum=False)
-        mags = np.abs(Ps[-1])
+        mags = np.abs(_solve_many(p, Z, Grid(np.array([0.0, r_eff])), 1e-8).y[-1, :, 1])
         order = np.argsort(mags)
         candidates = [complex(Z[i]) for i in order[:3]]
         if mags[order[0]] > 0.9:
@@ -289,8 +302,7 @@ def probe_magnitudes(p: Potential, z0: complex, window,
     """|P(r, z0)| on the window (the raw data behind decay_probe_D)."""
     window = Grid.coerce(window)
     full = Grid(np.concatenate([[0.0], window.points]))
-    P, _, _ = _solve_many(p, np.array([z0]), full, ode_tol, with_cum=False)
-    return np.abs(P[1:, 0])
+    return np.abs(_solve_many(p, z0, full, ode_tol).y[1:, 0, 0])
 
 
 def l1_norm_to(p: Potential, r: float) -> float:

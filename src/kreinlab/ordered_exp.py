@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-
-from .kernel import SeriesTailWarning, propagate
+from .kernel import SeriesTailWarning, cumulative_simpson, propagate, row_gram, simpson
 
 N_GRID = 4097
 
@@ -31,7 +29,7 @@ def _grid(n: int) -> np.ndarray:
 
 
 def _cum(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return cumulative_simpson(y, x=x, initial=0.0, axis=0)
+    return cumulative_simpson(y, x[1] - x[0])
 
 
 @dataclass
@@ -130,7 +128,7 @@ def _chain_mean(vals: list[np.ndarray], x: np.ndarray) -> float:
     acc = _cum(vals[-1], x)
     for v in vals[-2::-1]:
         acc = _cum(v * acc, x)
-    return float(simpson(acc, x=x))
+    return float(simpson(acc, x))
 
 
 def _series_terms(A: CoeffPair, n_terms: int):
@@ -156,7 +154,7 @@ def ordered_exp(A: CoeffPair, t: float, mode: str = "ode", n_terms: int = 12,
 
     ``mode='series'`` sums the time-ordered series to ``n_terms`` (a warning
     is attached when the tail estimate exceeds ``tail_tol``); ``mode='ode'``
-    integrates with the adaptive stepper at tolerance ``tol``.
+    integrates with the Magnus propagator at tolerance ``tol``.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -181,27 +179,32 @@ def ordered_exp(A: CoeffPair, t: float, mode: str = "ode", n_terms: int = 12,
     raise ValueError("mode must be 'series' or 'ode'")
 
 
-def _sa_path(A: CoeffPair, s: np.ndarray, ts: np.ndarray, tol: float) -> np.ndarray:
-    """X_{sA} at the times ``ts`` for each s of a 1-d batch, shape (ts, s, 2, 2).
+def _sa_gen(A: CoeffPair, s: np.ndarray):
+    """Generators s A(t) at times t for each s of a 1-d batch."""
 
-    The whole batch is one ``propagate`` call; the state is complex only when
-    ``s`` is.
-    """
-    def rhs(t, y):
-        pv = float(A.p(t))
-        qv = float(A.q(t))
-        M = np.array([[-qv, pv], [pv, qv]])
-        return np.matmul(s[:, None, None] * M, y.reshape(-1, 2, 2)).ravel()
+    def gen(t):
+        pv = np.broadcast_to(np.asarray(A.p(t), dtype=float), t.shape)[:, None] * s
+        qv = np.broadcast_to(np.asarray(A.q(t), dtype=float), t.shape)[:, None] * s
+        G = np.empty(pv.shape + (2, 2), dtype=pv.dtype)
+        G[..., 0, 0] = -qv
+        G[..., 0, 1] = pv
+        G[..., 1, 0] = pv
+        G[..., 1, 1] = qv
+        return G
 
-    y0 = np.tile(np.eye(2, dtype=s.dtype).ravel(), s.size)
-    X = propagate(rhs, y0, ts[0], ts[-1], tol, t_eval=ts)
-    return X.reshape(ts.size, s.size, 2, 2)
+    return gen
+
+
+def _sa_start(s: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.eye(2, dtype=s.dtype), (s.size, 2, 2))
 
 
 def ordered_exp_path(A: CoeffPair, t_grid=None, tol: float = 1e-10) -> MatrixPath:
-    """X_A on a grid of times in [0, 1] via the adaptive stepper."""
+    """X_A on a grid of times in [0, 1] via the Magnus propagator."""
     ts = _grid(1025) if t_grid is None else np.asarray(t_grid, dtype=float)
-    return MatrixPath(ts, _sa_path(A, np.ones(1), ts, tol)[:, 0])
+    one = np.ones(1)
+    X = propagate(_sa_gen(A, one), _sa_start(one), ts[0], ts[-1], tol, t_eval=ts).y
+    return MatrixPath(ts, X[:, 0])
 
 
 def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
@@ -214,7 +217,7 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
     circle-sampling coefficient route); a scalar s gives a Python float or
     complex. Commuting generators (p or q identically zero) use exact
     closed-form paths on a fine grid; the general case integrates the matrix
-    ODE.
+    ODE, with the Gram integral taken on its substeps.
     """
     if n_grid is not None and n_grid != A.n_grid:
         A = CoeffPair(A.p, A.q, n_grid=n_grid)
@@ -222,20 +225,21 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
     ss = np.atleast_1d(np.asarray(s, dtype=complex))
     if not ss.imag.any():
         ss = ss.real
-    sg = ss[:, None]
 
     if A.p_is_zero and A.q_is_zero:
         out = np.ones_like(ss)
     elif A.p_is_zero:
-        out = simpson(np.exp(2.0 * sg * gq), x=x) * simpson(np.exp(-2.0 * sg * gq), x=x)
+        gs = np.outer(gq, ss)
+        out = simpson(np.exp(2.0 * gs), x) * simpson(np.exp(-2.0 * gs), x)
     elif A.q_is_zero:
-        ch = simpson(np.cosh(2.0 * sg * gp), x=x)
-        sh = simpson(np.sinh(2.0 * sg * gp), x=x)
+        gs = np.outer(gp, ss)
+        ch = simpson(np.cosh(2.0 * gs), x)
+        sh = simpson(np.sinh(2.0 * gs), x)
         out = ch * ch - sh * sh
     else:
-        X = _sa_path(A, ss, x, ode_tol)
-        gram = simpson(np.einsum("nbij,nbkj->nbik", X, X), x=x, axis=0)
-        out = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        g = propagate(_sa_gen(A, ss), _sa_start(ss), 0.0, 1.0, ode_tol,
+                      integrand=row_gram).integral
+        out = g[:, 0] * g[:, 2] - g[:, 1] * g[:, 1]
     return out if np.ndim(s) else out.item()
 
 
@@ -263,7 +267,7 @@ def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
         Nk = np.zeros((x.size, 2, 2))
         for m in range(k + 1):
             Nk += np.einsum("nij,nkj->nik", terms[m], terms[k - m])
-        L.append(simpson(Nk, x=x, axis=0))
+        L.append(simpson(Nk, x))
     out = np.zeros(n_max + 1)
     out[0] = 1.0
     for n in range(1, n_max // 2 + 1):
@@ -296,7 +300,7 @@ def a2_variation(A: CoeffPair) -> float:
     x, _, _, gp, gq = A._tables()
 
     def D(g):
-        return simpson(g * g, x=x) - simpson(g, x=x) ** 2
+        return simpson(g * g, x) - simpson(g, x) ** 2
 
     return float(4.0 * D(gp) + 4.0 * D(gq))
 
@@ -329,8 +333,8 @@ def gamma_stats(F: Callable, n_grid: int = N_GRID) -> VariationStats:
     """Mean, variation, ||F'||_L2, and gamma for F on [0,1] with F(0) = 0."""
     x = _grid(n_grid)
     Fv = np.broadcast_to(np.asarray(F(x), dtype=float), x.shape)
-    mean = float(simpson(Fv, x=x))
-    var = float(max(simpson(Fv * Fv, x=x) - mean ** 2, 0.0))
+    mean = float(simpson(Fv, x))
+    var = float(max(simpson(Fv * Fv, x) - mean ** 2, 0.0))
     h = x[1] - x[0]
     d = np.empty_like(Fv)
     d[2:-2] = (Fv[:-4] - 8 * Fv[1:-3] + 8 * Fv[3:-1] - Fv[4:]) / (12 * h)
@@ -340,7 +344,7 @@ def gamma_stats(F: Callable, n_grid: int = N_GRID) -> VariationStats:
     d[1] = edge @ Fv[1:6]
     d[-1] = -(edge @ Fv[-1:-6:-1])
     d[-2] = -(edge @ Fv[-2:-7:-1])
-    delta = float(math.sqrt(max(simpson(d * d, x=x), 0.0)))
+    delta = float(math.sqrt(max(simpson(d * d, x), 0.0)))
     gamma = math.sqrt(var) + var ** 0.25 * math.sqrt(delta)
     return VariationStats(mean=mean, variation=var, delta=delta, gamma=gamma)
 
@@ -394,7 +398,7 @@ def family_gamma(fs: Sequence[Callable], n_grid: int = N_GRID) -> float:
     for f in fs:
         fv = np.asarray(f(x), dtype=float)
         Fv = _cum(fv, x)
-        mean = simpson(Fv, x=x)
-        eps = max(eps, float(simpson(Fv * Fv, x=x) - mean ** 2))
-        delta = max(delta, float(math.sqrt(simpson(fv * fv, x=x))))
+        mean = simpson(Fv, x)
+        eps = max(eps, float(simpson(Fv * Fv, x) - mean ** 2))
+        delta = max(delta, float(math.sqrt(simpson(fv * fv, x))))
     return math.sqrt(max(eps, 0.0)) + max(eps, 0.0) ** 0.25 * math.sqrt(delta)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 from .kernel import (
     DecayFit,
@@ -77,7 +76,7 @@ class Potential:
             return 0.0
         if self.family == "gaussian":
             c, scale = self.params
-            return abs(c) * scale * math.sqrt(math.pi) / 2.0 * float(erfc(r / scale))
+            return abs(c) * scale * math.sqrt(math.pi) / 2.0 * math.erfc(r / scale)
         if self.family == "figure1":
             # integration-by-parts envelope e^{-r}/(1+r) with a safety factor
             if r < 2.0:
@@ -99,8 +98,8 @@ class Potential:
             c, scale = self.params
             r = scale
             while r < self.r_max:
-                rest = abs(c) ** 2 * scale * math.sqrt(math.pi / 8.0) * float(
-                    erfc(math.sqrt(2.0) * r / scale))
+                rest = abs(c) ** 2 * scale * math.sqrt(math.pi / 8.0) * math.erfc(
+                    math.sqrt(2.0) * r / scale)
                 if rest < mass_tol ** 2:
                     return r
                 r += 0.25 * scale
@@ -245,7 +244,7 @@ def tail_integral(p: Potential, r: float):
 
     if p.family == "gaussian":
         c, scale = p.params
-        return c * scale * math.sqrt(math.pi) / 2.0 * float(erfc(r / scale))
+        return c * scale * math.sqrt(math.pi) / 2.0 * math.erfc(r / scale)
 
     if p.family == "constant" and p.support_bound is None:
         raise KernelError("tail integral of an un-truncated constant diverges")

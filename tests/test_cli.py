@@ -8,7 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from kreinlab.cli import EXIT_OK, EXIT_USAGE, main, parse_complex, parse_potential
+from kreinlab.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    parse_complex,
+    parse_potential,
+)
 from kreinlab.entropy import equivalence_scan
 from kreinlab.kernel import Grid
 from kreinlab.potentials import build_potential
@@ -80,6 +87,39 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["ReP"]) == 1.0 and float(rows[0]["RePstar"]) == 1.0
+
+    def test_large_lambda_box_path(self, tmp_path):
+        # the box generator is constant on [0, 1], so the propagator needs no
+        # step of order 1/lambda; P and P* against the closed form e^{rK}(1, 1)
+        lam = 1e6
+        start = time.perf_counter()
+        assert run(["solve", "--potential", "box:1,1", "--lambda", "1e6",
+                    "--rmax", "1", "--out", str(tmp_path)]) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        with open(tmp_path / "krein_path_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        r = np.array([float(row["r"]) for row in rows])
+        P = np.array([complex(float(row["ReP"]), float(row["ImP"])) for row in rows])
+        Ps = np.array([complex(float(row["RePstar"]), float(row["ImPstar"])) for row in rows])
+        # K = ((i lam, -1), (-1, 0)) has the eigenvalues mu with mu^2 - i lam mu = 1
+        mu1 = 0.5j * lam + 1j * math.sqrt(lam * lam / 4.0 - 1.0)
+        mu2 = -1.0 / mu1
+        e1, e2 = np.exp(mu1 * r), np.exp(mu2 * r)
+        # e^{rK} = (e1 (K - mu2) - e2 (K - mu1)) / (mu1 - mu2), applied to (1, 1)
+        P_ref = (e1 * (1j * lam - 1.0 - mu2) - e2 * (1j * lam - 1.0 - mu1)) / (mu1 - mu2)
+        Ps_ref = (e1 * (-1.0 - mu2) - e2 * (-1.0 - mu1)) / (mu1 - mu2)
+        assert np.max(np.abs(P - P_ref)) < 1e-8
+        assert np.max(np.abs(Ps - Ps_ref)) < 1e-8
+
+    def test_solve_trace(self, tmp_path):
+        assert run(["solve", "--potential", "gaussian:1,1", "--lambda", "1,0.5+i",
+                    "--rmax", "2", "--out", str(tmp_path)]) == EXIT_OK
+        trace = json.loads((tmp_path / "solve_trace.json").read_text())
+        assert set(trace["stages_s"]) == {"solve", "write"}
+        assert [p["lambda"] for p in trace["paths"]] == [[1.0, 0.0], [0.5, 1.0]]
+        for path in trace["paths"]:
+            assert path["route"] == "magnus4" and path["substeps"] > 0
+            assert 0.0 <= path["error"] < 1e-8 and 0.0 <= path["cumP2_error"] < 1e-8
 
     def test_negative_rmax_names_the_flag(self, tmp_path, capsys):
         assert run(["solve", "--potential", "box:1,1", "--lambda", "1",
@@ -270,6 +310,8 @@ class TestInputValidation:
         # a one-point grid: the solve has nothing to step
         (SOLVE + ["--lambda", "1", "--rmax", "0"], EXIT_OK),
         (SOLVE + ["--lambda", "1", "--rmax", "-1"], EXIT_USAGE),
+        # a path no step budget resolves: numerical failure, not a hang
+        (SOLVE + ["--lambda", "1e300"], EXIT_CHECK_FAILED),
         # rejected by argparse itself, which exits instead of returning
         (["verify", "--seed", "-1"], EXIT_USAGE),
     ])

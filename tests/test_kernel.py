@@ -1,16 +1,20 @@
 """Numerics-kernel tests: quadrature, ODE, decay fits, series coefficients."""
 
-import importlib
 import math
-import pkgutil
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+from scipy.integrate import simpson as scipy_simpson
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-import kreinlab
+from kreinlab import krein
 from kreinlab.kernel import (
     DecayFit,
     Grid,
@@ -18,11 +22,15 @@ from kreinlab.kernel import (
     OdeStepError,
     QuadratureError,
     adaptive_quad,
+    breakpoint_segments,
+    cumulative_simpson,
     exp_phase_tail,
     fit_decay,
     propagate,
     series_coeffs_from_samples,
+    simpson,
 )
+from kreinlab.potentials import build_potential
 
 # High-precision references for the oscillatory tail integral
 #   T(r) = int_r^inf sin(e^x)/(1+x) dx,
@@ -49,7 +57,7 @@ def brute_force_tail_oracle(r, u_cap=3.2e4, n=2 ** 21):
     U = math.pi * math.ceil(u_cap / math.pi)
     lo = math.exp(r)
     u = np.linspace(lo, U, n + 1)
-    body = float(cumulative_simpson(np.sin(u) * w(u), x=u, initial=0.0)[-1])
+    body = float(scipy_cumulative_simpson(np.sin(u) * w(u), x=u, initial=0.0)[-1])
     remainder = math.cos(U) * w(np.array(U)) - math.sin(U) * wprime(np.array(U))
     return body + float(remainder)
 
@@ -119,84 +127,195 @@ class TestOscillatoryTail:
         v = exp_phase_tail(g, 1.0, omega=2.0, kind="cos")
         U = 2 * math.e + 600 * math.pi
         u = np.linspace(2 * math.e, U, 2 ** 21 + 1)
-        direct = float(cumulative_simpson(np.cos(u) * 2.0 / u ** 2, x=u, initial=0.0)[-1])
+        direct = float(scipy_cumulative_simpson(np.cos(u) * 2.0 / u ** 2, x=u,
+                                                initial=0.0)[-1])
         direct += -math.sin(U) * 2.0 / U ** 2 + math.cos(U) * 4.0 / U ** 3
         assert abs(v - direct) < 1e-8
 
 
 def fundamental(A, ts, tol, breaks=()):
-    """X' = A(t) X with X(ts[0]) = I, on the grid ts, by the propagator."""
+    """X' = A(t) X with X(ts[0]) = I, on the grid ts, by the propagator;
+    A maps one time to a 2x2 array."""
+
+    def gen(t):
+        return np.array([A(s) for s in t])
+
+    return propagate(gen, np.eye(2), ts[0], ts[-1], tol, breaks, t_eval=ts).y
+
+
+def constant(M):
+    """The generator that is the 2x2 array M at every time."""
+    return lambda t: np.broadcast_to(M, t.shape + np.shape(M))
+
+
+def krein_dop853(p, lams, ts):
+    """(P, P*, int |P|^2) on ts for each lam, by DOP853 at rtol 1e-13,
+    restarted at the breakpoints: the oracle for the Magnus propagator."""
+    k = lams.size
 
     def rhs(t, y):
-        return (A(t) @ y.reshape(2, 2)).ravel()
+        a = p(np.array([t]))[0]
+        P, Ps = y[:k], y[k:2 * k]
+        return np.concatenate([1j * lams * P - np.conj(a) * Ps, -a * P, np.abs(P) ** 2])
 
-    out = propagate(rhs, np.eye(2).ravel(), ts[0], ts[-1], tol, breaks, t_eval=ts)
-    return out.reshape(-1, 2, 2)
+    y = np.concatenate([np.ones(2 * k), np.zeros(k)]).astype(complex)
+    rows = [y]
+    for lo, hi in breakpoint_segments(ts[0], ts[-1], p.breakpoints()):
+        seg = ts[(ts > lo) & (ts <= hi)]
+        stops = seg if seg.size and seg[-1] == hi else np.append(seg, hi)
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13, atol=1e-15,
+                        t_eval=stops)
+        rows.extend(sol.y.T[:seg.size])
+        y = sol.y[:, -1]
+    out = np.array(rows)
+    return out[:, :k], out[:, k:2 * k], out[:, 2 * k:].real
+
+
+def smooth_pair(t):
+    q = np.sin(3 * t)
+    p = np.cos(2 * t)
+    return np.stack([np.stack([-q, p], -1), np.stack([p, q], -1)], -2)
 
 
 class TestSolveLinearOde:
     def test_zero_coeff_constant_path(self):
         ts = np.linspace(0.0, 3.0, 7)
-        path = propagate(lambda t, y: 0.0 * y, np.array([2.5]), 0.0, 3.0, 1e-10,
-                         t_eval=ts)
-        assert np.allclose(path, 2.5, atol=1e-12)
+        path = propagate(constant(np.zeros((2, 2))), np.array([2.5, -1.0]), 0.0, 3.0,
+                         1e-10, t_eval=ts).y
+        assert np.array_equal(path, np.tile([2.5, -1.0], (7, 1)))
 
     def test_scalar_phase(self):
+        # a complex constant rate: y1' = i lam y1, decoupled from y2
         lam = 1.7
         ts = np.linspace(0.0, 1.0, 11)
-        path = propagate(lambda t, y: 1j * lam * y, np.array([1.0 + 0j]), 0.0, 1.0,
-                         1e-12, t_eval=ts)
-        assert np.max(np.abs(path[:, 0] - np.exp(1j * lam * ts))) < 1e-9
+        path = propagate(constant(np.diag([1j * lam, 0.0])), np.array([1.0, 0.0]),
+                         0.0, 1.0, 1e-12, t_eval=ts).y
+        assert np.max(np.abs(path[:, 0] - np.exp(1j * lam * ts))) < 1e-12
+        assert np.array_equal(path[:, 1], np.zeros(11))
 
     def test_diagonal_matrix_vs_expm_oracle(self):
         c = 0.8
         A = np.diag([-2.0 * c, 2.0 * c])
         ts = np.linspace(0.0, 1.0, 5)
         for t, X in zip(ts, fundamental(lambda t: A, ts, 1e-12)):
-            assert np.max(np.abs(X - expm(A * t))) < 1e-9
+            assert np.max(np.abs(X - expm(A * t))) < 1e-12
 
     def test_liouville_trace_free(self):
-        def A(t):
-            q = math.sin(3 * t)
-            p = math.cos(2 * t)
-            return np.array([[-q, p], [p, q]])
-
         tol = 1e-10
-        dets = np.linalg.det(fundamental(A, np.linspace(0.0, 1.0, 21), tol))
-        assert np.max(np.abs(dets - 1.0)) < 10 * tol
+        X = propagate(smooth_pair, np.eye(2), 0.0, 1.0, tol,
+                      t_eval=np.linspace(0.0, 1.0, 21)).y
+        assert np.max(np.abs(np.linalg.det(X) - 1.0)) < 10 * tol
 
     def test_blowup_reports_last_state(self):
-        with pytest.raises(OdeStepError) as exc:
-            propagate(lambda t, y: y / (0.5 - t), np.array([1.0]), 0.0, 1.0, 1e-10,
-                      t_eval=np.linspace(0.0, 1.0, 5))
-        assert exc.value.last_t <= 0.5
+        # y1' = y1 / (0.5 - t) cannot be continued past t = 0.5; the pieces
+        # next to it are bisected until they cannot be, in bounded time
+        def gen(t):
+            A = np.zeros(t.shape + (2, 2))
+            A[:, 0, 0] = 1.0 / (0.5 - t)
+            return A
+
+        start = time.perf_counter()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(OdeStepError) as exc:
+                propagate(gen, np.array([1.0, 0.0]), 0.0, 1.0, 1e-10,
+                          t_eval=np.linspace(0.0, 1.0, 5))
+        assert time.perf_counter() - start < 2.0
+        t, (y1, y2) = exc.value.last_t, exc.value.last_state
+        assert 0.4 < t <= 0.5
+        # the path reached t with y1 = 0.5 / (0.5 - t), y2 untouched
+        assert y1 == pytest.approx(0.5 / (0.5 - t), rel=1e-6) and y2 == 0.0
 
     def test_empty_interval_returns_initial_state(self):
-        # lo == hi: y0 itself, or its single row at t_eval == [lo]; a right-hand
-        # side that raises shows the stepper is not called
-        def rhs(t, y):
-            raise AssertionError("stepper called on an empty interval")
+        # lo == hi: y0 itself, or its single row at t_eval == [lo]; a generator
+        # that raises shows it is not called
+        def gen(t):
+            raise AssertionError("generator called on an empty interval")
 
         y0 = np.array([1.0, 2.0])
-        assert np.array_equal(propagate(rhs, y0, 0.7, 0.7, 1e-10), y0)
-        rows = propagate(rhs, y0, 0.0, 0.0, 1e-10, t_eval=[0.0])
+        assert np.array_equal(propagate(gen, y0, 0.7, 0.7, 1e-10).y, y0)
+        rows = propagate(gen, y0, 0.0, 0.0, 1e-10, t_eval=[0.0]).y
         assert rows.shape == (1, 2) and np.array_equal(rows[0], y0)
 
     def test_piecewise_constant_across_breakpoint(self):
-        # the generator jumps at t = 0.4; cutting there keeps full order
+        # the generator jumps at t = 0.4; cutting there keeps full order, and
+        # each constant piece is exact on the starting mesh
         A1 = np.array([[-0.7, 0.9], [0.9, 0.7]])
         A2 = np.array([[0.5, -1.1], [-1.1, -0.5]])
-        X = fundamental(lambda t: A1 if t < 0.4 else A2, np.array([0.0, 1.0]),
-                        1e-12, breaks=(0.4,))[-1]
-        assert np.max(np.abs(X - expm(0.6 * A2) @ expm(0.4 * A1))) < 1e-12
+        res = propagate(lambda t: np.where((t < 0.4)[:, None, None], A1, A2),
+                        np.eye(2), 0.0, 1.0, 1e-12, breaks=(0.4,))
+        assert np.max(np.abs(res.y - expm(0.6 * A2) @ expm(0.4 * A1))) < 1e-12
+        assert res.substeps == 8
+
+    def test_nonpositive_tolerance_fails_before_the_first_step(self):
+        with pytest.raises(OdeStepError) as exc:
+            propagate(smooth_pair, np.eye(2), 0.3, 1.0, 0.0)
+        assert exc.value.last_t == 0.3 and np.array_equal(exc.value.last_state, np.eye(2))
 
 
-def test_solve_ivp_bound_only_in_kernel():
-    # every ODE in the package goes through kernel.propagate
-    for info in pkgutil.iter_modules(kreinlab.__path__):
-        mod = importlib.import_module(f"kreinlab.{info.name}")
-        binds = any(obj is solve_ivp for obj in vars(mod).values())
-        assert binds == (info.name == "kernel"), info.name
+class TestMagnusOracle:
+    """The Magnus propagator against DOP853 at rtol 1e-13."""
+
+    LAMS = np.array([-2.5 + 0.3j, -1.0 + 0.9j, 0.2 + 0.5j, 1.4 + 0.1j, 2.7 + 0.7j])
+
+    @pytest.mark.parametrize("spec", ["gaussian", "figure1"])
+    def test_krein_batch(self, spec):
+        p = build_potential(spec, 1.0, 1.0) if spec == "gaussian" else build_potential(spec)
+        ts = np.linspace(0.0, 5.0, 101)
+        P, Ps, cum = krein_dop853(p, self.LAMS, ts)
+        res = krein._solve_many(p, self.LAMS, Grid(ts), 1e-10, with_cum=True)
+        assert np.max(np.abs(res.y[..., 0] - P)) < 1e-9
+        assert np.max(np.abs(res.y[..., 1] - Ps)) < 1e-9
+        assert np.max(np.abs(res.integral - cum)) < 1e-9
+
+    def test_fourth_order(self):
+        # a tolerance no piece can miss keeps the starting mesh: uniform steps
+        ref = propagate(smooth_pair, np.eye(2), 0.0, 1.0, 1e-14).y
+        errs = [np.max(np.abs(propagate(smooth_pair, np.eye(2), 0.0, 1.0, 1.0,
+                                        t_eval=np.linspace(0.0, 1.0, n + 1)).y[-1] - ref))
+                for n in (4, 8, 16)]
+        for coarse, fine in zip(errs[:-1], errs[1:]):
+            assert 14.0 < coarse / fine < 18.0
+
+    def test_error_estimate_bounds_the_error(self):
+        p = build_potential("gaussian", 1.0, 1.0)
+        ts = np.array([0.0, 4.0])
+        P, Ps, _ = krein_dop853(p, self.LAMS, ts)
+        for tol in (1e-6, 1e-8):
+            res = krein._solve_many(p, self.LAMS, Grid(ts), tol)
+            actual = np.maximum(np.abs(res.y[-1, :, 0] - P[-1]), np.abs(res.y[-1, :, 1] - Ps[-1]))
+            assert np.all(actual <= res.error)
+            assert np.all(res.error <= 100 * tol)
+
+    def test_integral_is_refined_where_the_maps_are_exact(self):
+        # y' = -y is exact in one step, its integral is not
+        res = propagate(constant(np.diag([-1.0, 0.0])), np.array([1.0, 0.0]), 0.0, 1.0,
+                        1e-10, integrand=lambda y: y[..., 0] ** 2)
+        assert abs(res.integral - (1.0 - math.exp(-2.0)) / 2.0) < 1e-10
+        assert res.integral_error < 1e-8
+
+
+class TestSimpson:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=101) + 1j * rng.normal(size=101)
+        ours = cumulative_simpson(y, 0.01)
+        theirs = scipy_cumulative_simpson(y, dx=0.01, initial=0.0)
+        assert np.array_equal(ours, theirs)
+        x = np.linspace(0.0, 1.0, 101)
+        assert simpson(y, x) == pytest.approx(scipy_simpson(y, x=x), abs=1e-14)
+
+    def test_even_node_count_rejected(self):
+        with pytest.raises(ValueError):
+            simpson(np.ones(4), np.linspace(0.0, 1.0, 4))
+
+
+def test_cli_import_leaves_scipy_out():
+    # no runtime module imports scipy, directly or through another module
+    code = "import sys, kreinlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFitDecay:

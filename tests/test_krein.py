@@ -73,7 +73,7 @@ class TestClosedFormSolves:
         with pytest.raises(OdeStepError) as exc:
             solve_krein(BOX, 1.0, np.array([0.0, 1.0]), tol=0.0)
         assert exc.value.last_t == 0.0
-        assert np.array_equal(exc.value.last_state, [1, 1, 0])
+        assert np.array_equal(exc.value.last_state, [[1, 1]])
 
 
 class TestReflectionIdentity:
