@@ -310,10 +310,10 @@ class TestInputValidation:
         # a one-point grid: the solve has nothing to step
         (SOLVE + ["--lambda", "1", "--rmax", "0"], EXIT_OK),
         (SOLVE + ["--lambda", "1", "--rmax", "-1"], EXIT_USAGE),
-        # a path no step budget resolves: numerical failure, not a hang
-        (SOLVE + ["--lambda", "1e300"], EXIT_CHECK_FAILED),
         # rejected by argparse itself, which exits instead of returning
         (["verify", "--seed", "-1"], EXIT_USAGE),
+        # a path no step budget resolves: numerical failure, not a hang
+        (SOLVE + ["--lambda", "1e300"], EXIT_CHECK_FAILED),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()
