@@ -7,16 +7,14 @@ argument: Q(s) = ((-q, p), (p, q)) with p(s) = -2 Re a(2s), q(s) = 2 Im a(2s),
 and the transfer matrix solves N' = J Q N from the identity. E(r) is the
 determinant defect of the Gram integral of N over [r, r+2].
 
-For a real coefficient the generator is diagonal and E comes from one sampled
-pass over delta(t) = int_{2r}^{2t} a; the same sums on every other node give
-its error estimate, and a difference beyond tolerance raises
-RouteDisagreement. For figure1, past the point where sampling gets
-expensive, E and D come from the asymptotic expansion of its tail integral.
-For a complex coefficient a second route computes E through the ordered
-exponential of A_r(t) = 2 J Q(r + 2t), the unique rescaling with
-X_{A_r}(t) = N(r + 2t); the two routes must agree (for strongly complex
-coefficients the two Gram transpose orders genuinely differ, and the error is
-the designed signal for that).
+A coefficient of constant phase, a = u psi with |u| = 1 and psi real, has
+JQ = R (-2 psi Z) R^T for one fixed rotation R, so E is that of psi: one
+sampled pass over delta(t) = int_{2r}^{2t} psi, whose sums on every other
+node give its error estimate. For figure1, past the point where sampling
+gets expensive, E and D come from the asymptotic expansion of its tail
+integral. A coefficient whose phase may vary takes the transfer-matrix ODE,
+whose two Gram orders N^T N and N N^T must agree (for strongly complex
+coefficients they genuinely differ, and the error is the designed signal).
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ from .potentials import Potential
 # oscillation-resolving sample budget: nodes per period and the hard cap
 _NODES_PER_PERIOD = 360
 _N_CAP = 30_000_000
-# complex coefficients only: a window whose envelope bound is below this is 0
-_ZERO_SHORTCUT = 1e-7
 # rounding floor of a sampled E or D: this many ulps of the terms it is the
 # difference of, plus the smallest normal double; below it the h-against-2h
 # difference is rounding, not discretisation
@@ -70,9 +66,9 @@ _F1_QUAD = 1e-13
 
 
 class RouteDisagreement(KernelError):
-    """The two values computed for one window disagree: for a complex
-    coefficient the determinant route and the ordered-exponential bridge, for
-    a real one the sampled pass on all nodes and on every other node."""
+    """The two values computed for one window disagree beyond tolerance: on
+    the ODE route the determinants of the two Gram orders, on the sampled
+    route the pass on all nodes and on every other node."""
 
     def __init__(self, message, det_route, bridge_route):
         super().__init__(message)
@@ -82,10 +78,10 @@ class RouteDisagreement(KernelError):
 
 class WindowValue(float):
     """E or D on one window, with how it was computed: ``route`` (sampled,
-    expansion, ode, exact_zero or envelope_zero), ``error`` (the error
-    estimate or bound; for ode the gap to the bridge route; for envelope_zero
-    the envelope bound) and ``nodes`` (the sample count, None where nothing
-    was sampled)."""
+    expansion, ode or exact_zero), ``error`` (the error estimate or bound;
+    for ode the gap between the Gram orders plus their own error) and
+    ``nodes`` (the sample count, for ode the substep count, None for
+    expansion and exact_zero)."""
 
     def __new__(cls, value, route, error, nodes=None):
         obj = super().__new__(cls, value)
@@ -222,16 +218,20 @@ def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
 
 
 def _entropy_sampled(p: Potential, r: float, n_total: int):
-    """E(r) of a real coefficient from one pass over delta(t) = int_{2r}^{2t} a.
+    """E(r) of a coefficient a = u psi of constant phase u (see
+    Potential.phase) from one pass over delta(t) = int_{2r}^{2t} psi.
 
-    The generator is diagonal, so E = g+ g- - 4 with g+- = int exp(+-2 delta);
-    with C = int cosh 2 delta = 2 + c', c' = int 2 sinh^2 delta and
-    S = int sinh 2 delta, that is 4c' + c'^2 - S^2, which never subtracts the
-    4 (g+ g- - 4 loses all relative precision below the ulps of 4). Returns E
-    from all nodes, E from every other node, the rounding floor of their
-    difference and the node count."""
+    E is that of psi, whose generator is diagonal, so E = g+ g- - 4 with
+    g+- = int exp(+-2 delta); with C = int cosh 2 delta = 2 + c',
+    c' = int 2 sinh^2 delta and S = int sinh 2 delta, that is
+    4c' + c'^2 - S^2, which never subtracts the 4 (g+ g- - 4 loses all
+    relative precision below the ulps of 4). Returns E from all nodes, E from
+    every other node, the rounding floor of their difference and the node
+    count."""
+    u = p.phase()
+    psi = p if u == 1.0 else (lambda x: np.conj(u) * p(x))
     sums, nodes = _sampled_sums(
-        lambda t: 2.0 * np.real(p(2.0 * t)), r, r + 2.0,
+        lambda t: 2.0 * np.real(psi(2.0 * t)), r, r + 2.0,
         [b / 2.0 for b in p.breakpoints()], n_total,
         lambda delta: (2.0 * np.sinh(delta) ** 2, np.sinh(2.0 * delta)))
     c, S = sums[:, 0], sums[:, 1]
@@ -244,25 +244,23 @@ def _rounding(terms: float) -> float:
     return float(_ROUNDING_ULPS * np.finfo(float).eps * terms + np.finfo(float).tiny)
 
 
-def _gram_det(g: np.ndarray) -> float:
-    return float(g[0] * g[2] - g[1] * g[1])
-
-
-def _entropy_ode(p: Potential, r: float, tol: float = 1e-11) -> float:
-    """E(r) through the transfer matrix from N(r) = I, with the Gram
-    integral of N^T N taken on the propagator's substeps."""
+def _entropy_ode(p: Potential, r: float, tol: float = 1e-11):
+    """E(r) through the transfer matrix from N(r) = I, as det int N^T N - 4
+    and as det int N N^T - 4 (the ordered-exponential bridge 4 (F - 1) of
+    A_r(t) = 2 J Q(r + 2t), as X_{A_r}(t) = N(r + 2t)), both Gram integrals
+    on one propagation's substeps. Returns the two, the error of their
+    difference (the Grams' integral_error carried through g00 g11 - g01^2,
+    plus the rounding of the determinants) and the substep count."""
     gen = DiracMatrixQ(p)
-    g = propagate(gen.jq_matrix, np.eye(2), r, r + 2.0, tol, gen.breakpoints(),
-                  integrand=lambda N: row_gram(np.swapaxes(N, -1, -2))).integral
-    return _gram_det(g) - 4.0
-
-
-def _bridge_F(p: Potential, r: float, tol: float = 1e-11) -> float:
-    """F_{A_r}(1) via the ordered exponential of A_r(t) = 2 J Q(r + 2t)."""
-    gen = DiracMatrixQ(p)
-    t_breaks = [(b - r) / 2.0 for b in gen.breakpoints() if r < b < r + 2.0]
-    return _gram_det(propagate(lambda t: 2.0 * gen.jq_matrix(r + 2.0 * t), np.eye(2),
-                               0.0, 1.0, tol, t_breaks, integrand=row_gram).integral)
+    path = propagate(gen.jq_matrix, np.eye(2), r, r + 2.0, tol, gen.breakpoints(),
+                     integrand=lambda N: np.concatenate(
+                         [row_gram(np.swapaxes(N, -1, -2)), row_gram(N)], -1))
+    (g0, g1, g2), (e0, e1, e2) = (
+        x.reshape(2, 3).T for x in (path.integral, path.integral_error))
+    det_route, bridge_route = g0 * g2 - g1 * g1 - 4.0
+    error = (np.sum(g2 * e0 + g0 * e2 + 2.0 * np.abs(g1) * e1)
+             + _rounding(np.sum(g0 * g2 + g1 * g1)))
+    return float(det_route), float(bridge_route), float(error), path.substeps
 
 
 # ---------------------------------------------------------------------------
@@ -437,31 +435,28 @@ def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> WindowValue:
     """Determinant entropy E(r), with its route and error estimate.
 
     Exactly 0 only where the tail envelope bound is exactly 0 (past a support
-    bound, or where the bound underflows). A real coefficient takes one
-    sampled pass (see _entropy_sampled) and raises RouteDisagreement when the
-    pass on every other node differs by more than rel_tol |E| plus a rounding
-    floor; figure1 takes its expansion instead wherever that is accurate to
-    _EXPANSION_REL. A complex coefficient takes the Gram ODE, cross-checked
-    by the ordered-exponential bridge to rel_tol (1 + |E|); its windows with
-    an envelope bound below 1e-7 still return 0. A window that no route can
-    resolve raises KernelError.
+    bound, or where the bound underflows). A coefficient of constant phase
+    takes one sampled pass (see _entropy_sampled), figure1 its expansion
+    wherever that is accurate to _EXPANSION_REL; RouteDisagreement is raised
+    when the pass on every other node differs by more than rel_tol |E| plus a
+    rounding floor. A coefficient whose phase may vary takes the Gram ODE
+    (see _entropy_ode); RouteDisagreement is raised when its two Gram orders
+    differ by more than rel_tol |E| plus their own error. A window that no
+    route can resolve raises KernelError.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    bound = _entropy_bound(p, r)
-    if bound == 0.0:
+    if _entropy_bound(p, r) == 0.0:
         return WindowValue(0.0, "exact_zero", 0.0)
 
-    if not p.is_real:
-        if bound is not None and bound < _ZERO_SHORTCUT:
-            return WindowValue(0.0, "envelope_zero", bound)
-        det_route = _entropy_ode(p, r)
-        bridge_route = 4.0 * (_bridge_F(p, r) - 1.0)
-        if abs(det_route - bridge_route) > rel_tol * (1.0 + abs(det_route)):
+    if p.phase() is None:
+        det_route, bridge_route, error, substeps = _entropy_ode(p, r)
+        gap = abs(det_route - bridge_route)
+        if gap > rel_tol * abs(det_route) + error:
             raise RouteDisagreement(
                 f"entropy routes disagree at r={r}: det route {det_route:.12g}, "
                 f"bridge route {bridge_route:.12g}", det_route, bridge_route)
-        return WindowValue(det_route, "ode", abs(det_route - bridge_route))
+        return WindowValue(det_route, "ode", gap + error, substeps)
 
     if p.family == "figure1" and (value := _figure1_E(p, r)) is not None:
         return value

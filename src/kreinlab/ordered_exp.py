@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from .kernel import SeriesTailWarning, cumulative_simpson, propagate, row_gram, simpson
+from .kernel import (SeriesTailWarning, cumulative_simpson, propagate, row_gram, simpson,
+                     simpson_weights)
 
 N_GRID = 4097
 
@@ -215,9 +216,10 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
     same length, computed as one batch. Values are real unless some s has a
     nonzero imaginary part (analytic continuation, used by the
     circle-sampling coefficient route); a scalar s gives a Python float or
-    complex. Commuting generators (p or q identically zero) use exact
-    closed-form paths on a fine grid; the general case integrates the matrix
-    ODE, with the Gram integral taken on its substeps.
+    complex. A one-component generator (p or q identically zero, g its
+    antiderivative) is diagonal in a fixed basis, so F = int e^{2sg} *
+    int e^{-2sg} on a fine grid; the general case integrates the matrix ODE,
+    with the Gram integral taken on its substeps.
     """
     if n_grid is not None and n_grid != A.n_grid:
         A = CoeffPair(A.p, A.q, n_grid=n_grid)
@@ -228,14 +230,9 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
 
     if A.p_is_zero and A.q_is_zero:
         out = np.ones_like(ss)
-    elif A.p_is_zero:
-        gs = np.outer(gq, ss)
+    elif A.p_is_zero or A.q_is_zero:
+        gs = np.outer(gq if A.p_is_zero else gp, ss)
         out = simpson(np.exp(2.0 * gs), x) * simpson(np.exp(-2.0 * gs), x)
-    elif A.q_is_zero:
-        gs = np.outer(gp, ss)
-        ch = simpson(np.cosh(2.0 * gs), x)
-        sh = simpson(np.sinh(2.0 * gs), x)
-        out = ch * ch - sh * sh
     else:
         g = propagate(_sa_gen(A, ss), _sa_start(ss), 0.0, 1.0, ode_tol,
                       integrand=row_gram).integral
@@ -285,11 +282,7 @@ def diagonal_a_n(g: Callable, n: int, n_grid: int = 2049) -> float:
         raise ValueError("n must be >= 0")
     x = _grid(n_grid)
     gv = np.asarray(g(x), dtype=float)
-    h = (x[-1] - x[0]) / (x.size - 1)
-    w = np.ones(x.size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= h / 3.0
+    w = simpson_weights(x)
     diff = gv[:, None] - gv[None, :]
     total = float(w @ (diff ** n) @ w)
     return 2.0 ** n / math.factorial(n) * total

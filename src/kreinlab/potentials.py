@@ -84,6 +84,17 @@ class Potential:
             return 1.5 * math.exp(-r) / (1.0 + r)
         return None
 
+    def phase(self) -> float | complex | None:
+        """A unit constant u with a = u psi, psi real: 1 for a real
+        coefficient, c/|c| for a complex box, constant or gaussian, None for
+        a complex sampled coefficient, whose phase may vary."""
+        if self.is_real:
+            return 1.0
+        if self.family in ("box", "constant", "gaussian"):
+            c = self.params[0]
+            return c / abs(c)
+        return None
+
     def effective_support(self, mass_tol: float = 1e-15) -> float | None:
         """Point beyond which the remaining L2 mass is below mass_tol.
 

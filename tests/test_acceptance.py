@@ -122,7 +122,7 @@ def test_criterion_07_entropy_functionals(battery):
         for r in (0.0, 0.7, 1.5):
             n_total = ent._window_budget(pot, r, r + 2.0, 2.0)
             sampled = ent._entropy_sampled(pot, r, n_total)[0]
-            ode = ent._entropy_ode(pot, r)
+            ode = ent._entropy_ode(pot, r)[0]
             worst_route = max(worst_route,
                               abs(sampled - ode) / (1.0 + abs(sampled)))
     report(7, battery(check_entropy_nonneg) + battery(check_entropy_references),

@@ -179,8 +179,9 @@ class TestEntropy:
         assert {e["route"] for e in trace["E"]} == {"sampled", "expansion"}
 
     def test_complex_coefficient(self, tmp_path):
-        assert run(["entropy", "--potential", "gaussian:0.5+0.5i,1", "--rmax", "1",
+        assert run(["entropy", "--potential", "gaussian:0.5+0.5i,1", "--rmax", "2",
                     "--out", str(tmp_path)]) == EXIT_OK
+        assert_no_silent_zeros(tmp_path, nsum=30)
         with open(tmp_path / "entropy_scan.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         grid = Grid(np.array([float(r["r"]) for r in rows]))

@@ -77,16 +77,20 @@ class TestEntropyE:
             for r in (0.0, 0.7, 1.5):
                 n = ent_mod._window_budget(pot, r, r + 2.0, 2.0)
                 fast = ent_mod._entropy_sampled(pot, r, n)[0]
-                ode = ent_mod._entropy_ode(pot, r)
+                ode = ent_mod._entropy_ode(pot, r)[0]
                 assert abs(fast - ode) < 1e-8 * (1.0 + abs(fast))
 
     def test_purely_imaginary_coefficient_routes_agree(self):
         # a q-only generator still commutes pointwise, so the two Gram
-        # transpose orders coincide and the complex ODE pipeline must agree
+        # transpose orders coincide; a = i psi has the E of psi, which the
+        # sampled pass computes without sharing code with the ODE
         g = np.linspace(0.0, 3.0, 41)
         p = build_potential("sampled", g, 1j * 0.6 * np.sin(g))
-        assert not p.is_real
-        assert entropy_E(p, 0.3) >= -1e-9
+        assert not p.is_real and p.phase() is None
+        E = entropy_E(p, 0.3)
+        ref = entropy_E(build_potential("sampled", g, 0.6 * np.sin(g)), 0.3)
+        assert E.route == "ode" and ref.route == "sampled"
+        assert abs(E - ref) <= 1e-10 * ref
 
     def test_complex_routes_disagree_by_design(self):
         # with both real and imaginary parts present the two Gram transpose
@@ -115,15 +119,27 @@ def _quad(f, r):
                 points=[r + 0.05, r + 0.2])[0]
 
 
+def _gaussian_E(c, r):
+    """E(r) of c e^{-x^2} as 4c' + c'^2 - S^2 from the closed-form delta of
+    |c| e^{-x^2} integrated by quad: a constant phase leaves E unchanged."""
+    delta = _gaussian_delta(r, 2.0)
+    cp = _quad(lambda t: 2.0 * math.sinh(abs(c) * delta(t)) ** 2, r)
+    S = _quad(lambda t: math.sinh(2.0 * abs(c) * delta(t)), r)
+    return 4.0 * cp + cp * cp - S * S
+
+
 class TestRealPass:
     @pytest.mark.parametrize("r", [1.5, 2.0, 2.5])
     def test_gaussian_against_erfc_quad(self, r):
-        # E = 4c' + c'^2 - S^2 from the closed-form delta integrated by quad
-        delta = _gaussian_delta(r, 2.0)
-        c = _quad(lambda t: 2.0 * math.sinh(delta(t)) ** 2, r)
-        S = _quad(lambda t: math.sinh(2.0 * delta(t)), r)
-        ref = 4.0 * c + c * c - S * S
+        ref = _gaussian_E(1.0, r)
         E = entropy_E(GAUSS, r)
+        assert E.route == "sampled"
+        assert abs(E - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 2.5])
+    def test_complex_gaussian_against_erfc_quad(self, r):
+        ref = _gaussian_E(0.5 + 0.5j, r)
+        E = entropy_E(build_potential("gaussian", 0.5 + 0.5j, 1), r)
         assert E.route == "sampled"
         assert abs(E - ref) <= 1e-9 * ref
 
