@@ -10,8 +10,6 @@ from .kernel import (
     KernelError,
     OdeStepError,
     Propagation,
-    QuadratureError,
-    adaptive_quad,
     exp_phase_integral,
     exp_phase_tail,
     cumulative_simpson,
@@ -59,7 +57,6 @@ from .ordered_exp import (
     taylor_a,
 )
 from .entropy import (
-    DiracMatrixQ,
     EntropyScan,
     RouteDisagreement,
     classify_alpha,

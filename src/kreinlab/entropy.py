@@ -19,6 +19,7 @@ coefficients they genuinely differ, and the error is the designed signal).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,8 +55,8 @@ _EXPANSION_REL = 1e-7
 # H^-1 norm: nodes per period, and the L2 mass left past an effective support
 _SOBOLEV_NODES_PER_PERIOD = 48
 _MASS_TOL = 1e-16
-# figure1: T(x) = int_x^inf a = cos(e^x) phi1 - sin(e^x) phi2 + rest, with
-# the amplitudes e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in phi1 and phi2
+# figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
+# i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
 _F1_TERMS = 6
 # past this x the ulp of e^x is about 0.5, so e^x has no usable phase: the
 # oscillating parts of the moments are bounded there, not computed
@@ -81,33 +82,17 @@ class WindowValue(float):
     expansion, ode or exact_zero), ``error`` (the error estimate or bound;
     for ode the gap between the Gram orders plus their own error) and
     ``nodes`` (the sample count, for ode the substep count, None for
-    expansion and exact_zero)."""
+    expansion and exact_zero). A non-finite value raises KernelError."""
 
     def __new__(cls, value, route, error, nodes=None):
+        if not math.isfinite(value):
+            raise KernelError(f"the {route} route gave a non-finite window value "
+                              f"({value}); the coefficient is too large to resolve")
         obj = super().__new__(cls, value)
         obj.route = route
         obj.error = float(error)
         obj.nodes = nodes
         return obj
-
-
-@dataclass
-class DiracMatrixQ:
-    """Trace-free symmetric generator built from a coefficient."""
-
-    potential: Potential
-
-    def pq(self, s):
-        a = self.potential(2.0 * np.asarray(s, dtype=float))
-        return -2.0 * np.real(a), 2.0 * np.imag(a)
-
-    def jq_matrix(self, s) -> np.ndarray:
-        """JQ(s) = ((p, q), (q, -p)), shape (*s.shape, 2, 2)."""
-        p, q = self.pq(s)
-        return np.stack([np.stack([p, q], -1), np.stack([q, -p], -1)], -2)
-
-    def breakpoints(self):
-        return tuple(b / 2.0 for b in self.potential.breakpoints())
 
 
 @dataclass
@@ -137,21 +122,39 @@ class EntropySum:
 
 @dataclass
 class SobolevNorm:
-    """The H^-1 norm of a coefficient and an estimate of its error."""
+    """The H^-1 norm of a coefficient and an estimate of its error. A
+    non-finite value raises KernelError."""
 
     value: float
     tail_bound: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise KernelError(f"the H^-1 norm is not finite ({self.value}); "
+                              "the coefficient is too large to resolve")
+
     def __float__(self):
         return self.value
+
+
+def _jq(p: Potential):
+    """The generator s -> JQ(s) = ((p, q), (q, -p)), shape (*s.shape, 2, 2),
+    and its breakpoints (those of a, halved)."""
+
+    def gen(s):
+        a = p(2.0 * np.asarray(s, dtype=float))
+        pp, q = -2.0 * np.real(a), 2.0 * np.imag(a)
+        return np.stack([np.stack([pp, q], -1), np.stack([q, -pp], -1)], -2)
+
+    return gen, tuple(b / 2.0 for b in p.breakpoints())
 
 
 def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
     """Transfer matrix N(r): solution of N' = J Q N, N(0) = identity."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    gen = DiracMatrixQ(p)
-    return propagate(gen.jq_matrix, np.eye(2), 0.0, r, tol, gen.breakpoints()).y
+    gen, breaks = _jq(p)
+    return propagate(gen, np.eye(2), 0.0, r, tol, breaks).y
 
 
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
@@ -251,8 +254,8 @@ def _entropy_ode(p: Potential, r: float, tol: float = 1e-11):
     on one propagation's substeps. Returns the two, the error of their
     difference (the Grams' integral_error carried through g00 g11 - g01^2,
     plus the rounding of the determinants) and the substep count."""
-    gen = DiracMatrixQ(p)
-    path = propagate(gen.jq_matrix, np.eye(2), r, r + 2.0, tol, gen.breakpoints(),
+    gen, breaks = _jq(p)
+    path = propagate(gen, np.eye(2), r, r + 2.0, tol, breaks,
                      integrand=lambda N: np.concatenate(
                          [row_gram(np.swapaxes(N, -1, -2)), row_gram(N)], -1))
     (g0, g1, g2), (e0, e1, e2) = (
@@ -286,23 +289,29 @@ def _f1_amplitude_polys(n):
 _F1_Q = _f1_amplitude_polys(_F1_TERMS + 1)
 
 
-def _f1_phis(x):
-    """phi1 and phi2 at x. With E_k = e^{-(k+1)x} q_k, the boundary terms
-    give T = cos(e^x)(E_0 - E_2 + E_4 ...) - sin(e^x)(E_1 - E_3 + E_5 ...)."""
+def _f1_phi(x):
+    """The complex amplitude Phi = phi1 + i phi2 at x. With
+    E_k = e^{-(k+1)x} q_k, the boundary terms give T = Re(e^{ie^x} Phi),
+    Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + E_4 ..., phi2 = E_1 - E_3 + ..."""
     x = np.asarray(x, dtype=float)
     s = 1.0 / (1.0 + x)
     ex = np.exp(-x)
-    phi = [np.zeros_like(x), np.zeros_like(x)]
+    phi = np.zeros(x.shape, dtype=complex)
     scale = ex
     for k in range(_F1_TERMS):
-        term = scale * polyval(s, _F1_Q[k])
-        phi[k % 2] += -term if k % 4 >= 2 else term
+        phi += 1j ** k * (scale * polyval(s, _F1_Q[k]))
         scale = scale * ex
     return phi
 
 
+def _f1_rho2(x):
+    """rho^2 = |Phi|^2 = phi1^2 + phi2^2 at x."""
+    phi = _f1_phi(x)
+    return phi.real ** 2 + phi.imag ** 2
+
+
 def _f1_rest(x: float) -> float:
-    """Bound on |T - cos(e^y) phi1 + sin(e^y) phi2| for y >= x: the rest is
+    """Bound on |T - Re(e^{ie^y} Phi)| for y >= x: the rest is
     int trig(e^y) e^{-Ky} q_K, and one more integration by parts bounds it
     by e^{-(K+1)x} (|q_K|(s) + |q_{K+1}|(s) / (K+1)), |q| taking absolute
     coefficients, which grows with s = 1/(1+x) and so is largest at x."""
@@ -323,22 +332,23 @@ class _F1Window:
     """Moments I1 = int T dx and I2 = int T^2 dx of figure1's tail integral
     over [x0, x1] from its expansion, with error bounds err1 and err2.
 
-    T^2 = rho^2/2 + cos(2e^x)(phi1^2 - phi2^2)/2 - sin(2e^x) phi1 phi2 with
-    rho^2 = phi1^2 + phi2^2. An integral of trig(w e^x) g over the window,
-    with e^{-x}|g| decreasing, is at most 2 e^{-x0} |g(x0)| / w after one
-    integration by parts in u = e^x; osc1 and osc2, the bounds on the
-    oscillating parts of I1 and I2 (two integrals each), take twice that.
-    The smooth part and the bounds are cheap; moments() adds the oscillating
-    integrals, or past _F1_PHASE_MAX leaves them to the bounds."""
+    With T = Re(e^{ie^x} Phi), I1 = Re int e^{ie^x} Phi and
+    T^2 = rho^2/2 + Re(e^{2ie^x} Phi^2)/2 with rho = |Phi|. An integral of
+    trig(w e^x) g over the window, with e^{-x}|g| decreasing, is at most
+    2 e^{-x0} |g(x0)| / w after one integration by parts in u = e^x; osc1
+    and osc2, the bounds on the oscillating parts of I1 and I2 (a cos and a
+    sin integral each), take twice that. The smooth part and the bounds are
+    cheap; moments() adds the oscillating integrals, one complex
+    exp_phase_integral each, or past _F1_PHASE_MAX leaves them to the
+    bounds."""
 
     def __init__(self, x0: float, x1: float):
         self.x0, self.x1 = x0, x1
         span = x1 - x0
-        phi1, phi2 = _f1_phis(x0)
         tau = _f1_rest(x0)
         # rho decreases, so tb bounds |T| on [x0, inf)
-        self.tb = tb = math.hypot(phi1, phi2) + tau
-        self.smooth2 = 0.5 * _gauss(lambda x: sum(f * f for f in _f1_phis(x)), x0, x1)
+        self.tb = tb = abs(complex(_f1_phi(x0))) + tau
+        self.smooth2 = 0.5 * _gauss(_f1_rho2, x0, x1)
 
         def osc(amplitude, w):
             return 2.0 * 2.0 * 2.0 * math.exp(-x0) * amplitude / w
@@ -355,20 +365,9 @@ class _F1Window:
     def moments(self) -> tuple[float, float]:
         if not self.computed:
             return 0.0, self.smooth2
-        x0, x1 = self.x0, self.x1
-        i1 = (exp_phase_integral(lambda x: _f1_phis(x)[0], x0, x1, 1.0, "cos")
-              - exp_phase_integral(lambda x: _f1_phis(x)[1], x0, x1, 1.0, "sin"))
-
-        def half_diff(x):
-            phi1, phi2 = _f1_phis(x)
-            return 0.5 * (phi1 * phi1 - phi2 * phi2)
-
-        def product(x):
-            phi1, phi2 = _f1_phis(x)
-            return phi1 * phi2
-
-        i2 = (self.smooth2 + exp_phase_integral(half_diff, x0, x1, 2.0, "cos")
-              - exp_phase_integral(product, x0, x1, 2.0, "sin"))
+        i1 = exp_phase_integral(_f1_phi, self.x0, self.x1, 1.0).real
+        i2 = self.smooth2 + exp_phase_integral(
+            lambda x: 0.5 * _f1_phi(x) ** 2, self.x0, self.x1, 2.0).real
         return i1, i2
 
 
@@ -406,10 +405,8 @@ def _figure1_E(p: Potential, r: float,
     i1, i2 = w.moments()
     r4 = 0.0
     if w.computed:
-        phi1, phi2 = _f1_phis(x0)
-        c = math.cos(math.exp(x0)) * phi1 - math.sin(math.exp(x0)) * phi2
-        i4 = 0.375 * _gauss(lambda x: sum(f * f for f in _f1_phis(x)) ** 2,
-                            x0, x0 + span)
+        c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
+        i4 = 0.375 * _gauss(lambda x: _f1_rho2(x) ** 2, x0, x0 + span)
         j1 = span * c - i1
         j2 = span * c ** 2 - 2.0 * c * i1 + i2
         j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2
@@ -528,14 +525,17 @@ def _figure1_tail(x: float) -> float:
 
 def _truncation(p: Potential) -> tuple[float, float]:
     """Truncation point X of the H^-1 integral and a bound on the part past
-    it: 0 past a support bound; m (|a|_2 / 2 + m) past an effective support
-    (plus 1), where the L2 mass m is below _MASS_TOL (Cauchy-Schwarz and
-    Young); for figure1, _figure1_tail at the first quarter step below 1e-10.
-    The coefficient lives on [0, r_max], so X is at most r_max."""
+    it: 0 past a support bound; m (|a|_2 / 2 + m) with m the L2 norm of a
+    past X (Cauchy-Schwarz and Young), where X is an effective support plus
+    1 and m is below _MASS_TOL, or X is r_max and m is Potential.l2_tail
+    there (a gaussian with no effective support within r_max); for figure1,
+    _figure1_tail at the first quarter step below 1e-10. X is at most r_max."""
     if p.support_bound is not None:
         x, bound = p.support_bound, 0.0
     elif (eff := p.effective_support(_MASS_TOL)) is not None:
         x, bound = eff + 1.0, _MASS_TOL * (0.5 * p.l2_norm + _MASS_TOL)
+    elif (m := p.l2_tail(p.r_max)) is not None:
+        x, bound = p.r_max, m * (0.5 * p.l2_norm + m)
     elif p.family == "figure1":
         x = 1.0
         while _figure1_tail(x) > 1e-10:
@@ -543,7 +543,7 @@ def _truncation(p: Potential) -> tuple[float, float]:
         bound = _figure1_tail(x)
     else:
         raise ValueError(f"no truncation point known for the {p.family} coefficient")
-    return (x, bound) if x < p.r_max else (p.r_max, 0.0)
+    return min(x, p.r_max), bound
 
 
 def _h_minus1_sum(panels, values) -> float:
@@ -564,6 +564,8 @@ def _h_minus1_sum(panels, values) -> float:
     return total
 
 
+# SobolevNorm rejects the non-finite value of an overflow; no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     """H^-1 norm int |Fa|^2/(1+xi^2) dxi, F normalised by 1/sqrt(2 pi), in
     direct space: 1/2 int int a(x) conj(a(y)) e^{-|x-y|} dx dy, as the
@@ -571,7 +573,8 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     oscillation-resolving panels of [0, X] (see _truncation). tail_bound is
     the error estimate: the change from the same sum on every other node,
     plus the bound on the part past X. ``cutoff`` is accepted and ignored.
-    Raises ValueError if a is not in L2 or has no known truncation point."""
+    Raises ValueError if a is not in L2 or has no known truncation point,
+    KernelError if the sums overflow."""
     if not math.isfinite(p.l2_norm):
         raise ValueError("the H^-1 norm needs a square-integrable coefficient")
     hi, truncated = _truncation(p)

@@ -1,16 +1,15 @@
 """Shared numerical primitives.
 
-Adaptive quadrature, Simpson rules, a fourth-order Magnus propagator for
-linear 2x2 systems, stretched-exponential decay fitting, power-series
-coefficient extraction from circle samples, and the oscillatory tail
-machinery used for integrands of the form trig(omega*e^x) * g(x).
+Simpson rules, a fourth-order Magnus propagator for linear 2x2 systems,
+stretched-exponential decay fitting, power-series coefficient extraction
+from circle samples, and the oscillatory tail quadrature for integrands of
+the form e^{i omega e^x} g(x).
 
 All routines are pure functions of their arguments and deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,18 +20,6 @@ from numpy.polynomial.polynomial import polyval
 
 class KernelError(Exception):
     """Base class for numerical-kernel failures."""
-
-
-class QuadratureError(KernelError):
-    """Adaptive quadrature did not reach the requested tolerance.
-
-    Carries the best estimate obtained and the error bound actually achieved.
-    """
-
-    def __init__(self, message, best_estimate, achieved_tol):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.achieved_tol = achieved_tol
 
 
 class OdeStepError(KernelError):
@@ -100,98 +87,6 @@ class DecayFit:
     n_used: int
     zero_tail: bool = False
     sub_exponential: bool = False
-
-
-# ---------------------------------------------------------------------------
-# adaptive quadrature (Gauss 7 / Kronrod 15, worst-interval-first)
-# ---------------------------------------------------------------------------
-
-_K15_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_K15_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
-_G7_IDX = np.arange(1, 15, 2)  # Gauss nodes sit at the odd Kronrod nodes
-
-
-def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f on the whole node array in one call; f must accept arrays."""
-    y = np.asarray(f(x))
-    if y.shape != x.shape:
-        raise ValueError(f"function returned shape {y.shape} on {x.size} nodes; "
-                         "it must map an array to an array of the same shape")
-    return y
-
-
-def _gk15(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = _eval_nodes(f, mid + half * _K15_NODES)
-    k15 = half * np.sum(_K15_WEIGHTS * y)
-    g7 = half * np.sum(_G7_WEIGHTS * y[_G7_IDX])
-    return k15, abs(k15 - g7)
-
-
-def adaptive_quad(f: Callable, a: float, b: float, tol: float,
-                  max_intervals: int = 8000):
-    """Integrate f over [a, b] to within tol*(1 + |Q|).
-
-    Works for real- or complex-valued integrands; f is called on arrays of
-    nodes and must return an array of the same shape. Raises QuadratureError
-    (carrying the best estimate and the achieved error bound) if the
-    requested tolerance is not reached within the interval budget.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a > b:
-        raise ValueError("need a <= b")
-    if a == b:
-        return 0.0
-
-    val, err = _gk15(f, a, b)
-    # heap of (-err, a, b, value); total value/error tracked incrementally
-    heap = [(-err, a, b, val)]
-    total = val
-    total_err = err
-    n = 1
-    while total_err > tol * (1.0 + abs(total)) and n < max_intervals:
-        neg_e, lo, hi, v = heapq.heappop(heap)
-        total -= v
-        total_err += neg_e
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        total += v1 + v2
-        total_err += e1 + e2
-        n += 2
-    if not np.isfinite(abs(total)) or not np.isfinite(total_err):
-        raise QuadratureError(
-            f"integrand produced non-finite values on [{a}, {b}]",
-            best_estimate=total, achieved_tol=math.inf)
-    if total_err > tol * (1.0 + abs(total)):
-        raise QuadratureError(
-            f"adaptive quadrature did not converge on [{a}, {b}]: "
-            f"error bound {total_err:.3e} after {n} intervals",
-            best_estimate=total, achieved_tol=total_err)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +543,15 @@ def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
 # power-series coefficients from circle samples
 # ---------------------------------------------------------------------------
 
+def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f on the whole node array in one call; f must accept arrays."""
+    y = np.asarray(f(x))
+    if y.shape != x.shape:
+        raise ValueError(f"function returned shape {y.shape} on {x.size} nodes; "
+                         "it must map an array to an array of the same shape")
+    return y
+
+
 def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
                                n_samples: int | None = None) -> np.ndarray:
     """Taylor coefficients of f at 0 up to ``degree`` by circle sampling.
@@ -673,61 +577,56 @@ def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# oscillatory tails: integral_{x0}^inf trig(omega e^x) g(x) dx
+# oscillatory tails: integral_{x0}^inf e^{i omega e^x} g(x) dx
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# half-period panels of an oscillatory tail, and the averagings of their
+# partial sums
+_OSC_PANELS = 500
+_OSC_AVERAGINGS = 14
 
 
 def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """16-point Gauss-Legendre on each [lo_i, hi_i]; vectorized over panels."""
-    lo = np.atleast_1d(lo)
-    hi = np.atleast_1d(hi)
+    """16-point Gauss-Legendre on each [lo_i, hi_i]; vectorized over panels.
+    The contraction over the nodes is an einsum, not a BLAS product: threaded
+    BLAS on a complex panel matrix costs more CPU than it saves."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    return half * (w(nodes) @ _GL_W)
+    return half * np.einsum("ij,j->i", w(nodes), _GL_W)
 
 
-def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0,
-                   kind: str = "sin", n_half: int = 500,
-                   n_avg: int = 14) -> float:
-    """Convergent value of integral_{x0}^inf trig(omega e^x) g(x) dx.
+def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
+    """Convergent value of integral_{x0}^inf e^{i omega e^x} g(x) dx.
 
     Substitutes u = omega e^x and sums half-period Gauss panels of the
-    resulting integrand trig(u) g(log(u/omega))/u, then accelerates the
+    resulting integrand e^{iu} g(log(u/omega))/u, then accelerates the
     alternating partial sums by iterated averaging. ``g`` must accept numpy
-    arrays. Designed for slowly varying g; the oscillation of the phase does
-    the convergence work.
+    arrays and may be complex. Designed for slowly varying g; the oscillation
+    of the phase does the convergence work. The real and imaginary parts are
+    the cos and sin integrals.
     """
-    if kind == "sin":
-        trig = np.sin
-    elif kind == "cos":
-        trig = np.cos
-    else:
-        raise ValueError("kind must be 'sin' or 'cos'")
 
     def w(u):
-        return trig(u) * g(np.log(u / omega)) / u
+        return np.exp(1j * u) * (g(np.log(u / omega)) / u)
 
     a = omega * math.exp(x0)
-    # zero spacing of both sin and cos is pi; anchor panels at multiples of pi
+    # panels end at multiples of pi, the zero spacing of sin and cos; the head
+    # [a, k0 pi] is cut in four for the steep 1/u factor near small a
     k0 = int(math.floor(a / math.pi)) + 1
-    # head [a, k0 pi], subdivided for the steep 1/u factor near small a
-    head_edges = np.linspace(a, k0 * math.pi, 5)
-    head = float(np.sum(_gauss_panel(w, head_edges[:-1], head_edges[1:])))
+    edges = np.concatenate([np.linspace(a, k0 * math.pi, 5)[:-1],
+                            np.arange(k0, k0 + _OSC_PANELS + 1) * math.pi])
+    partial = np.cumsum(_gauss_panel(w, edges[:-1], edges[1:]))
 
-    ks = np.arange(k0, k0 + n_half, dtype=float)
-    terms = _gauss_panel(w, ks * math.pi, (ks + 1.0) * math.pi)
-    partial = head + np.cumsum(terms)
-
-    arr = partial[-(n_avg + 48):]
-    for _ in range(n_avg):
+    arr = partial[-(_OSC_AVERAGINGS + 48):]
+    for _ in range(_OSC_AVERAGINGS):
         arr = 0.5 * (arr[:-1] + arr[1:])
-    return float(arr[-1])
+    return complex(arr[-1])
 
 
-def exp_phase_integral(g: Callable, x0: float, x1: float, omega: float = 1.0,
-                       kind: str = "sin") -> float:
-    """Finite-range counterpart of exp_phase_tail over [x0, x1]."""
-    return exp_phase_tail(g, x0, omega, kind) - exp_phase_tail(g, x1, omega, kind)
+def exp_phase_integral(g: Callable, x0: float, x1: float,
+                       omega: float = 1.0) -> complex:
+    """integral_{x0}^{x1} e^{i omega e^x} g(x) dx, as the difference of the
+    tails from x0 and from x1 (see exp_phase_tail)."""
+    return exp_phase_tail(g, x0, omega) - exp_phase_tail(g, x1, omega)

@@ -25,7 +25,6 @@ from .kernel import (
     Grid,
     KernelError,
     Propagation,
-    adaptive_quad,
     fit_decay,
     propagate,
 )
@@ -225,17 +224,17 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
                  residual_tol: float = 1e-10, ode_tol: float = 1e-12) -> complex:
     """Locate a zero of the entire extension of the Szego limit (a resonance).
 
-    Requires a superexponentially small tail (compact support or gaussian
-    class). Without a seed, scans |P*(r_eff, .)| on the rectangle and runs a
-    Newton iteration (secant derivative) from the best cells. The returned
-    point lies in the closed lower half-plane; its conjugate is the decay
-    point of P.
+    Requires an effective support r_eff within r_max (compact support, or a
+    narrow enough gaussian; ValueError otherwise). Without a seed, scans
+    |P*(r_eff, .)| on the rectangle and runs a Newton iteration (secant
+    derivative) from the best cells. The returned point lies in the closed
+    lower half-plane; its conjugate is the decay point of P.
     """
     r_eff = p.effective_support(1e-15)
     if r_eff is None:
         raise ValueError(
-            "zero search needs a superexponentially small tail "
-            "(compactly supported or gaussian-class coefficient)")
+            "zero search needs a tail whose L2 norm falls below 1e-15 within "
+            "r_max (a compactly supported or a narrow enough gaussian coefficient)")
     r_eff = min(horizon, max(r_eff, 1e-3))
 
     def f(z):
@@ -303,14 +302,6 @@ def probe_magnitudes(p: Potential, z0: complex, window,
     window = Grid.coerce(window)
     full = Grid(np.concatenate([[0.0], window.points]))
     return np.abs(_solve_many(p, z0, full, ode_tol).y[1:, 0, 0])
-
-
-def l1_norm_to(p: Potential, r: float) -> float:
-    """||a||_{L1([0, r])}, used by the P* growth bound."""
-    hi = min(r, p.support_bound) if p.support_bound is not None else r
-    if hi <= 0:
-        return 0.0
-    return float(adaptive_quad(lambda x: np.abs(p(x)), 0.0, hi, 1e-10))
 
 
 def dump_krein_csv(path, kp: KreinPath) -> None:

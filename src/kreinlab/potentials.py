@@ -19,7 +19,6 @@ from .kernel import (
     DecayFit,
     Grid,
     KernelError,
-    adaptive_quad,
     exp_phase_integral,
     exp_phase_tail,
     fit_decay,
@@ -72,8 +71,6 @@ class Potential:
             if r >= self.support_bound:
                 return 0.0
             return None
-        if self.family == "zero":
-            return 0.0
         if self.family == "gaussian":
             c, scale = self.params
             return abs(c) * scale * math.sqrt(math.pi) / 2.0 * math.erfc(r / scale)
@@ -95,26 +92,33 @@ class Potential:
             return c / abs(c)
         return None
 
+    def l2_tail(self, r: float) -> float | None:
+        """L2 norm of a on [r, inf) where it has a closed form (the gaussian),
+        else None. |c| is not squared, so a huge c cannot overflow it."""
+        if self.family != "gaussian":
+            return None
+        c, scale = self.params
+        z = math.sqrt(2.0) * r / scale
+        if z < 26.0:
+            return abs(c) * math.sqrt(scale * math.sqrt(math.pi / 8.0) * math.erfc(z))
+        # past z = 26 erfc(z) soon underflows; exp(-z^2) / (z sqrt(pi)) bounds it
+        return abs(c) * math.exp(0.5 * (math.log(scale / (math.sqrt(8.0) * z)) - z * z))
+
     def effective_support(self, mass_tol: float = 1e-15) -> float | None:
-        """Point beyond which the remaining L2 mass is below mass_tol.
+        """Point beyond which the L2 norm of a (see l2_tail) is below mass_tol.
 
         None when no such point exists within r_max (slowly decaying or
-        non-integrable families).
+        non-integrable families, or a gaussian too wide for r_max).
         """
         if self.support_bound is not None:
             return self.support_bound
-        if self.family == "zero":
-            return 0.0
         if self.family == "gaussian":
-            c, scale = self.params
+            scale = self.params[1]
             r = scale
             while r < self.r_max:
-                rest = abs(c) ** 2 * scale * math.sqrt(math.pi / 8.0) * math.erfc(
-                    math.sqrt(2.0) * r / scale)
-                if rest < mass_tol ** 2:
+                if self.l2_tail(r) < mass_tol:
                     return r
                 r += 0.25 * scale
-            return self.r_max
         return None
 
 
@@ -186,7 +190,7 @@ def build_potential(family: str, *params, r_max: float = DEFAULT_R_MAX) -> Poten
         # oscillating coefficient sin(e^r)/(1+r); L2 norm over [0, r_max]
         half = 0.5 * (1.0 - 1.0 / (1.0 + r_max))
         osc = 0.5 * exp_phase_integral(lambda x: (1.0 + x) ** -2, 0.0, r_max,
-                                       omega=2.0, kind="cos")
+                                       omega=2.0).real
         return Potential("closed-form", "figure1",
                          lambda r: np.sin(np.exp(r)) / (1.0 + r),
                          support_bound=None, l2_norm=math.sqrt(half - osc),
@@ -251,7 +255,7 @@ def tail_integral(p: Potential, r: float):
         return 0.0 if p.is_real else 0.0 + 0.0j
 
     if p.family == "figure1":
-        return exp_phase_tail(lambda x: 1.0 / (1.0 + x), r)
+        return exp_phase_tail(lambda x: 1.0 / (1.0 + x), r).imag
 
     if p.family == "gaussian":
         c, scale = p.params
@@ -270,8 +274,8 @@ def tail_integral(p: Potential, r: float):
         val = np.trapezoid(ys, xs)
         return complex(val) if not p.is_real else float(np.real(val))
 
-    # remaining families are supported on [0, support_bound]
-    return adaptive_quad(p, r, p.support_bound, 1e-12)
+    # box and truncated constant: c on [0, support_bound]
+    return p.params[0] * (p.support_bound - r)
 
 
 def oscillation_classify(p: Potential, window, floor: float = 1e-13) -> TailProfile:

@@ -315,6 +315,10 @@ class TestInputValidation:
         (["verify", "--seed", "-1"], EXIT_USAGE),
         # a path no step budget resolves: numerical failure, not a hang
         (SOLVE + ["--lambda", "1e300"], EXIT_CHECK_FAILED),
+        # E, D and the H^-1 norm overflow: numerical failure, not nan rows
+        (ENTROPY + ["--potential", "box:1e200,1"], EXIT_CHECK_FAILED),
+        # |c|^2 overflows in the L2 tail: numerical failure, not a traceback
+        (ENTROPY + ["--potential", "gaussian:1e308,1"], EXIT_CHECK_FAILED),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()

@@ -18,6 +18,7 @@ from kreinlab.entropy import (
     sobolev_h_minus1,
     variation_D,
 )
+from kreinlab.kernel import KernelError
 from kreinlab.potentials import Potential, build_potential, oscillation_classify
 
 ZERO = build_potential("zero")
@@ -53,6 +54,15 @@ class TestTransferMatrix:
 class TestEntropyE:
     def test_zero(self):
         assert entropy_E(ZERO, 1.0) == 0.0
+
+    def test_non_finite_value_raises(self):
+        # on c = 1e200 the sums overflow, and E and D would be nan
+        huge = build_potential("box", 1e200, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(KernelError, match="non-finite"):
+                entropy_E(huge, 0.0)
+            with pytest.raises(KernelError, match="non-finite"):
+                variation_D(huge, 0.0)
 
     @pytest.mark.parametrize("r", [0.0, 1.3, 4.0])
     def test_constant_quarter(self, r):
@@ -177,6 +187,36 @@ class TestRealPass:
         assert entropy_E(GAUSS, 9.0) > 0.0
 
 
+def _boole_cumulative(y, h):
+    """Integral of samples y (spacing h, node count 1 mod 4) from the first
+    node to every 4th node: composite Simpson on h and on 2h, extrapolated."""
+    def simpson(f, step):
+        pairs = step / 3.0 * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
+        return np.concatenate([[0.0], np.cumsum(pairs)])
+
+    fine, coarse = simpson(y, h)[::2], simpson(y[::2], 2.0 * h)
+    return fine + (fine - coarse) / 15.0
+
+
+def _f1_window_oracle(x0, x1, n):
+    """int T dx and int T^2 dx over [x0, x1] for figure1's tail integral T,
+    by brute force in u = e^x: T(u) = int_u^inf sin(v) w(v) dv with
+    w(v) = 1 / (v (1 + ln v)), from a cumulative Simpson sum on n steps and
+    QAWF's Fourier tail past e^{x1}, then the moments int T^k du / u. At
+    x0 = 6, x1 = 10 going from n = 2^21 to 2^22 moves int T by 2.5e-17 and
+    int T^2 by 2.5e-20, far below the expansion's err1 = 7.7e-16 and
+    err2 = 5.2e-19."""
+    U0, U1 = math.exp(x0), math.exp(x1)
+    u = np.linspace(U0, U1, n + 1)
+    h = (U1 - U0) / n
+    G = _boole_cumulative(np.sin(u) / (u * (1.0 + np.log(u))), h)
+    T1 = quad(lambda v: 1.0 / (v * (1.0 + math.log(v))), U1, math.inf,
+              weight="sin", wvar=1.0, epsabs=1e-15)[0]
+    T = T1 + (G[-1] - G)
+    v = u[::4]
+    return _boole_cumulative(T / v, 4 * h)[-1], _boole_cumulative(T * T / v, 4 * h)[-1]
+
+
 class TestFigure1Expansion:
     @pytest.mark.parametrize("r", [3.5, 3.75, 4.0])
     def test_E_matches_sampling(self, r):
@@ -205,6 +245,13 @@ class TestFigure1Expansion:
             assert E > 0.0 and 0.0 <= E.error <= 1e-6 * E
             assert E.route == ("sampled" if r < 3.0 else "expansion")
         assert variation_D(FIG, 8.0).route == "expansion"
+
+    def test_window_moments_against_simpson_oracle(self):
+        w = ent_mod._F1Window(6.0, 10.0)
+        i1, i2 = w.moments()
+        o1, o2 = _f1_window_oracle(6.0, 10.0, 2 ** 21)
+        assert abs(i1 - o1) <= w.err1
+        assert abs(i2 - o2) <= w.err2
 
     def test_past_the_phase_range(self):
         # from x = 36 on the oscillating parts are bounded, not computed
@@ -317,6 +364,21 @@ class TestSobolev:
     def test_not_in_l2_raises(self):
         with pytest.raises(ValueError, match="square-integrable"):
             sobolev_h_minus1(build_potential("constant", 1))
+
+    def test_gaussian_wider_than_r_max(self):
+        # e^{-(x/10)^2} has no effective support within r_max = 40; the part
+        # of the norm past it is bounded by m (|a|_2 / 2 + m), m = 8.8e-8 its
+        # L2 norm past 40, and tail_bound carries that bound
+        wide = build_potential("gaussian", 1, 10)
+        m = math.sqrt(10.0 * math.sqrt(math.pi / 8.0) * math.erfc(4.0 * math.sqrt(2.0)))
+        sb = sobolev_h_minus1(wide)
+        assert sb.tail_bound >= m * (0.5 * wide.l2_norm + m)
+        longer = sobolev_h_minus1(build_potential("gaussian", 1, 10, r_max=80.0))
+        assert abs(sb.value - longer.value) <= sb.tail_bound
+
+    def test_non_finite_norm_raises(self):
+        with pytest.raises(KernelError, match="not finite"):
+            sobolev_h_minus1(build_potential("box", 1e200, 1))
 
     def test_no_truncation_point_raises(self):
         # an L2 coefficient of a family with no support or tail information

@@ -3,6 +3,7 @@ Szego limits, resonance search, decay probes."""
 
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,14 @@ class TestZeroSearch:
     def test_figure1_not_eligible(self):
         with pytest.raises(ValueError):
             find_pi_zero(FIG)
+
+    def test_gaussian_wider_than_r_max_not_eligible(self):
+        # the L2 norm of e^{-(x/10)^2} past r_max = 40 is 8.8e-8: no point within
+        # r_max stands for the end of the coefficient, and no scan is started
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="r_max"):
+            find_pi_zero(build_potential("gaussian", 1, 10))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDecayProbe:

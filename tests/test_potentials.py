@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from kreinlab.kernel import KernelError, adaptive_quad
+from kreinlab.kernel import KernelError
 from kreinlab.potentials import (
     Potential,
     build_potential,
@@ -81,6 +82,14 @@ class TestTailIntegral:
         assert tail_integral(p, 1.0) == pytest.approx(0.5, abs=1e-14)
 
 
+def scipy_quad(f, a, b, breaks=(), **kw):
+    """scipy's adaptive quadrature of f on [a, b], told where f has kinks or
+    jumps inside it: an oracle apart from kreinlab's own quadrature."""
+    inside = [x for x in breaks if a < x < b]
+    return quad(lambda x: float(f(x)), a, b, points=inside or None,
+                epsabs=1e-13, epsrel=1e-13, **kw)[0]
+
+
 class TestInvariants:
     def test_tail_derivative_is_minus_a(self):
         # central differences of A(r) against -a(r) on smooth families
@@ -105,7 +114,7 @@ class TestInvariants:
             rs = grids[name]
             for r2, r1 in zip(rs[:-1], rs[1:]):
                 lhs = tail_integral(p, r2) - tail_integral(p, r1)
-                rhs = adaptive_quad(p, r2, r1, 1e-10)
+                rhs = scipy_quad(p, r2, r1, p.breakpoints(), limit=200)
                 assert abs(lhs - rhs) < 1e-8
 
     def test_l2_norm_matches_quadrature(self):
@@ -113,16 +122,39 @@ class TestInvariants:
                   build_potential("gaussian", 1, 1),
                   build_potential("sampled", [0.0, 0.5, 2.0], [1.0, -0.5, 0.25])):
             hi = p.support_bound if p.support_bound is not None else 10.0
-            q = adaptive_quad(lambda r: np.abs(p(r)) ** 2, 0.0, hi, 1e-12)
+            q = scipy_quad(lambda r: np.abs(p(r)) ** 2, 0.0, hi, p.breakpoints())
             assert abs(p.l2_norm ** 2 - q) < 1e-8 * (1 + q)
 
     def test_figure1_l2_norm_oscillatory_split(self):
         # independent check on a resolvable horizon: rebuild with r_max=6 and
         # compare the norm against direct adaptive quadrature of sin^2(e^r)/(1+r)^2
         fig6 = build_potential("figure1", r_max=6.0)
-        q = adaptive_quad(lambda r: np.sin(np.exp(r)) ** 2 / (1 + r) ** 2, 0.0, 6.0,
-                          1e-11, max_intervals=60000)
+        q = scipy_quad(lambda r: np.sin(np.exp(r)) ** 2 / (1 + r) ** 2, 0.0, 6.0,
+                       limit=5000)
         assert abs(fig6.l2_norm ** 2 - q) < 1e-8
+
+
+class TestEffectiveSupport:
+    def test_gaussian_support(self):
+        # the L2 norm of e^{-x^2} past r is below 1e-16 from r = 6 on
+        g = build_potential("gaussian", 1, 1)
+        assert g.effective_support(1e-16) == 6.0
+        assert g.l2_tail(6.0) < 1e-16 < g.l2_tail(5.75)
+
+    def test_none_when_not_reached_within_r_max(self):
+        # the L2 mass of e^{-(x/10)^2} past r_max = 40 is 7.8e-15 (its L2 norm
+        # 8.8e-8), far above a tolerance of 1e-16 on the norm
+        wide = build_potential("gaussian", 1, 10)
+        assert wide.effective_support(1e-16) is None
+        m = math.sqrt(10.0 * math.sqrt(math.pi / 8.0) * math.erfc(4.0 * math.sqrt(2.0)))
+        assert wide.l2_tail(40.0) == pytest.approx(m, rel=1e-14)
+
+    def test_huge_coefficient_does_not_overflow(self):
+        # |c|^2 overflows; the norm past r is |c| e^{-r^2} times a factor of
+        # order 1, so it falls below 1e-15 where r^2 = log(1e323), r = 27.3
+        huge = build_potential("gaussian", 1e308, 1)
+        assert huge.effective_support(1e-15) == 27.25
+        assert huge.l2_tail(27.25) < 1e-15 < huge.l2_tail(27.0)
 
 
 class TestOscillationClassify:
