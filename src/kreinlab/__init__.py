@@ -37,7 +37,6 @@ from .krein import (
     find_pi_zero,
     krein_paths,
     pi_modulus_check,
-    reflection_residual,
     reproducing_kernel,
     solve_krein,
     szego_limit,

@@ -30,7 +30,7 @@ from .entropy import (
 )
 from .kernel import DecayFit, Grid, KernelError
 from .krein import dump_krein_csv, krein_paths
-from .opuc import VerblunskySeq, christoffel_lambda, compare_orders
+from .opuc import VerblunskySeq, compare_orders
 from .potentials import build_potential, read_potential_csv, tail_integral
 from .verify import battery_report, run_battery
 
@@ -240,12 +240,12 @@ def cmd_opuc(args) -> int:
                                       for a in args.alphas.split(",")]))
     args.out.mkdir(parents=True, exist_ok=True)
 
+    lams = np.cumprod(1.0 - np.abs(seq.alphas) ** 2)
     with open(args.out / "opuc_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "Re_alpha", "Im_alpha", "lambda_n"])
-        for n, a in enumerate(seq.alphas):
-            writer.writerow([n, _fmt(a.real), _fmt(a.imag),
-                             _fmt(christoffel_lambda(seq, n + 1))])
+        for n, (a, lam) in enumerate(zip(seq.alphas, lams)):
+            writer.writerow([n, _fmt(a.real), _fmt(a.imag), _fmt(lam)])
 
     out = {
         "command": "opuc",

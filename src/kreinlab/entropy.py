@@ -27,6 +27,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .kernel import (
+    EXP_PHASE_MAX,
     DecayFit,
     Grid,
     InsufficientDataError,
@@ -58,9 +59,6 @@ _MASS_TOL = 1e-16
 # figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
 # i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
 _F1_TERMS = 6
-# past this x the ulp of e^x is about 0.5, so e^x has no usable phase: the
-# oscillating parts of the moments are bounded there, not computed
-_F1_PHASE_MAX = 36.0
 # error of exp_phase_integral per unit of sup|g| on the amplitudes used here
 # (measured at most 2e-15 against Gauss panels in u = e^x)
 _F1_QUAD = 1e-13
@@ -339,8 +337,8 @@ class _F1Window:
     and osc2, the bounds on the oscillating parts of I1 and I2 (a cos and a
     sin integral each), take twice that. The smooth part and the bounds are
     cheap; moments() adds the oscillating integrals, one complex
-    exp_phase_integral each, or past _F1_PHASE_MAX leaves them to the
-    bounds."""
+    exp_phase_integral each, or past EXP_PHASE_MAX, where e^x has no usable
+    phase, leaves them to the bounds."""
 
     def __init__(self, x0: float, x1: float):
         self.x0, self.x1 = x0, x1
@@ -355,7 +353,7 @@ class _F1Window:
 
         self.osc1 = osc(tb, 1.0)
         self.osc2 = osc(0.5 * tb * tb, 2.0)
-        self.computed = x0 <= _F1_PHASE_MAX
+        self.computed = x0 <= EXP_PHASE_MAX
         # the rest of the expansion: |T - T_K| <= tau, |T^2 - T_K^2| <= 2 tau tb
         self.err1 = span * tau + (2.0 * _F1_QUAD * tb if self.computed else self.osc1)
         self.err2 = 2.0 * span * tau * tb + (
@@ -385,7 +383,7 @@ def _figure1_E(p: Potential, r: float,
     12 e^{-x0} tb^n each, which moves R4 by at most 210 e^{-x0} tb^4; errors
     dc in c (the rest of the expansion, and the rounding of the phase e^x),
     err1 and err2 move it by at most 200 m^2 (m dc + m err1 + err2). Past
-    _F1_PHASE_MAX c has no usable phase, so R4 is left out and bounded:
+    EXP_PHASE_MAX c has no usable phase, so R4 is left out and bounded:
     |R4| <= 43 m^4."""
     x0 = 2.0 * r
     span = 4.0
@@ -525,35 +523,31 @@ def _figure1_tail(x: float) -> float:
 
 def _truncation(p: Potential) -> tuple[float, float]:
     """Truncation point X of the H^-1 integral and a bound on the part past
-    it: 0 past a support bound; m (|a|_2 / 2 + m) with m the L2 norm of a
-    past X (Cauchy-Schwarz and Young), where X is an effective support plus
-    1 and m is below _MASS_TOL, or X is r_max and m is Potential.l2_tail
-    there (a gaussian with no effective support within r_max); for figure1,
-    _figure1_tail at the first quarter step below 1e-10. X is at most r_max."""
+    it: 0 past a support bound, however long; m (|a|_2 / 2 + m) with m the
+    L2 norm of a past X (Cauchy-Schwarz and Young), where X is an effective
+    support plus 1 and m is below _MASS_TOL; for figure1, _figure1_tail at
+    the first quarter step below 1e-10. X is never clamped: a coefficient too
+    long to sample is refused by sobolev_h_minus1's node budget."""
     if p.support_bound is not None:
-        x, bound = p.support_bound, 0.0
-    elif (eff := p.effective_support(_MASS_TOL)) is not None:
-        x, bound = eff + 1.0, _MASS_TOL * (0.5 * p.l2_norm + _MASS_TOL)
-    elif (m := p.l2_tail(p.r_max)) is not None:
-        x, bound = p.r_max, m * (0.5 * p.l2_norm + m)
-    elif p.family == "figure1":
+        return p.support_bound, 0.0
+    if (eff := p.effective_support(_MASS_TOL)) is not None:
+        return eff + 1.0, _MASS_TOL * (0.5 * p.l2_norm + _MASS_TOL)
+    if p.family == "figure1":
         x = 1.0
         while _figure1_tail(x) > 1e-10:
             x += 0.25
-        bound = _figure1_tail(x)
-    else:
-        raise ValueError(f"no truncation point known for the {p.family} coefficient")
-    return min(x, p.r_max), bound
+        return x, _figure1_tail(x)
+    raise ValueError(f"no truncation point known for the {p.family} coefficient")
 
 
 def _h_minus1_sum(panels, values) -> float:
     """Simpson sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy carried
-    across panels, from cumulative Simpson of a(y) e^{y - x_j} on chunks of
-    about unit length from a node x_j, so no growing exponential exceeds e."""
+    across panels, from cumulative Simpson of a(y) e^{y - x_j} on chunks from a
+    node x_j of about unit length, at most a panel, so no e^{y - x_j} exceeds e."""
     total, c = 0.0, 0.0
     for x, a in zip(panels, values):
         h = (x[-1] - x[0]) / (x.size - 1)
-        m = 2 * max(1, int(0.5 / h))
+        m = min(2 * max(1, int(0.5 / h)), x.size)
         grow = np.exp(h * np.arange(m + 1))
         C = np.empty(a.shape, dtype=np.result_type(a, c))
         for j in range(0, a.size - 1, m):
@@ -570,18 +564,23 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     """H^-1 norm int |Fa|^2/(1+xi^2) dxi, F normalised by 1/sqrt(2 pi), in
     direct space: 1/2 int int a(x) conj(a(y)) e^{-|x-y|} dx dy, as the
     inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Simpson pass over
-    oscillation-resolving panels of [0, X] (see _truncation). tail_bound is
-    the error estimate: the change from the same sum on every other node,
-    plus the bound on the part past X. ``cutoff`` is accepted and ignored.
-    Raises ValueError if a is not in L2 or has no known truncation point,
-    KernelError if the sums overflow."""
+    panels of [0, X] (see _truncation) with max(oscillation budget,
+    2048 X, 16385) nodes. tail_bound is the error estimate: the change from
+    the same sum on every other node, plus the bound on the part past X.
+    ``cutoff`` is accepted and ignored. Raises ValueError if a is not in L2
+    or has no known truncation point, KernelError if the node count exceeds
+    _N_CAP or the sums overflow."""
     if not math.isfinite(p.l2_norm):
         raise ValueError("the H^-1 norm needs a square-integrable coefficient")
     hi, truncated = _truncation(p)
     if p.l2_norm == 0.0 or hi <= 0.0:
         return SobolevNorm(0.0, 0.0)
-    n = _window_budget(p, 0.0, hi, 1.0, _SOBOLEV_NODES_PER_PERIOD)
-    panels = _panels(0.0, hi, p.breakpoints(), max(n, 16385))
+    n = max(_window_budget(p, 0.0, hi, 1.0, _SOBOLEV_NODES_PER_PERIOD),
+            2048.0 * hi, 16385)
+    if n > _N_CAP:
+        raise KernelError(f"the H^-1 integral over [0, {hi:g}] needs {n:.3g} nodes; "
+                          f"the limit is {_N_CAP}")
+    panels = _panels(0.0, hi, p.breakpoints(), math.ceil(n))
     values = [np.asarray(_one_sided(p, x)) for x in panels]
     value = _h_minus1_sum(panels, values)
     coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])

@@ -585,6 +585,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # partial sums
 _OSC_PANELS = 500
 _OSC_AVERAGINGS = 14
+# past this x the ulp of e^x is about 0.5, so e^x has no usable phase
+EXP_PHASE_MAX = 36.0
 
 
 def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

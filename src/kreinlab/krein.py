@@ -136,15 +136,9 @@ def _solve_pair_cross(p: Potential, lam: complex, mu: complex, r: float,
     return P1, Ps1, P2, Ps2, res.integral
 
 
-def reflection_residual(p: Potential, z: complex, r: float,
-                        tol: float = 1e-10) -> float:
-    """|P(r,z) - e^{izr} conj(P*(r, conj z))| from two independent solves."""
-    return float(reflection_residual_batch(p, np.array([z]), r, tol)[0])
-
-
 def reflection_residual_batch(p: Potential, zs, r: float,
                               tol: float = 1e-10) -> np.ndarray:
-    """Reflection-identity residuals for a batch of points in one solve."""
+    """Residuals |P(r,z) - e^{izr} conj(P*(r, conj z))| for a batch of z, one solve."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     grid = Grid(np.array([0.0, r]))
     lams = np.concatenate([zs, np.conj(zs)])
@@ -224,18 +218,21 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
                  residual_tol: float = 1e-10, ode_tol: float = 1e-12) -> complex:
     """Locate a zero of the entire extension of the Szego limit (a resonance).
 
-    Requires an effective support r_eff within r_max (compact support, or a
-    narrow enough gaussian; ValueError otherwise). Without a seed, scans
+    Requires an effective support r_eff (compact support, or a gaussian)
+    within the horizon; ValueError otherwise, as P*(horizon, .) would stand
+    for a coefficient cut short. Without a seed, scans
     |P*(r_eff, .)| on the rectangle and runs a Newton iteration (secant
     derivative) from the best cells. The returned point lies in the closed
     lower half-plane; its conjugate is the decay point of P.
     """
     r_eff = p.effective_support(1e-15)
     if r_eff is None:
-        raise ValueError(
-            "zero search needs a tail whose L2 norm falls below 1e-15 within "
-            "r_max (a compactly supported or a narrow enough gaussian coefficient)")
-    r_eff = min(horizon, max(r_eff, 1e-3))
+        raise ValueError("zero search needs a tail whose L2 norm falls below 1e-15 "
+                         "(a compactly supported or a gaussian coefficient)")
+    if r_eff > horizon:
+        raise ValueError(f"the coefficient's effective support {r_eff:g} lies past "
+                         f"the horizon {horizon:g}")
+    r_eff = max(r_eff, 1e-3)
 
     def f(z):
         return _pstar_at(p, z, r_eff, ode_tol)

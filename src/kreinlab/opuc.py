@@ -37,9 +37,12 @@ class VerblunskySeq:
 
     @classmethod
     def from_rule(cls, rule: str, c: float, length: int) -> "VerblunskySeq":
+        if length < 0:
+            raise ValueError(f"the coefficient count must be nonnegative, got {length}")
         n = np.arange(length)
         if rule == "factorial":
-            vals = c / np.array([math.factorial(int(k)) for k in n], dtype=float)
+            # 1/k! as a running quotient: it underflows to 0, never overflows
+            vals = c * np.divide.accumulate(np.maximum(n, 1).astype(float))
         elif rule == "gaussian":
             vals = c * np.exp(-n.astype(float) ** 2)
         else:

@@ -1,9 +1,9 @@
 """Coefficient catalog: families of a in L2(R+), tail antiderivatives, and
 oscillation-compensated decay classification.
 
-A potential is a complex-valued coefficient on [0, r_max] with enough
-metadata (support bound, L2 norm, local oscillation rate) for the solvers
-to pick resolvable discretizations.
+A potential is a complex-valued coefficient on [0, inf) with enough
+metadata (support bound, L2 norm, local oscillation rate, closed-form tails)
+for the solvers to pick resolvable discretizations.
 """
 
 from __future__ import annotations
@@ -16,27 +16,24 @@ from typing import Callable
 import numpy as np
 
 from .kernel import (
+    EXP_PHASE_MAX,
     DecayFit,
     Grid,
     KernelError,
-    exp_phase_integral,
     exp_phase_tail,
     fit_decay,
 )
 
-DEFAULT_R_MAX = 40.0
-
 
 @dataclass
 class Potential:
-    """A coefficient a on [0, r_max], closed-form or sampled."""
+    """A coefficient a on [0, inf), closed-form or sampled."""
 
     kind: str                      # "closed-form" or "sampled"
     family: str
     evaluator: Callable            # vectorized, no support clipping
     support_bound: float | None
     l2_norm: float
-    r_max: float = DEFAULT_R_MAX
     is_real: bool = True
     params: tuple = ()
     sample_grid: np.ndarray | None = None
@@ -101,25 +98,24 @@ class Potential:
         z = math.sqrt(2.0) * r / scale
         if z < 26.0:
             return abs(c) * math.sqrt(scale * math.sqrt(math.pi / 8.0) * math.erfc(z))
-        # past z = 26 erfc(z) soon underflows; exp(-z^2) / (z sqrt(pi)) bounds it
-        return abs(c) * math.exp(0.5 * (math.log(scale / (math.sqrt(8.0) * z)) - z * z))
+        # past z = 26 erfc(z) soon underflows; exp(-z^2) / (z sqrt(pi)) bounds
+        # it, with log z apart so that z = inf (a scale near 1.8e308) gives 0
+        return abs(c) * math.exp(0.5 * (math.log(scale / math.sqrt(8.0)) - math.log(z) - z * z))
 
     def effective_support(self, mass_tol: float = 1e-15) -> float | None:
-        """Point beyond which the L2 norm of a (see l2_tail) is below mass_tol.
-
-        None when no such point exists within r_max (slowly decaying or
-        non-integrable families, or a gaussian too wide for r_max).
-        """
+        """Point beyond which the L2 norm of a (see l2_tail) is below mass_tol:
+        the support bound, or the first such point scale (1 + k/4) for the
+        gaussian, found in about 130 steps at most for |c| <= 1.8e308, as its
+        l2_tail decreases to 0. None for a family with no closed-form tail."""
         if self.support_bound is not None:
             return self.support_bound
-        if self.family == "gaussian":
-            scale = self.params[1]
-            r = scale
-            while r < self.r_max:
-                if self.l2_tail(r) < mass_tol:
-                    return r
-                r += 0.25 * scale
-        return None
+        if self.family != "gaussian":
+            return None
+        scale = self.params[1]
+        r = scale
+        while self.l2_tail(r) >= mass_tol:
+            r += 0.25 * scale
+        return r
 
 
 @dataclass
@@ -139,25 +135,25 @@ def _segment_l2(grid: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sum(np.diff(grid) * seg))
 
 
-def build_potential(family: str, *params, r_max: float = DEFAULT_R_MAX) -> Potential:
+def build_potential(family: str, *params) -> Potential:
     """Construct a catalog potential.
 
     Families: zero | constant(c, cutoff) | box(c, length) | gaussian(c, scale)
     | figure1 | sampled(grid, values). ``constant`` with cutoff=None is
-    deliberately non-L2 and only intended for closed-form oracle checks.
+    deliberately non-L2 and only intended for closed-form oracle checks. A box
+    length or constant cutoff that is negative or not finite, and a gaussian
+    scale that is not finite and positive, raise ValueError.
     """
     if family == "zero":
         return Potential("closed-form", "zero", lambda r: np.zeros_like(r),
-                         support_bound=0.0, l2_norm=0.0, r_max=r_max)
+                         support_bound=0.0, l2_norm=0.0)
 
     if family in ("constant", "box"):
-        if family == "box":
-            c, length = params
-            cutoff = float(length)
-        else:
-            c = params[0]
-            cutoff = params[1] if len(params) > 1 else None
-            cutoff = None if cutoff is None else float(cutoff)
+        c, cutoff = params if family == "box" else (*params, None)[:2]
+        cutoff = None if cutoff is None else float(cutoff)
+        if cutoff is not None and not (math.isfinite(cutoff) and cutoff >= 0.0):
+            name = "box length" if family == "box" else "constant cutoff"
+            raise ValueError(f"{name} must be finite and nonnegative, got {cutoff}")
         c = complex(c)
         is_real = c.imag == 0.0
         if is_real:
@@ -168,7 +164,7 @@ def build_potential(family: str, *params, r_max: float = DEFAULT_R_MAX) -> Poten
             l2 = abs(c) * math.sqrt(cutoff)
         return Potential("closed-form", family,
                          lambda r, c=c: np.full_like(r, c, dtype=complex if not is_real else float),
-                         support_bound=cutoff, l2_norm=l2, r_max=r_max,
+                         support_bound=cutoff, l2_norm=l2,
                          is_real=is_real, params=(c, cutoff))
 
     if family == "gaussian":
@@ -178,23 +174,25 @@ def build_potential(family: str, *params, r_max: float = DEFAULT_R_MAX) -> Poten
         if is_real:
             c = c.real
         scale = float(scale)
-        if scale <= 0:
-            raise ValueError("gaussian scale must be positive")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"gaussian scale must be finite and positive, got {scale}")
         l2 = abs(c) * math.sqrt(scale) * (math.pi / 8.0) ** 0.25
-        return Potential("closed-form", "gaussian",
-                         lambda r, c=c, s=scale: c * np.exp(-((r / s) ** 2)),
-                         support_bound=None, l2_norm=l2, r_max=r_max,
+
+        @np.errstate(over="ignore")  # (r/s)^2 overflows for a tiny scale; e^-inf = 0
+        def gaussian(r, c=c, s=scale):
+            return c * np.exp(-((r / s) ** 2))
+
+        return Potential("closed-form", "gaussian", gaussian,
+                         support_bound=None, l2_norm=l2,
                          is_real=is_real, params=(c, scale))
 
     if family == "figure1":
-        # oscillating coefficient sin(e^r)/(1+r); L2 norm over [0, r_max]
-        half = 0.5 * (1.0 - 1.0 / (1.0 + r_max))
-        osc = 0.5 * exp_phase_integral(lambda x: (1.0 + x) ** -2, 0.0, r_max,
-                                       omega=2.0).real
+        # oscillating coefficient sin(e^r)/(1+r); as sin^2 = (1 - cos 2e^r)/2,
+        # its squared L2 norm is (1 - Re int_0^inf e^{2ie^x} (1+x)^-2 dx) / 2
+        osc = exp_phase_tail(lambda x: (1.0 + x) ** -2, 0.0, omega=2.0).real
         return Potential("closed-form", "figure1",
                          lambda r: np.sin(np.exp(r)) / (1.0 + r),
-                         support_bound=None, l2_norm=math.sqrt(half - osc),
-                         r_max=r_max)
+                         support_bound=None, l2_norm=math.sqrt(0.5 * (1.0 - osc)))
 
     if family == "sampled":
         grid, values = params
@@ -218,13 +216,12 @@ def build_potential(family: str, *params, r_max: float = DEFAULT_R_MAX) -> Poten
         return Potential("sampled", "sampled", evaluator,
                          support_bound=float(grid[-1]),
                          l2_norm=math.sqrt(_segment_l2(grid, vals)),
-                         r_max=r_max, is_real=is_real,
-                         sample_grid=grid, sample_values=vals)
+                         is_real=is_real, sample_grid=grid, sample_values=vals)
 
     raise ValueError(f"unknown potential family: {family!r}")
 
 
-def read_potential_csv(path, r_max: float = DEFAULT_R_MAX) -> Potential:
+def read_potential_csv(path) -> Potential:
     """Ingest a sampled potential from CSV with header exactly 'r,re,im'."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -241,12 +238,12 @@ def read_potential_csv(path, r_max: float = DEFAULT_R_MAX) -> Potential:
         raise ValueError("empty potential CSV")
     if np.any(~np.isfinite(arr)):
         raise ValueError("NaN or infinity in potential CSV")
-    return build_potential("sampled", arr[:, 0], arr[:, 1] + 1j * arr[:, 2],
-                           r_max=r_max)
+    return build_potential("sampled", arr[:, 0], arr[:, 1] + 1j * arr[:, 2])
 
 
 def tail_integral(p: Potential, r: float):
-    """A(r) = int_r^inf a(x) dx."""
+    """A(r) = int_r^inf a(x) dx. For figure1 past EXP_PHASE_MAX, where e^r
+    has no usable phase, raises KernelError."""
     r = float(r)
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -255,6 +252,8 @@ def tail_integral(p: Potential, r: float):
         return 0.0 if p.is_real else 0.0 + 0.0j
 
     if p.family == "figure1":
+        if r > EXP_PHASE_MAX:
+            raise KernelError(f"figure1 has no usable phase past r={EXP_PHASE_MAX}")
         return exp_phase_tail(lambda x: 1.0 / (1.0 + x), r).imag
 
     if p.family == "gaussian":

@@ -1,12 +1,17 @@
 """CLI contract tests: schemas, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kreinlab.cli import (
     EXIT_CHECK_FAILED,
@@ -319,6 +324,15 @@ class TestInputValidation:
         (ENTROPY + ["--potential", "box:1e200,1"], EXIT_CHECK_FAILED),
         # |c|^2 overflows in the L2 tail: numerical failure, not a traceback
         (ENTROPY + ["--potential", "gaussian:1e308,1"], EXIT_CHECK_FAILED),
+        # no clamp to a fixed length: the whole box enters the H^-1 norm, and
+        # one too long to sample is refused by the node budget
+        (ENTROPY + ["--potential", "box:1,50"], EXIT_OK),
+        (ENTROPY + ["--potential", "box:1,1e300"], EXIT_CHECK_FAILED),
+        (ENTROPY + ["--potential", "constant:1,1e9"], EXIT_CHECK_FAILED),
+        # a step of 6e-305: the Sobolev chunk stays within its panel
+        (ENTROPY + ["--potential", "box:1,1e-300"], EXIT_OK),
+        (ENTROPY + ["--potential", "box:1,-1"], EXIT_USAGE),
+        (ENTROPY + ["--potential", "gaussian:1,nan"], EXIT_USAGE),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()
@@ -329,6 +343,46 @@ class TestInputValidation:
         assert got == code
         assert time.perf_counter() - start < 10.0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_long_box_h_minus1_norm(self, tmp_path):
+        # the H^-1 norm of c on [0, L] is c^2 (L - 1 + e^{-L})
+        assert run(self.ENTROPY + ["--potential", "box:1,50", "--out", str(tmp_path)]) == EXIT_OK
+        sob = json.loads((tmp_path / "entropy_summary.json").read_text())["sobolev"]
+        assert sob["tail_bound"] <= 1e-9
+        assert abs(sob["value"] - (49.0 + math.exp(-50.0))) <= sob["tail_bound"]
+
+
+# scales between 1e3 and 4e3 are left out: they run the H^-1 pass near its
+# node cap (gaussian:1,1e3 takes 1.8 s and 520 MB)
+_FUZZ_ARGS = st.one_of(
+    st.builds(lambda family, c, x: ["entropy", "--potential", f"{family}:{c},{x}",
+                                    "--rmax", "1", "--nsum", "1"],
+              st.sampled_from(["box", "constant", "gaussian"]),
+              st.sampled_from(["0", "1e-300", "0.5", "1+1i", "-2", "1e200", "1e308"]),
+              st.sampled_from(["1e-300", "1e-3", "0.5", "1", "50", "1e6", "1e300",
+                               "nan", "inf", "-1", "0"])),
+    st.builds(lambda n: ["opuc", "--rule", f"factorial:0.5,{n}"],
+              st.sampled_from([-1, 0, 200, 5000])))
+
+
+@given(_FUZZ_ARGS)
+@settings(deadline=None, max_examples=60, database=None, derandomize=True)
+def test_cli_fuzz_ends_in_an_exit_code(args):
+    # any spec ends in a documented exit code in bounded time, with no
+    # traceback and no numpy warning
+    err = io.StringIO()
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = run(args + ["--out", out])
+        except SystemExit as exc:
+            got = exc.code
+    assert got in (0, 1, 2, 3)
+    assert time.perf_counter() - start < 10.0
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
 
 
 class TestSampledRoundTrip:

@@ -302,13 +302,17 @@ class TestEntropySum:
 
 def _gaussian_H(c, scale):
     """Re int a(x) e^{-x} conj(int_0^x a(y) e^{y} dy) dx for a = c e^{-(x/s)^2}:
-    the inner integral in closed form by erf, the outer one by quad."""
+    the inner integral in closed form by erf(u) + erf(s/2), u = x/s - s/2,
+    written erfc(-u) - erfc(s/2) for u < 0 so that it does not cancel; the
+    outer one by quad."""
     s = scale
     pre = s * math.sqrt(math.pi) / 2.0 * math.exp(s * s / 4.0)
-    e0 = math.erf(s / 2.0)
 
     def outer(x):
-        return math.exp(-(x / s) ** 2 - x) * pre * (math.erf(x / s - s / 2.0) + e0)
+        u = x / s - s / 2.0
+        inner = (math.erfc(-u) - math.erfc(s / 2.0) if u < 0.0
+                 else math.erf(u) + math.erf(s / 2.0))
+        return math.exp(-(x / s) ** 2 - x) * pre * inner
 
     val, _ = quad(outer, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
     return abs(c) ** 2 * val
@@ -366,15 +370,23 @@ class TestSobolev:
             sobolev_h_minus1(build_potential("constant", 1))
 
     def test_gaussian_wider_than_r_max(self):
-        # e^{-(x/10)^2} has no effective support within r_max = 40; the part
-        # of the norm past it is bounded by m (|a|_2 / 2 + m), m = 8.8e-8 its
-        # L2 norm past 40, and tail_bound carries that bound
-        wide = build_potential("gaussian", 1, 10)
-        m = math.sqrt(10.0 * math.sqrt(math.pi / 8.0) * math.erfc(4.0 * math.sqrt(2.0)))
-        sb = sobolev_h_minus1(wide)
-        assert sb.tail_bound >= m * (0.5 * wide.l2_norm + m)
-        longer = sobolev_h_minus1(build_potential("gaussian", 1, 10, r_max=80.0))
-        assert abs(sb.value - longer.value) <= sb.tail_bound
+        # e^{-(x/10)^2} keeps an L2 norm of 8.8e-8 past 40: the integral runs
+        # to its effective support 62.5 plus 1, and the norm is within its
+        # error estimate of the erf double integral (5.7244239779033)
+        sb = sobolev_h_minus1(build_potential("gaussian", 1, 10))
+        assert sb.tail_bound <= 1e-12
+        assert abs(sb.value - _gaussian_H(1.0, 10.0)) <= sb.tail_bound
+
+    def test_length_beyond_node_cap_raises(self):
+        # 2048 nodes per unit length: a box of length 1e6 needs 2e9 nodes
+        with pytest.raises(KernelError, match="nodes"):
+            sobolev_h_minus1(build_potential("box", 1, 1e6))
+
+    def test_tiny_step(self):
+        # a step of 6e-305: the chunk of the O(n) pass stays within its panel;
+        # the norm c^2 (L - 1 + e^{-L}) ~ L^2 / 2 underflows to 0
+        sb = sobolev_h_minus1(build_potential("box", 1, 1e-300))
+        assert sb.value == 0.0 and sb.tail_bound == 0.0
 
     def test_non_finite_norm_raises(self):
         with pytest.raises(KernelError, match="not finite"):

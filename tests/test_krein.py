@@ -18,7 +18,7 @@ from kreinlab.krein import (
     find_pi_zero,
     pi_modulus_check,
     probe_magnitudes,
-    reflection_residual,
+    reflection_residual_batch,
     reproducing_kernel,
     solve_krein,
     szego_limit,
@@ -79,17 +79,17 @@ class TestClosedFormSolves:
 
 class TestReflectionIdentity:
     def test_free_exact(self):
-        assert reflection_residual(ZERO, 1 + 1j, 2.0) < 1e-9
+        assert reflection_residual_batch(ZERO, [1 + 1j], 2.0)[0] < 1e-9
 
     @pytest.mark.parametrize("pot", [ZERO, BOX, BOX2, GAUSS, FIG],
                              ids=["zero", "box11", "box052", "gauss", "fig1"])
     def test_catalog_battery(self, pot):
         for z in Z_PROBES:
             for r in R_PROBES:
-                assert reflection_residual(pot, z, r) < 1e-6
+                assert reflection_residual_batch(pot, [z], r)[0] < 1e-6
 
     def test_figure1_at_i(self):
-        assert reflection_residual(FIG, 1j, 5.0) < 1e-6
+        assert reflection_residual_batch(FIG, [1j], 5.0)[0] < 1e-6
 
 
 class TestChristoffelDarboux:
@@ -217,10 +217,11 @@ class TestZeroSearch:
             find_pi_zero(FIG)
 
     def test_gaussian_wider_than_r_max_not_eligible(self):
-        # the L2 norm of e^{-(x/10)^2} past r_max = 40 is 8.8e-8: no point within
-        # r_max stands for the end of the coefficient, and no scan is started
+        # the L2 norm of e^{-(x/10)^2} falls below 1e-15 only at r = 60, past
+        # the default horizon 40: P*(40, .) would be that of a coefficient cut
+        # short, so no scan is started
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="r_max"):
+        with pytest.raises(ValueError, match="horizon"):
             find_pi_zero(build_potential("gaussian", 1, 10))
         assert time.perf_counter() - start < 1.0
 

@@ -186,6 +186,17 @@ class TestCompareOrders:
         assert 0.8 <= co.rho_alpha.rho <= 1.2
         assert 0.8 <= co.rho_pi.rho <= 1.2
 
+    def test_factorial_rule_underflows_to_zero(self):
+        # 0.5/k! underflows to 0 from k = 178, although 171! overflows a double
+        v = VerblunskySeq.from_rule("factorial", 0.5, 200)
+        assert np.all(np.isfinite(v.alphas))
+        assert v.alphas[10] == pytest.approx(0.5 / math.factorial(10), rel=1e-15)
+        assert v.alphas[-1] == 0.0
+
+    def test_negative_rule_length_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            VerblunskySeq.from_rule("factorial", 0.5, -1)
+
     def test_gaussian_rule(self):
         co = compare_orders(VerblunskySeq.from_rule("gaussian", 0.5, 12))
         assert co.rho_alpha.rho <= 0.3

@@ -46,6 +46,20 @@ class TestBuildPotential:
         assert not p.is_real
         assert p(0.0) == pytest.approx(1.0 + 1j)
 
+    @pytest.mark.parametrize("family, x, name", [
+        ("box", -1.0, "box length"), ("box", math.nan, "box length"),
+        ("box", math.inf, "box length"), ("constant", -1.0, "constant cutoff"),
+        ("gaussian", math.nan, "gaussian scale"), ("gaussian", -1.0, "gaussian scale"),
+        ("gaussian", 0.0, "gaussian scale")])
+    def test_invalid_length_names_the_parameter(self, family, x, name):
+        with pytest.raises(ValueError, match=name):
+            build_potential(family, 1.0, x)
+
+    def test_tiny_gaussian_scale_is_zero_without_warning(self, recwarn):
+        g = build_potential("gaussian", 1.0, 1e-300)
+        assert g(0.5) == 0.0 and g(0.0) == 1.0
+        assert not recwarn.list
+
 
 class TestTailIntegral:
     def test_box_half(self):
@@ -68,6 +82,14 @@ class TestTailIntegral:
         # 30-digit development reference for int_3^inf sin(e^x)/(1+x) dx
         fig = build_potential("figure1")
         assert tail_integral(fig, 3.0) == pytest.approx(0.0047801802613874435, abs=1e-9)
+
+    def test_figure1_past_usable_phase_raises(self):
+        # past x = 36 the ulp of e^x exceeds 0.5: no phase, no tail value
+        fig = build_potential("figure1")
+        assert abs(tail_integral(fig, 36.0)) <= fig.tail_sup(36.0)
+        for r in (36.5, 40.0, 45.0):
+            with pytest.raises(KernelError, match="phase"):
+                tail_integral(fig, r)
 
     def test_untruncated_constant_raises(self):
         with pytest.raises(KernelError):
@@ -126,12 +148,13 @@ class TestInvariants:
             assert abs(p.l2_norm ** 2 - q) < 1e-8 * (1 + q)
 
     def test_figure1_l2_norm_oscillatory_split(self):
-        # independent check on a resolvable horizon: rebuild with r_max=6 and
-        # compare the norm against direct adaptive quadrature of sin^2(e^r)/(1+r)^2
-        fig6 = build_potential("figure1", r_max=6.0)
-        q = scipy_quad(lambda r: np.sin(np.exp(r)) ** 2 / (1 + r) ** 2, 0.0, 6.0,
-                       limit=5000)
-        assert abs(fig6.l2_norm ** 2 - q) < 1e-8
+        # the norm over [0, inf): in u = e^r, sin^2 = (1 - cos 2u)/2 gives
+        # 1/2 - 1/2 int_1^inf cos(2u) / (u (1 + ln u)^2) du, the Fourier
+        # integral by QUADPACK's QAWF (about 0.642360578934)
+        osc, _ = quad(lambda u: 1.0 / (u * (1.0 + np.log(u)) ** 2), 1.0, np.inf,
+                      weight="cos", wvar=2.0)
+        fig = build_potential("figure1")
+        assert abs(fig.l2_norm ** 2 - (0.5 - 0.5 * osc)) < 1e-9
 
 
 class TestEffectiveSupport:
@@ -142,12 +165,15 @@ class TestEffectiveSupport:
         assert g.l2_tail(6.0) < 1e-16 < g.l2_tail(5.75)
 
     def test_none_when_not_reached_within_r_max(self):
-        # the L2 mass of e^{-(x/10)^2} past r_max = 40 is 7.8e-15 (its L2 norm
-        # 8.8e-8), far above a tolerance of 1e-16 on the norm
+        # the L2 norm of e^{-(x/10)^2} past 40 is 8.8e-8; the search goes on
+        # along the grid 10 (1 + k/4) to 62.5, however far that is. figure1
+        # has no closed-form L2 tail, so no effective support
         wide = build_potential("gaussian", 1, 10)
-        assert wide.effective_support(1e-16) is None
         m = math.sqrt(10.0 * math.sqrt(math.pi / 8.0) * math.erfc(4.0 * math.sqrt(2.0)))
         assert wide.l2_tail(40.0) == pytest.approx(m, rel=1e-14)
+        assert wide.effective_support(1e-16) == 62.5
+        assert wide.l2_tail(62.5) < 1e-16 < wide.l2_tail(60.0)
+        assert build_potential("figure1").effective_support(1e-16) is None
 
     def test_huge_coefficient_does_not_overflow(self):
         # |c|^2 overflows; the norm past r is |c| e^{-r^2} times a factor of
