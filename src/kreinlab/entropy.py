@@ -568,9 +568,9 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     2048 X, 16385) nodes. tail_bound is the error estimate: the change from
     the same sum on every other node, plus the bound on the part past X.
     ``cutoff`` is accepted and ignored. Raises ValueError if a is not in L2
-    or has no known truncation point, KernelError if the node count exceeds
-    _N_CAP or the sums overflow."""
-    if not math.isfinite(p.l2_norm):
+    (an uncut constant) or has no known truncation point, KernelError if the
+    node count exceeds _N_CAP or the sums overflow (as where |a|_2 does)."""
+    if p.family == "constant" and p.support_bound is None:
         raise ValueError("the H^-1 norm needs a square-integrable coefficient")
     hi, truncated = _truncation(p)
     if p.l2_norm == 0.0 or hi <= 0.0:

@@ -117,16 +117,13 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     y = np.asarray(y)
     if y.shape[0] < 3:
         raise ValueError("cumulative Simpson needs at least 3 nodes")
-
-    def forward(f):
-        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-
-    fwd = forward(y)
-    bwd = forward(y[::-1])[::-1]
+    # the node triples from each even node: the forward quadratic of interval
+    # 2k and the backward one of interval 2k + 1 go through the same three
+    f0, f1, f2 = y[:-2:2], y[1:-1:2], y[2::2]
     parts = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=np.result_type(y, dx))
-    parts[:-1:2] = fwd[::2]
-    parts[1::2] = bwd[::2]
-    parts[-1] = bwd[-1]
+    parts[:-1:2] = dx / 3 * (5 * f0 / 4 + 2 * f1 - f2 / 4)
+    parts[1::2] = dx / 3 * (5 * f2 / 4 + 2 * f1 - f0 / 4)
+    parts[-1] = dx / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     out = np.zeros(y.shape, dtype=parts.dtype)
     np.cumsum(parts, axis=0, out=out[1:])
     return out
@@ -582,8 +579,8 @@ def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # half-period panels of an oscillatory tail, and the averagings of their
-# partial sums
-_OSC_PANELS = 500
+# partial sums (see exp_phase_tail)
+_OSC_PANELS = 64
 _OSC_AVERAGINGS = 14
 # past this x the ulp of e^x is about 0.5, so e^x has no usable phase
 EXP_PHASE_MAX = 36.0
@@ -602,12 +599,13 @@ def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
     """Convergent value of integral_{x0}^inf e^{i omega e^x} g(x) dx.
 
-    Substitutes u = omega e^x and sums half-period Gauss panels of the
-    resulting integrand e^{iu} g(log(u/omega))/u, then accelerates the
-    alternating partial sums by iterated averaging. ``g`` must accept numpy
-    arrays and may be complex. Designed for slowly varying g; the oscillation
-    of the phase does the convergence work. The real and imaginary parts are
-    the cos and sin integrals.
+    Substitutes u = omega e^x, sums _OSC_PANELS half-period Gauss panels of
+    e^{iu} g(log(u/omega))/u and averages the last 15 partial sums (all that
+    reach the last entry) _OSC_AVERAGINGS times. Designed for slowly varying
+    g, which may be complex and must accept numpy arrays: on each amplitude
+    the program integrates, 32 panels are within 1e-14 of 8000 and 64 keep a
+    margin, above the rounding of the phase, about e^{x0} omega eps relative.
+    The real and imaginary parts are the cos and sin integrals.
     """
 
     def w(u):
@@ -621,7 +619,7 @@ def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
                             np.arange(k0, k0 + _OSC_PANELS + 1) * math.pi])
     partial = np.cumsum(_gauss_panel(w, edges[:-1], edges[1:]))
 
-    arr = partial[-(_OSC_AVERAGINGS + 48):]
+    arr = partial[-(_OSC_AVERAGINGS + 1):]
     for _ in range(_OSC_AVERAGINGS):
         arr = 0.5 * (arr[:-1] + arr[1:])
     return complex(arr[-1])

@@ -95,7 +95,7 @@ class Potential:
         if self.family != "gaussian":
             return None
         c, scale = self.params
-        z = math.sqrt(2.0) * r / scale
+        z = math.sqrt(2.0) * (r / scale)  # sqrt(2) r overflows past 1.27e308
         if z < 26.0:
             return abs(c) * math.sqrt(scale * math.sqrt(math.pi / 8.0) * math.erfc(z))
         # past z = 26 erfc(z) soon underflows; exp(-z^2) / (z sqrt(pi)) bounds

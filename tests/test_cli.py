@@ -333,6 +333,9 @@ class TestInputValidation:
         (ENTROPY + ["--potential", "box:1,1e-300"], EXIT_OK),
         (ENTROPY + ["--potential", "box:1,-1"], EXIT_USAGE),
         (ENTROPY + ["--potential", "gaussian:1,nan"], EXIT_USAGE),
+        # square-integrable, but |c| sqrt(L) overflows: numerical failure
+        (ENTROPY + ["--potential", "box:1e308,50"], EXIT_CHECK_FAILED),
+        (ENTROPY + ["--potential", "constant:1e308,50"], EXIT_CHECK_FAILED),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()

@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from kreinlab import krein
+from kreinlab.entropy import _F1_Q, _F1_TERMS, _f1_phi
 from kreinlab.kernel import (
     DecayFit,
     Grid,
@@ -61,11 +62,48 @@ def brute_force_tail_oracle(r, u_cap=3.2e4, n=2 ** 21):
     return body + float(remainder)
 
 
+def _mpmath_exp_phase_tail(mp, g, x0, omega):
+    """int_{x0}^inf e^{i omega e^x} g(x) dx at 30 digits: in u = omega e^x,
+    mpmath quadrature on the head up to the first multiple of pi and on each
+    half period after it, the half periods summed by mpmath's nsum."""
+    with mp.workdps(30):
+        a = omega * mp.exp(x0)
+        f = lambda u: mp.expj(u) * g(mp.log(u / omega)) / u
+        k0 = int(mp.floor(a / mp.pi)) + 1
+        head = mp.quad(f, [a, k0 * mp.pi])
+        body = mp.nsum(lambda k: mp.quad(f, [k * mp.pi, (k + 1) * mp.pi],
+                                         method="gauss-legendre"), [k0, mp.inf])
+        return complex(head + body)
+
+
+def _mpmath_phi(mp, x):
+    """figure1's amplitude Phi = sum_k i^k e^{-(k+1)x} q_k(1/(1+x)) in mpmath."""
+    s = 1 / (1 + x)
+    return mp.fsum(mp.mpc(0, 1) ** k * mp.exp(-(k + 1) * x)
+                   * mp.polyval([mp.mpf(c) for c in _F1_Q[k][::-1]], s)
+                   for k in range(_F1_TERMS))
+
+
 class TestOscillatoryTail:
     def test_against_references(self):
         g = lambda x: 1.0 / (1.0 + x)
         for r, ref in T_REF.items():
             assert abs(exp_phase_tail(g, r).imag - ref) < 1e-9
+
+    @pytest.mark.parametrize("case", ["l2_norm", "tail_integral", "phi"])
+    def test_against_mpmath(self, case):
+        # the amplitudes the program integrates, against mpmath at 30 digits;
+        # the tolerance allows the rounding of the phase, e^{x0} omega eps
+        mp = pytest.importorskip("mpmath")
+        l2, tail = (lambda x: (1 + x) ** -2), (lambda x: 1 / (1 + x))
+        g, g_mp, x0, omega = {
+            "l2_norm": (l2, l2, 0.0, 2.0),
+            "tail_integral": (tail, tail, 1.0, 1.0),
+            "phi": (_f1_phi, lambda x: _mpmath_phi(mp, x), 4.75, 1.0),
+        }[case]
+        ref = _mpmath_exp_phase_tail(mp, g_mp, x0, omega)
+        tol = 1e-14 + 4.0 * omega * math.exp(x0) * np.finfo(float).eps
+        assert abs(exp_phase_tail(g, x0, omega) - ref) <= tol * abs(ref)
 
     def test_production_matches_panel_oracle(self):
         # integral of sin(e^x)/(1+x) over [2, 40]; the tail beyond 40 is ~1e-19
@@ -268,6 +306,16 @@ class TestSimpson:
         assert np.array_equal(ours, theirs)
         x = np.linspace(0.0, 1.0, 101)
         assert simpson(y, x) == pytest.approx(scipy_simpson(y, x=x), abs=1e-14)
+
+    def test_every_small_node_count_matches_scipy(self):
+        # odd and even counts (the last interval of an even count takes the
+        # backward quadratic), real, complex and 2-D along axis 0
+        rng = np.random.default_rng(5)
+        for n in range(3, 41):
+            real = rng.normal(size=n)
+            for y in (real, real + 1j * rng.normal(size=n), rng.normal(size=(n, 3))):
+                theirs = scipy_cumulative_simpson(y, dx=0.37, axis=0, initial=0.0)
+                assert np.array_equal(cumulative_simpson(y, 0.37), theirs), (n, y.shape, y.dtype)
 
     def test_even_node_count_rejected(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,17 @@ class TestEffectiveSupport:
         assert huge.effective_support(1e-15) == 27.25
         assert huge.l2_tail(27.25) < 1e-15 < huge.l2_tail(27.0)
 
+    def test_huge_radius_does_not_overflow(self):
+        # z = sqrt(2) r / scale: sqrt(2) r overflows for r past 1.27e308,
+        # r / scale does not, and at r = scale the tail is sqrt(scale) times
+        # a factor of order 1, about 2.2e153
+        s = 1.7e308
+        wide = build_potential("gaussian", 1, s)
+        closed = math.sqrt(s * math.sqrt(math.pi / 8.0) * math.erfc(math.sqrt(2.0)))
+        assert wide.l2_tail(s) == pytest.approx(closed, rel=1e-12)
+        assert 2e153 < wide.l2_tail(s) < 2.5e153
+        assert wide.effective_support(1e-12) > s
+
 
 class TestOscillationClassify:
     def test_box_zero_tail(self):
