@@ -456,6 +456,37 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
 
 
 # ---------------------------------------------------------------------------
+# batches with a conjugation symmetry
+# ---------------------------------------------------------------------------
+
+def fold_mirrors(x: np.ndarray, image: np.ndarray, use_image: np.ndarray):
+    """One representative for each class {x_i, image_i} of a 1-d batch whose
+    values at the image of a member are the conjugates of its values.
+
+    Each member where ``use_image`` holds is replaced by its image, and exact
+    duplicates merge. Returns the representatives, in the order they first
+    occur, and ``unfold(v, axis=0)``, which rebuilds values for the whole
+    batch from values ``v`` for the representatives on ``axis``: the
+    conjugate for a replaced member, with a zero imaginary part as +0.
+    """
+    canon = np.where(use_image, image, x)
+    reps, first, index = np.unique(canon, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    index = rank[index]
+
+    def unfold(v, axis=0):
+        v = np.take(v, index, axis=axis)
+        if not (np.iscomplexobj(v) and use_image.any()):
+            return v
+        flip = use_image.reshape((-1,) + (1,) * (v.ndim - axis - 1))
+        return np.where(flip, np.conj(v) + 0.0, v)
+
+    return reps[order], unfold
+
+
+# ---------------------------------------------------------------------------
 # decay fitting
 # ---------------------------------------------------------------------------
 
@@ -556,6 +587,8 @@ def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
     Samples f on n equispaced points of |s| = radius, in one call on the
     array of all n points, and inverts the discrete Fourier transform. Exact
     (to roundoff) on polynomials of degree <= degree whenever n > degree.
+    The nodes come in exact conjugate pairs, z[n - k] = conj(z[k]), so that
+    an f which folds them (see fold_mirrors) solves each pair once.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -565,8 +598,12 @@ def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
         n_samples = 256
         while n_samples < 4 * (degree + 1):
             n_samples *= 2
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    z = radius * np.exp(1j * theta)
+    # the upper half of the circle, and its exact conjugates below; the
+    # nodes on the real axis are exactly real
+    half = radius * np.exp(2j * np.pi * np.arange(n_samples // 2 + 1) / n_samples)
+    if n_samples % 2 == 0:
+        half[-1] = -radius
+    z = np.concatenate([half, np.conj(half[(n_samples + 1) // 2 - 1:0:-1])])
     vals = _eval_nodes(f, z).astype(complex)
     c = np.fft.fft(vals) / n_samples
     k = np.arange(degree + 1)
@@ -584,6 +621,8 @@ _OSC_PANELS = 64
 _OSC_AVERAGINGS = 14
 # past this x the ulp of e^x is about 0.5, so e^x has no usable phase
 EXP_PHASE_MAX = 36.0
+# past this u = omega e^x the panel indices u / pi leave the int64 range
+_OSC_PHASE_CAP = 2.0 ** 62
 
 
 def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -605,12 +644,18 @@ def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
     g, which may be complex and must accept numpy arrays: on each amplitude
     the program integrates, 32 panels are within 1e-14 of 8000 and 64 keep a
     margin, above the rounding of the phase, about e^{x0} omega eps relative.
-    The real and imaginary parts are the cos and sin integrals.
+    The real and imaginary parts are the cos and sin integrals. Past
+    EXP_PHASE_MAX that rounding leaves no correct digit: the value is then
+    only bounded, by 65 pi max|g| / (omega e^{x0}). Past omega e^{x0} = 2^62
+    raises KernelError.
     """
 
     def w(u):
         return np.exp(1j * u) * (g(np.log(u / omega)) / u)
 
+    x_max = math.log(_OSC_PHASE_CAP / omega)
+    if not x0 <= x_max:
+        raise KernelError(f"e^x has no usable phase past x={x_max:.4g}")
     a = omega * math.exp(x0)
     # panels end at multiples of pi, the zero spacing of sin and cos; the head
     # [a, k0 pi] is cut in four for the steep 1/u factor near small a

@@ -26,6 +26,7 @@ from .kernel import (
     KernelError,
     Propagation,
     fit_decay,
+    fold_mirrors,
     propagate,
 )
 from .potentials import Potential
@@ -90,21 +91,31 @@ def _solve_many(p: Potential, lams, grid: Grid, tol: float,
     potential's breakpoints: one propagate call per _LAM_CHUNK of them, which
     bounds the memory of a wide scan. ``y`` has shape (grid, lam, 2): P and
     P* on the grid; with ``with_cum``, ``integral`` (grid, lam) is the
-    accumulated mass int_0^r |P|^2. ``substeps`` adds up the chunks'."""
+    accumulated mass int_0^r |P|^2; ``error`` and ``integral_error`` have
+    one entry per lam. ``substeps`` adds up the chunks'.
+
+    For a real coefficient the generator at -conj(lam) is the conjugate of
+    that at lam, so P(r, -conj lam) = conj P(r, lam) and the same for P*:
+    the batch is folded onto Re lam <= 0 (kernel.fold_mirrors), and a lam
+    with Re lam > 0 takes the conjugate of its mirror's solution. Exact
+    duplicates merge for any coefficient."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    reps, unfold = fold_mirrors(lams, -np.conj(lams), p.is_real & (lams.real > 0))
     ts = grid.points
     parts = [propagate(_krein_gen(p, chunk), np.ones((chunk.size, 2), dtype=complex),
                        ts[0], ts[-1], tol, p.breakpoints(), t_eval=ts,
                        integrand=(lambda y: np.abs(y[..., 0]) ** 2) if with_cum else None)
-             for chunk in np.split(lams, range(_LAM_CHUNK, lams.size, _LAM_CHUNK))]
-    if len(parts) == 1:
-        return parts[0]
+             for chunk in np.split(reps, range(_LAM_CHUNK, reps.size, _LAM_CHUNK))]
+
+    def joined(field, axis=0):
+        return unfold(np.concatenate([getattr(r, field) for r in parts], axis=axis), axis)
+
     return Propagation(
-        np.concatenate([r.y for r in parts], axis=1),
-        np.concatenate([r.integral for r in parts], axis=1) if with_cum else None,
+        joined("y", axis=1),
+        joined("integral", axis=1) if with_cum else None,
         sum(r.substeps for r in parts),
-        np.concatenate([np.broadcast_to(r.error, r.y.shape[1:2]) for r in parts]),
-        np.concatenate([r.integral_error for r in parts]) if with_cum else None)
+        unfold(np.concatenate([np.broadcast_to(r.error, r.y.shape[1:2]) for r in parts])),
+        joined("integral_error") if with_cum else None)
 
 
 def krein_paths(p: Potential, lams, r_grid, tol: float = 1e-10):
@@ -182,8 +193,10 @@ def szego_limit(p: Potential, lam: complex, horizon: float = 40.0,
 
     The limit exists for square-integrable coefficients; the value equals the
     inverse Szego function up to a unimodular phase that is never computed.
+    Raises ValueError for an uncut constant, and a KernelError where the
+    solve overflows (as for a coefficient whose L2 norm does).
     """
-    if not math.isfinite(p.l2_norm):
+    if p.family == "constant" and p.support_bound is None:
         raise ValueError("szego limit requires a square-integrable coefficient")
     grid = Grid(np.array([0.0, horizon / 2.0, horizon]))
     Ps = _solve_many(p, lam, grid, ode_tol).y[:, 0, 1]
@@ -224,6 +237,13 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
     |P*(r_eff, .)| on the rectangle and runs a Newton iteration (secant
     derivative) from the best cells. The returned point lies in the closed
     lower half-plane; its conjugate is the decay point of P.
+
+    For a real coefficient the zeros come in mirror pairs z, -conj(z), as
+    P*(r, -conj z) = conj P*(r, z). The scan solves one member of each pair
+    (see _solve_many), takes abscissae that are exact mirrors where the
+    rectangle is symmetric about Re lam = 0, and starts Newton from three
+    distinct pairs, each at its member with Re <= 0. Of a mirror pair of
+    zeros the one with Re z <= 0 is returned, seeded or not.
     """
     r_eff = p.effective_support(1e-15)
     if r_eff is None:
@@ -237,16 +257,27 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
     def f(z):
         return _pstar_at(p, z, r_eff, ode_tol)
 
+    def left(z):
+        # of a real coefficient's mirror pair z, -conj(z), the member with Re <= 0
+        return -z.conjugate() if p.is_real and z.real > 0 else z
+
     candidates = []
     if seed is not None:
         candidates = [complex(seed)]
     else:
         x = np.linspace(rect[0], rect[1], n_scan[0])
+        if rect[0] == -rect[1]:
+            x = 0.5 * (x - x[::-1])
         y = np.linspace(rect[2], rect[3], n_scan[1])
         Z = (x[None, :] + 1j * y[:, None]).ravel()
         mags = np.abs(_solve_many(p, Z, Grid(np.array([0.0, r_eff])), 1e-8).y[-1, :, 1])
-        order = np.argsort(mags)
-        candidates = [complex(Z[i]) for i in order[:3]]
+        order = np.argsort(mags, kind="stable")
+        for i in order:
+            z = left(complex(Z[i]))
+            if z not in candidates:
+                candidates.append(z)
+            if len(candidates) == 3:
+                break
         if mags[order[0]] > 0.9:
             raise ZeroSearchError(
                 f"no zero located: min |P*| on scan rectangle is "
@@ -277,7 +308,7 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
                 raise ZeroSearchError(
                     f"converged into the upper half-plane at {z} "
                     "(not a valid zero of a Szego-class limit)", trace)
-            return complex(z)
+            return left(complex(z))
     raise ZeroSearchError(
         f"Newton did not reach residual {residual_tol:.1e}", last_trace)
 

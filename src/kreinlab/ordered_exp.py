@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from .kernel import (SeriesTailWarning, cumulative_simpson, propagate, row_gram, simpson,
-                     simpson_weights)
+from .kernel import (SeriesTailWarning, cumulative_simpson, fold_mirrors, propagate, row_gram,
+                     simpson, simpson_weights)
 
 N_GRID = 4097
 
@@ -135,16 +135,12 @@ def _chain_mean(vals: list[np.ndarray], x: np.ndarray) -> float:
 def _series_terms(A: CoeffPair, n_terms: int):
     """Time-ordered series terms M_k(t) on the shared grid, k = 0..n_terms."""
     x, pv, qv, _, _ = A._tables()
-    n = x.size
-    Av = np.empty((n, 2, 2))
-    Av[:, 0, 0] = -qv
-    Av[:, 0, 1] = pv
-    Av[:, 1, 0] = pv
-    Av[:, 1, 1] = qv
-    terms = [np.broadcast_to(np.eye(2), (n, 2, 2)).copy()]
+    p, q = pv[:, None], qv[:, None]
+    terms = [np.broadcast_to(np.eye(2), (x.size, 2, 2)).copy()]
     for _ in range(n_terms):
-        integrand = np.einsum("nij,njk->nik", Av, terms[-1])
-        terms.append(_cum(integrand, x))
+        # A M with A = ((-q, p), (p, q)), row by row
+        m0, m1 = terms[-1][:, 0], terms[-1][:, 1]
+        terms.append(_cum(np.stack([-q * m0 + p * m1, p * m0 + q * m1], axis=1), x))
     return x, terms
 
 
@@ -216,7 +212,11 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
     same length, computed as one batch. Values are real unless some s has a
     nonzero imaginary part (analytic continuation, used by the
     circle-sampling coefficient route); a scalar s gives a Python float or
-    complex. A one-component generator (p or q identically zero, g its
+    complex. A is real, so F_A(conj s) = conj F_A(s): the batch is folded
+    onto Im s >= 0 and exact duplicates merge (kernel.fold_mirrors), so a
+    conjugate pair costs one member. F is also even in s, but that is not
+    used: the odd Taylor coefficients of circle samples are a check on it.
+    A one-component generator (p or q identically zero, g its
     antiderivative) is diagonal in a fixed basis, so F = int e^{2sg} *
     int e^{-2sg} on a fine grid; the general case integrates the matrix ODE,
     with the Gram integral taken on its substeps.
@@ -225,6 +225,7 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
         A = CoeffPair(A.p, A.q, n_grid=n_grid)
     x, _, _, gp, gq = A._tables()
     ss = np.atleast_1d(np.asarray(s, dtype=complex))
+    ss, unfold = fold_mirrors(ss, np.conj(ss), ss.imag < 0)
     if not ss.imag.any():
         ss = ss.real
 
@@ -237,6 +238,7 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
         g = propagate(_sa_gen(A, ss), _sa_start(ss), 0.0, 1.0, ode_tol,
                       integrand=row_gram).integral
         out = g[:, 0] * g[:, 2] - g[:, 1] * g[:, 1]
+    out = unfold(out)
     return out if np.ndim(s) else out.item()
 
 
@@ -263,7 +265,9 @@ def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
     for k in range(n_max + 1):
         Nk = np.zeros((x.size, 2, 2))
         for m in range(k + 1):
-            Nk += np.einsum("nij,nkj->nik", terms[m], terms[k - m])
+            # M_m M_{k-m}^T: entry (i, j) is sum_l M_m[i, l] M_{k-m}[j, l]
+            X, Y = terms[m], terms[k - m]
+            Nk += X[:, :, None, 0] * Y[:, None, :, 0] + X[:, :, None, 1] * Y[:, None, :, 1]
         L.append(simpson(Nk, x))
     out = np.zeros(n_max + 1)
     out[0] = 1.0

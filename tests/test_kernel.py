@@ -21,11 +21,13 @@ from kreinlab.kernel import (
     DecayFit,
     Grid,
     InsufficientDataError,
+    KernelError,
     OdeStepError,
     breakpoint_segments,
     cumulative_simpson,
     exp_phase_tail,
     fit_decay,
+    fold_mirrors,
     propagate,
     series_coeffs_from_samples,
     simpson,
@@ -122,6 +124,13 @@ class TestOscillatoryTail:
         direct = float(scipy_cumulative_simpson(trig(u) * 2.0 / u ** 2, x=u,
                                                 initial=0.0)[-1])
         return direct + remainder(U)
+
+    @pytest.mark.parametrize("x0", [45.0, 1e9, math.inf, math.nan])
+    def test_past_the_usable_phase_raises(self, x0):
+        # past omega e^x0 = 2^62 the panel indices leave the integer range;
+        # such an x0 once gave 0j silently
+        with pytest.raises(KernelError, match="no usable phase"):
+            exp_phase_tail(lambda x: 1.0 / (1.0 + x), x0)
 
     def test_cos_kind_and_frequency(self):
         v = exp_phase_tail(lambda x: np.exp(-x), 1.0, omega=2.0)
@@ -415,6 +424,40 @@ class TestSeriesCoeffs:
     def test_scalar_only_callable_raises(self):
         with pytest.raises(TypeError):
             series_coeffs_from_samples(lambda s: complex(s), 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 257])
+    def test_nodes_are_exact_conjugate_pairs(self, n):
+        seen = []
+        series_coeffs_from_samples(lambda s: seen.append(s) or s, 0, radius=0.8, n_samples=n)
+        z, k = seen[0], np.arange(n)
+        assert np.array_equal(z[(n - k) % n], np.conj(z))
+        assert np.max(np.abs(z - 0.8 * np.exp(2j * np.pi * k / n))) < 1e-15
+
+    def test_sampler_enforces_no_symmetry(self):
+        # f(s) = s is odd: a sampler that folded s -> -s would give c_1 = 0;
+        # folding conjugate pairs is left to f (see f_of_s)
+        coeffs = series_coeffs_from_samples(lambda s: s, 3, radius=0.8, n_samples=16)
+        assert abs(coeffs[1] - 1.0) < 1e-15
+        assert np.max(np.abs(coeffs[[0, 2, 3]])) < 1e-15
+
+
+class TestFoldMirrors:
+    def test_representatives_and_unfold(self):
+        x = np.array([1 + 1j, -1 + 1j, 2j, 1 + 1j, 0.5, -0.5 + 0j])
+        reps, unfold = fold_mirrors(x, -np.conj(x), x.real > 0)
+        assert reps.tolist() == [-1 + 1j, 2j, -0.5]
+        vals = np.stack([reps * (1 + 1j), np.ones(3)])
+        out = unfold(vals, axis=1)
+        assert out.shape == (2, 6)
+        assert np.array_equal(out[0], [-2 + 0j, -2, -2 + 2j, -2, -0.5 + 0.5j, -0.5 - 0.5j])
+        # a conjugated zero imaginary part is +0, not -0
+        assert not np.any(np.signbit(out[1].imag))
+
+    def test_no_image_used_merges_duplicates_only(self):
+        x = np.array([0.3 - 0.1j, -0.3 - 0.1j, 0.3 - 0.1j])
+        reps, unfold = fold_mirrors(x, -np.conj(x), np.zeros(3, bool))
+        assert reps.tolist() == [0.3 - 0.1j, -0.3 - 0.1j]
+        assert np.array_equal(unfold(reps), x)
 
 
 class TestGrid:

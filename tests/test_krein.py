@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from kreinlab.kernel import OdeStepError
+from kreinlab import krein
+from kreinlab.kernel import Grid, KernelError, OdeStepError, propagate
 from kreinlab.krein import (
     ZeroSearchError,
     christoffel_darboux_residual,
@@ -177,6 +178,50 @@ class TestSzegoLimit:
         with pytest.raises(ValueError):
             szego_limit(CONST, 1j)
 
+    @pytest.mark.parametrize("c", [1e200, 1e308])
+    def test_overflowing_coefficient_is_a_numerical_failure(self, c):
+        # box:1e308,50 has an L2 norm that overflows to inf; it is still
+        # square-integrable, so it fails in the solve like box:1e200,50
+        with pytest.raises(KernelError):
+            szego_limit(build_potential("box", c, 50), 1j)
+
+
+class TestMirrorFold:
+    """For a real coefficient, P and P* at -conj(lam) are the conjugates of
+    those at lam, and a batch solves one member of each such pair."""
+
+    LAMS = np.array([0.5 + 0.2j, -0.5 + 0.2j, 1.3 - 0.7j, -1.3 - 0.7j, 2j, 0.8])
+    GRID = Grid(np.linspace(0.0, 3.0, 7))
+
+    @pytest.mark.parametrize("p", [BOX, GAUSS, FIG], ids=["box", "gaussian", "figure1"])
+    def test_real_coefficient_mirrors_are_bitwise_conjugates(self, p):
+        res = krein._solve_many(p, self.LAMS, self.GRID, 1e-10, with_cum=True)
+        for i, j in ((0, 1), (2, 3)):
+            assert np.array_equal(res.y[:, i], np.conj(res.y[:, j]))
+            assert np.array_equal(res.integral[:, i], res.integral[:, j])
+        # r = 0 holds the initial data 1 + 0j for every lam, not 1 - 0j
+        assert not np.any(np.signbit(res.y[0].imag))
+
+    @pytest.mark.parametrize("p", [BOX, GAUSS, FIG], ids=["box", "gaussian", "figure1"])
+    def test_real_coefficient_fold_matches_the_unfolded_batch(self, p):
+        # the propagator's arithmetic is itself symmetric under conjugation,
+        # so the folded batch equals the whole batch propagated bit for bit
+        res = krein._solve_many(p, self.LAMS, self.GRID, 1e-10, with_cum=True)
+        ts = self.GRID.points
+        whole = propagate(krein._krein_gen(p, self.LAMS), np.ones((self.LAMS.size, 2), complex),
+                          ts[0], ts[-1], 1e-10, p.breakpoints(), t_eval=ts,
+                          integrand=lambda y: np.abs(y[..., 0]) ** 2)
+        assert np.array_equal(res.y, whole.y) and np.array_equal(res.integral, whole.integral)
+
+    def test_complex_coefficient_is_not_folded(self):
+        p = build_potential("gaussian", 0.5 + 0.5j, 1)
+        res = krein._solve_many(p, self.LAMS[:2], self.GRID, 1e-10)
+        gap = np.abs(res.y[-1, 0] - np.conj(res.y[-1, 1]))
+        assert np.all(gap > 1e-3)
+        for k in (0, 1):
+            ref = krein._solve_many(p, self.LAMS[k:k + 1], self.GRID, 1e-10).y[:, 0]
+            assert np.max(np.abs(res.y[:, k] - ref)) < 1e-9
+
 
 class TestPiModulus:
     def test_free(self):
@@ -206,6 +251,13 @@ class TestZeroSearch:
     def test_seeded_newton(self):
         z = find_pi_zero(BOX, seed=-0.5j)
         assert abs(box_pstar_closed_form(z)) < 1e-9
+
+    def test_mirror_seed_returns_the_member_with_nonpositive_real_part(self):
+        # the zeros of a real coefficient come in pairs z, -conj(z)
+        z = find_pi_zero(BOX)
+        mirror = find_pi_zero(BOX, seed=-np.conj(z) + 0.01)
+        assert z.real <= 0 and mirror.real <= 0
+        assert abs(mirror - z) < 1e-9
 
     def test_gaussian_horizon_stability(self):
         z20 = find_pi_zero(GAUSS, horizon=20.0)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kreinlab.kernel import SeriesTailWarning, series_coeffs_from_samples
+from kreinlab.kernel import (SeriesTailWarning, propagate, row_gram, series_coeffs_from_samples,
+                             simpson)
 from kreinlab.ordered_exp import (
     J,
     CoeffPair,
+    _sa_gen,
+    _sa_start,
     a2_variation,
     a4_explicit,
     diagonal_a_n,
@@ -145,6 +148,33 @@ class TestGramDeterminant:
         assert isinstance(batch, np.ndarray) and batch.shape == ss.shape
         assert np.iscomplexobj(batch) == np.iscomplexobj(ss)
         assert np.max(np.abs(batch - np.array(scalars))) < 1e-12
+
+    SS = np.array([0.4 + 0.3j, 0.4 - 0.3j, -0.6j, 0.6j, 0.9, 0.4 + 0.3j])
+
+    def _pairs_are_conjugates(self, batch):
+        assert batch[1] == np.conj(batch[0]) and batch[2] == np.conj(batch[3])
+        assert batch[5] == batch[0]
+
+    def test_conjugate_pairs_solved_once(self):
+        # F(conj s) = conj F(s) for a real A: a pair is solved once and its
+        # other member conjugated, which agrees with the batch solved whole
+        A = random_coeff_pair(np.random.default_rng(4))
+        batch = f_of_s(A, self.SS, n_grid=1025)
+        self._pairs_are_conjugates(batch)
+        g = propagate(_sa_gen(A, self.SS), _sa_start(self.SS), 0.0, 1.0, 1e-11,
+                      integrand=row_gram).integral
+        assert np.max(np.abs(batch - (g[:, 0] * g[:, 2] - g[:, 1] * g[:, 1]))) < 1e-14
+
+    def test_conjugate_pairs_on_the_one_component_path(self):
+        # the Simpson sums of e^{+-2sg} over a batch of another width round
+        # differently, by up to 3e-14 here
+        A = CoeffPair.constant(0.0, 0.7, n_grid=1025)
+        batch = f_of_s(A, self.SS)
+        self._pairs_are_conjugates(batch)
+        x, _, _, _, gq = A._tables()
+        gs = np.outer(gq, self.SS)
+        whole = simpson(np.exp(2.0 * gs), x) * simpson(np.exp(-2.0 * gs), x)
+        assert np.max(np.abs(batch - whole)) < 1e-13
 
 
 class TestTaylorRoutes:
