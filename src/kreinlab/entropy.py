@@ -58,9 +58,10 @@ _SOBOLEV_NODES_PER_PERIOD = 48
 _MASS_TOL = 1e-16
 # figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
 # i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
-_F1_TERMS = 6
+_F1_TERMS = 8
 # error of exp_phase_integral per unit of sup|g| on the amplitudes used here
-# (measured at most 2e-15 against Gauss panels in u = e^x)
+# (measured at most 2e-15 against Gauss panels in u = e^x, and at most 1e-15
+# on Phi^3, Phi^4, rho^2 Phi and rho^2 Phi^2 from x = 5 against mpmath)
 _F1_QUAD = 1e-13
 
 
@@ -285,21 +286,22 @@ def _f1_amplitude_polys(n):
 
 
 _F1_Q = _f1_amplitude_polys(_F1_TERMS + 1)
+# Phi as one matrix product: q_k has the powers s^1 .. s^{k+1}, so the rows
+# k < _F1_TERMS need s^0 .. s^_F1_TERMS; i^k exactly, as 1, i, -1, -i, ...
+_F1_QT = _F1_Q[:_F1_TERMS, :_F1_TERMS + 1].T
+_F1_POWERS = np.arange(_F1_TERMS + 1)
+_F1_RATES = np.arange(1.0, _F1_TERMS + 1)
+_F1_IK = np.resize(np.array([1.0, 1j, -1.0, -1j]), _F1_TERMS)
 
 
 def _f1_phi(x):
     """The complex amplitude Phi = phi1 + i phi2 at x. With
     E_k = e^{-(k+1)x} q_k, the boundary terms give T = Re(e^{ie^x} Phi),
-    Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + E_4 ..., phi2 = E_1 - E_3 + ..."""
+    Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + E_4 ..., phi2 = E_1 - E_3 + ...,
+    evaluated as ((s^m) @ Q^T * e^{-(k+1)x}) @ i^k."""
     x = np.asarray(x, dtype=float)
-    s = 1.0 / (1.0 + x)
-    ex = np.exp(-x)
-    phi = np.zeros(x.shape, dtype=complex)
-    scale = ex
-    for k in range(_F1_TERMS):
-        phi += 1j ** k * (scale * polyval(s, _F1_Q[k]))
-        scale = scale * ex
-    return phi
+    q = (1.0 / (1.0 + x))[..., None] ** _F1_POWERS @ _F1_QT
+    return (q * np.exp(-x[..., None] * _F1_RATES)) @ _F1_IK
 
 
 def _f1_rho2(x):
@@ -327,23 +329,26 @@ def _gauss(f, lo: float, hi: float) -> float:
 
 
 class _F1Window:
-    """Moments I1 = int T dx and I2 = int T^2 dx of figure1's tail integral
-    over [x0, x1] from its expansion, with error bounds err1 and err2.
+    """Moments I_n = int T^n dx, n <= 4, of figure1's tail integral over
+    [x0, x1] from its expansion, with error bounds err1 .. err4.
 
-    With T = Re(e^{ie^x} Phi), I1 = Re int e^{ie^x} Phi and
-    T^2 = rho^2/2 + Re(e^{2ie^x} Phi^2)/2 with rho = |Phi|. An integral of
-    trig(w e^x) g over the window, with e^{-x}|g| decreasing, is at most
-    2 e^{-x0} |g(x0)| / w after one integration by parts in u = e^x; osc1
-    and osc2, the bounds on the oscillating parts of I1 and I2 (a cos and a
-    sin integral each), take twice that. The smooth part and the bounds are
-    cheap; moments() adds the oscillating integrals, one complex
-    exp_phase_integral each, or past EXP_PHASE_MAX, where e^x has no usable
-    phase, leaves them to the bounds."""
+    With T = Re(e^{ie^x} Phi) and rho = |Phi|, the powers of T are
+    harmonics in e^{ie^x}: T^2 = rho^2/2 + Re(e^{2ie^x} Phi^2)/2,
+    T^3 = Re(e^{3ie^x} Phi^3)/4 + 3 rho^2 Re(e^{ie^x} Phi)/4 and
+    T^4 = 3 rho^4/8 + rho^2 Re(e^{2ie^x} Phi^2)/2 + Re(e^{4ie^x} Phi^4)/8.
+    An integral of trig(w e^x) g over the window, with e^{-x}|g| decreasing,
+    is at most 2 e^{-x0} |g(x0)| / w after one integration by parts in
+    u = e^x; osc1 and osc2, the bounds on the oscillating parts of I1 and I2
+    (a cos and a sin integral each), take twice that. The smooth part and
+    the bounds are cheap; moments() adds the oscillating integrals, one
+    exp_phase_integral per frequency with the amplitudes of that frequency
+    stacked, or past EXP_PHASE_MAX, where e^x has no usable phase, leaves
+    them to the bounds."""
 
     def __init__(self, x0: float, x1: float):
         self.x0, self.x1 = x0, x1
         span = x1 - x0
-        tau = _f1_rest(x0)
+        self.tau = tau = _f1_rest(x0)
         # rho decreases, so tb bounds |T| on [x0, inf)
         self.tb = tb = abs(complex(_f1_phi(x0))) + tau
         self.smooth2 = 0.5 * _gauss(_f1_rho2, x0, x1)
@@ -359,14 +364,38 @@ class _F1Window:
         self.err2 = 2.0 * span * tau * tb + (
             2.0 * _F1_QUAD * tb * tb if self.computed else self.osc2)
         self.abs1 = self.osc1 + span * tau       # bound on |I1|
+        # |T^n - T_K^n| <= n tau tb^(n-1); of use only where computed
+        self.err3 = 3.0 * span * tau * tb ** 2 + 2.0 * _F1_QUAD * tb ** 3
+        self.err4 = 4.0 * span * tau * tb ** 3 + 2.0 * _F1_QUAD * tb ** 4
 
-    def moments(self) -> tuple[float, float]:
+    def _harmonic(self, omega: int, with_rho2: bool):
+        """Re int e^{i omega e^x} Phi^omega over the window, and with
+        with_rho2 also Re int e^{i omega e^x} rho^2 Phi^omega, from one set
+        of nodes."""
+
+        def amplitude(x):
+            phi = _f1_phi(x)
+            power = phi ** omega
+            if not with_rho2:
+                return power
+            return np.stack([power, (phi.real ** 2 + phi.imag ** 2) * power], -1)
+
+        return exp_phase_integral(amplitude, self.x0, self.x1, float(omega)).real
+
+    def moments(self, order: int = 2) -> tuple[float, ...]:
+        """(I1, I2), or with order 4 (I1, I2, I3, I4). Past EXP_PHASE_MAX
+        only (I1, I2), their oscillating parts left to the bounds."""
         if not self.computed:
             return 0.0, self.smooth2
-        i1 = exp_phase_integral(_f1_phi, self.x0, self.x1, 1.0).real
-        i2 = self.smooth2 + exp_phase_integral(
-            lambda x: 0.5 * _f1_phi(x) ** 2, self.x0, self.x1, 2.0).real
-        return i1, i2
+        if order == 2:
+            return (self._harmonic(1, False),
+                    self.smooth2 + 0.5 * self._harmonic(2, False))
+        i1, t3 = self._harmonic(1, True)
+        o2, t4 = self._harmonic(2, True)
+        i3 = 0.25 * self._harmonic(3, False) + 0.75 * t3
+        i4 = (0.375 * _gauss(lambda x: _f1_rho2(x) ** 2, self.x0, self.x1)
+              + 0.5 * t4 + 0.125 * self._harmonic(4, False))
+        return i1, self.smooth2 + 0.5 * o2, i3, i4
 
 
 def _figure1_E(p: Potential, r: float,
@@ -378,20 +407,21 @@ def _figure1_E(p: Potential, r: float,
     of cosh and sinh give E = 4 J2 - J1^2 + R4 + rest, J_k = int delta^k dx,
     R4 = (4/3) J4 + J2^2 - (4/3) J1 J3, |rest| <= 25 m^6 with
     m = sup|delta| <= 2 tail_sup(x0). c cancels from 4 J2 - J1^2 = 4 I2 - I1^2.
-    J3 and J4 follow from c, I1, I2 and the smooth part (3/8) int rho^4 of
-    int T^4; the harmonics left out of int T^3 and int T^4 are at most
-    12 e^{-x0} tb^n each, which moves R4 by at most 210 e^{-x0} tb^4; errors
-    dc in c (the rest of the expansion, and the rounding of the phase e^x),
-    err1 and err2 move it by at most 200 m^2 (m dc + m err1 + err2). Past
-    EXP_PHASE_MAX c has no usable phase, so R4 is left out and bounded:
-    |R4| <= 43 m^4."""
+    J3 and J4 follow from c and the moments I1 .. I4 of T, all four
+    computed (see _F1Window). With |c| <= tb and |J1| <= 8 tb, the errors
+    err3 and err4 of I3 and I4 move R4 by at most 16 tb err3 + (4/3) err4;
+    errors dc in c (the rest of the expansion, and the rounding of the
+    phase e^x), err1 and err2 move it by at most
+    200 m^2 (m dc + m err1 + err2). Past EXP_PHASE_MAX c has no usable
+    phase, so R4 is left out and bounded: |R4| <= 43 m^4. The bound falls
+    below 1e-7 E from r = 2.5, where a sampled window needs 455 769 nodes."""
     x0 = 2.0 * r
     span = 4.0
     w = _F1Window(x0, x0 + span)
     m = 2.0 * p.tail_sup(x0)
     if w.computed:
-        dc = _f1_rest(x0) + 2.0 * math.exp(x0) * np.finfo(float).eps * w.tb
-        r4_err = (210.0 * math.exp(-x0) * w.tb ** 4
+        dc = w.tau + 2.0 * math.exp(x0) * np.finfo(float).eps * w.tb
+        r4_err = (16.0 * w.tb * w.err3 + 4.0 / 3.0 * w.err4
                   + 200.0 * m * m * (m * (dc + w.err1) + w.err2))
     else:
         r4_err = 43.0 * m ** 4
@@ -400,16 +430,16 @@ def _figure1_E(p: Potential, r: float,
     lower = 4.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2 - 43.0 * m ** 4
     if not err <= rel * lower:
         return None
-    i1, i2 = w.moments()
-    r4 = 0.0
-    if w.computed:
-        c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
-        i4 = 0.375 * _gauss(lambda x: _f1_rho2(x) ** 2, x0, x0 + span)
-        j1 = span * c - i1
-        j2 = span * c ** 2 - 2.0 * c * i1 + i2
-        j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2
-        j4 = span * c ** 4 - 4.0 * c ** 3 * i1 + 6.0 * c ** 2 * i2 + i4
-        r4 = 4.0 / 3.0 * j4 + j2 * j2 - 4.0 / 3.0 * j1 * j3
+    if not w.computed:
+        i1, i2 = w.moments()
+        return WindowValue(4.0 * i2 - i1 * i1, "expansion", err)
+    i1, i2, i3, i4 = w.moments(4)
+    c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
+    j1 = span * c - i1
+    j2 = span * c ** 2 - 2.0 * c * i1 + i2
+    j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2 - i3
+    j4 = span * c ** 4 - 4.0 * c ** 3 * i1 + 6.0 * c ** 2 * i2 - 4.0 * c * i3 + i4
+    r4 = 4.0 / 3.0 * j4 + j2 * j2 - 4.0 / 3.0 * j1 * j3
     return WindowValue(4.0 * i2 - i1 * i1 + r4, "expansion", err)
 
 
@@ -537,6 +567,9 @@ def _truncation(p: Potential) -> tuple[float, float]:
         while _figure1_tail(x) > 1e-10:
             x += 0.25
         return x, _figure1_tail(x)
+    if p.family == "gaussian":
+        raise KernelError("the gaussian's L2 tail stays above "
+                          f"{_MASS_TOL:g} at every finite point")
     raise ValueError(f"no truncation point known for the {p.family} coefficient")
 
 

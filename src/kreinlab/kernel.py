@@ -491,12 +491,18 @@ def fold_mirrors(x: np.ndarray, image: np.ndarray, use_image: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _decay_rss(alpha, r, y):
-    """Best RSS of y ~ c*r^alpha + beta at fixed alpha, plus (c, beta)."""
+    """Best RSS of y ~ c*r^alpha + beta at each alpha, and (c, beta): the
+    two-parameter least squares in closed form on centred x = r^alpha,
+    c = Sxy / Sxx. alpha may be an array of shape (k, 1); the results are
+    then arrays of k."""
     x = r ** alpha
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    res = y - A @ coef
-    return float(res @ res), float(coef[0]), float(coef[1])
+    x_mean = np.mean(x, axis=-1, keepdims=True)
+    xc = x - x_mean
+    yc = y - np.mean(y)
+    c = np.sum(xc * yc, axis=-1, keepdims=True) / np.sum(xc * xc, axis=-1, keepdims=True)
+    res = yc - c * xc
+    beta = np.mean(y) - c * x_mean
+    return np.sum(res * res, axis=-1), c[..., 0], beta[..., 0]
 
 
 def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
@@ -531,8 +537,7 @@ def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
     y = -np.log(m_u)
 
     alphas = np.arange(0.05, 8.0 + 1e-9, 0.05)
-    rss = np.array([_decay_rss(al, r_u, y)[0] for al in alphas])
-    k = int(np.argmin(rss))
+    k = int(np.argmin(_decay_rss(alphas[:, None], r_u, y)[0]))
     lo = alphas[max(k - 1, 0)]
     hi = alphas[min(k + 1, alphas.size - 1)]
     # golden-section refinement on the bracketing interval
@@ -553,7 +558,7 @@ def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
         if hi - lo < 1e-9:
             break
     alpha = 0.5 * (lo + hi)
-    _, c_hat, offset = _decay_rss(alpha, r_u, y)
+    _, c_hat, offset = (float(v) for v in _decay_rss(alpha, r_u, y))
 
     model = c_hat * r_u ** alpha + offset
     ok = (model > 0) & (y > 0)
@@ -627,15 +632,17 @@ _OSC_PHASE_CAP = 2.0 ** 62
 
 def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """16-point Gauss-Legendre on each [lo_i, hi_i]; vectorized over panels.
-    The contraction over the nodes is an einsum, not a BLAS product: threaded
+    w may return a trailing axis of values, integrated each on its own. The
+    contraction over the nodes is an einsum, not a BLAS product: threaded
     BLAS on a complex panel matrix costs more CPU than it saves."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    return half * np.einsum("ij,j->i", w(nodes), _GL_W)
+    sums = np.einsum("ij...,j->i...", w(nodes), _GL_W)
+    return half.reshape(half.shape + (1,) * (sums.ndim - 1)) * sums
 
 
-def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
+def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0):
     """Convergent value of integral_{x0}^inf e^{i omega e^x} g(x) dx.
 
     Substitutes u = omega e^x, sums _OSC_PANELS half-period Gauss panels of
@@ -648,10 +655,19 @@ def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
     EXP_PHASE_MAX that rounding leaves no correct digit: the value is then
     only bounded, by 65 pi max|g| / (omega e^{x0}). Past omega e^{x0} = 2^62
     raises KernelError.
+
+    A g that returns a trailing axis of m values (shape x.shape + (m,))
+    stacks m amplitudes on one set of nodes: the result is then an array of
+    their m integrals. A complex amplitude's is bitwise its own call's; a
+    real one, divided as a complex one there, can differ by rounding.
     """
 
     def w(u):
-        return np.exp(1j * u) * (g(np.log(u / omega)) / u)
+        v = g(np.log(u / omega))
+        phase = np.exp(1j * u)
+        if np.ndim(v) > u.ndim:
+            phase, u = phase[..., None], u[..., None]
+        return phase * (v / u)
 
     x_max = math.log(_OSC_PHASE_CAP / omega)
     if not x0 <= x_max:
@@ -662,16 +678,16 @@ def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0) -> complex:
     k0 = int(math.floor(a / math.pi)) + 1
     edges = np.concatenate([np.linspace(a, k0 * math.pi, 5)[:-1],
                             np.arange(k0, k0 + _OSC_PANELS + 1) * math.pi])
-    partial = np.cumsum(_gauss_panel(w, edges[:-1], edges[1:]))
+    partial = np.cumsum(_gauss_panel(w, edges[:-1], edges[1:]), axis=0)
 
     arr = partial[-(_OSC_AVERAGINGS + 1):]
     for _ in range(_OSC_AVERAGINGS):
         arr = 0.5 * (arr[:-1] + arr[1:])
-    return complex(arr[-1])
+    return complex(arr[-1]) if arr.ndim == 1 else arr[-1]
 
 
-def exp_phase_integral(g: Callable, x0: float, x1: float,
-                       omega: float = 1.0) -> complex:
+def exp_phase_integral(g: Callable, x0: float, x1: float, omega: float = 1.0):
     """integral_{x0}^{x1} e^{i omega e^x} g(x) dx, as the difference of the
-    tails from x0 and from x1 (see exp_phase_tail)."""
+    tails from x0 and from x1 (see exp_phase_tail; a stacked g gives an
+    array)."""
     return exp_phase_tail(g, x0, omega) - exp_phase_tail(g, x1, omega)

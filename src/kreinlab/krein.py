@@ -139,11 +139,13 @@ def solve_krein(p: Potential, lam: complex, r_grid, tol: float = 1e-10) -> Krein
 def _solve_pair_cross(p: Potential, lam: complex, mu: complex, r: float,
                       tol: float):
     """Joint solve for two parameters plus the cross mass
-    int_0^r P(s, lam) conj(P(s, mu)) ds."""
-    res = propagate(_krein_gen(p, np.array([lam, mu], dtype=complex)),
-                    np.ones((2, 2), dtype=complex), 0.0, r, tol, p.breakpoints(),
-                    integrand=lambda y: y[..., 0, 0] * np.conj(y[..., 1, 0]))
-    (P1, Ps1), (P2, Ps2) = res.y
+    int_0^r P(s, lam) conj(P(s, mu)) ds. Equal parameters are one member,
+    whose cross integrand is P conj(P) = |P|^2."""
+    lams = np.array([lam] if lam == mu else [lam, mu], dtype=complex)
+    res = propagate(_krein_gen(p, lams), np.ones((lams.size, 2), dtype=complex),
+                    0.0, r, tol, p.breakpoints(),
+                    integrand=lambda y: y[..., 0, 0] * np.conj(y[..., -1, 0]))
+    (P1, Ps1), (P2, Ps2) = res.y[0], res.y[-1]
     return P1, Ps1, P2, Ps2, res.integral
 
 
@@ -248,7 +250,8 @@ def find_pi_zero(p: Potential, seed: complex | None = None,
     r_eff = p.effective_support(1e-15)
     if r_eff is None:
         raise ValueError("zero search needs a tail whose L2 norm falls below 1e-15 "
-                         "(a compactly supported or a gaussian coefficient)")
+                         "at a finite point (a compactly supported or a gaussian "
+                         "coefficient)")
     if r_eff > horizon:
         raise ValueError(f"the coefficient's effective support {r_eff:g} lies past "
                          f"the horizon {horizon:g}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import series_coeffs_from_samples
+from .kernel import KernelError, series_coeffs_from_samples
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,20 @@ def christoffel_lambda(v: VerblunskySeq, n: int) -> float:
     return float(np.prod(1.0 - mags)) if mags.size else 1.0
 
 
+def _effective_length(v: VerblunskySeq) -> int:
+    """Index past the last nonzero coefficient: a zero alpha leaves Phi*
+    unchanged, so Phi_N* = Phi_M* and Pi is a polynomial of degree M."""
+    nonzero = np.flatnonzero(v.alphas)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def pi_from_phis(v: VerblunskySeq, z):
     """Inverse Szego function of the finite sequence: Pi(z) = Pi(0) Phi_N*(z)
-    with Pi(0) fixed by the limiting Christoffel product."""
+    with Pi(0) fixed by the limiting Christoffel product. The recursion stops
+    at the last nonzero coefficient, where Phi_n (of size |z|^n) may still be
+    finite when Phi_N would overflow."""
     pi0 = christoffel_lambda(v, len(v)) ** -0.5
-    _, star = _phi_arrays(v, z, len(v))
+    _, star = _phi_arrays(v, z, _effective_length(v))
     out = pi0 * star
     return complex(out) if np.ndim(z) == 0 else out
 
@@ -192,18 +201,28 @@ def order_estimate(coeffs, floor=0.0) -> OrderEstimate:
 
 def compare_orders(v: VerblunskySeq, degree: int | None = None) -> OrderComparison:
     """Order of the coefficient series against the order of the inverse Szego
-    function, the latter recovered from circle samples at an adaptive radius."""
+    function, the latter recovered from circle samples at an adaptive radius.
+    Raises KernelError where radius^degree, and with it the scale of the
+    coefficients, leaves the double range."""
     rho_alpha = order_estimate(v.alphas)
 
     if degree is None:
-        # the inverse Szego function of a length-N sequence is a polynomial of
-        # degree N; sampling past it would manufacture a terminating tail
-        degree = max(len(v) - 1, 8)
+        # the inverse Szego function of a sequence whose last nonzero
+        # coefficient is alpha_{M-1} is a polynomial of degree M; sampling
+        # past it would manufacture a terminating tail
+        degree = max(_effective_length(v) - 1, 8)
+    # at least twice as many samples as coefficients, so that the transform
+    # does not alias
+    n_samples = 512
+    while n_samples < 2 * (degree + 1):
+        n_samples *= 2
     radius = 1.5
     coeffs = None
     floor = None
     for _ in range(7):
-        n_samples = 512
+        if degree * math.log(radius) >= math.log(np.finfo(float).max):
+            raise KernelError(f"the Taylor coefficients of Pi up to degree {degree} "
+                              f"leave the double range at radius {radius:g}")
         theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
         ring = radius * np.exp(1j * theta)
         max_f = float(np.max(np.abs(pi_from_phis(v, ring))))

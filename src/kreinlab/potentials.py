@@ -106,7 +106,9 @@ class Potential:
         """Point beyond which the L2 norm of a (see l2_tail) is below mass_tol:
         the support bound, or the first such point scale (1 + k/4) for the
         gaussian, found in about 130 steps at most for |c| <= 1.8e308, as its
-        l2_tail decreases to 0. None for a family with no closed-form tail."""
+        l2_tail decreases to 0. None for a family with no closed-form tail,
+        and for a gaussian whose point lies past the largest double (a scale
+        near 1.8e308)."""
         if self.support_bound is not None:
             return self.support_bound
         if self.family != "gaussian":
@@ -115,6 +117,8 @@ class Potential:
         r = scale
         while self.l2_tail(r) >= mass_tol:
             r += 0.25 * scale
+            if math.isinf(r):
+                return None
         return r
 
 

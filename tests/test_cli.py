@@ -217,6 +217,21 @@ class TestOpuc:
     def test_modulus_violation_exit(self, tmp_path):
         assert run(["opuc", "--alphas", "1.2", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("args, code", [
+        # alpha_n underflows to 0 from n = 28, so Pi is that of gaussian:0.5,28
+        (["--rule", "gaussian:0.5,2000"], EXIT_OK),
+        # 1 800 nonzero coefficients: Pi's scale radius^1799 overflows
+        (["--alphas", ",".join(["0.1"] * 1800)], EXIT_CHECK_FAILED),
+    ])
+    def test_long_sequence_orders(self, args, code, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = run(["opuc", *args, "--orders", "--out", str(tmp_path)])
+        assert got == code
+        if code == EXIT_OK:
+            summary = json.loads((tmp_path / "opuc_summary.json").read_text())
+            assert summary["orders"]["rho_pi"]["flag"] == "polynomial"
+
 
 class TestVerify:
     def test_filtered_run_deterministic(self, capsys):

@@ -199,13 +199,15 @@ def _boole_cumulative(y, h):
 
 
 def _f1_window_oracle(x0, x1, n):
-    """int T dx and int T^2 dx over [x0, x1] for figure1's tail integral T,
+    """int T^k dx over [x0, x1], k = 1 .. 4, for figure1's tail integral T,
     by brute force in u = e^x: T(u) = int_u^inf sin(v) w(v) dv with
     w(v) = 1 / (v (1 + ln v)), from a cumulative Simpson sum on n steps and
     QAWF's Fourier tail past e^{x1}, then the moments int T^k du / u. At
-    x0 = 6, x1 = 10 going from n = 2^21 to 2^22 moves int T by 2.5e-17 and
-    int T^2 by 2.5e-20, far below the expansion's err1 = 7.7e-16 and
-    err2 = 5.2e-19."""
+    x0 = 6, x1 = 10 going from n = 2^21 to 2^22 moves int T by 2.7e-17 and
+    int T^2 by 2.5e-20, the size of the expansion's err2 there, so that
+    window takes n = 2^22; at x0 = 5, x1 = 9 it moves int T^3 by 4.1e-23
+    and int T^4 by 1.9e-26, far below the expansion's err3 = 1.0e-20 and
+    err4 = 1.5e-23 there."""
     U0, U1 = math.exp(x0), math.exp(x1)
     u = np.linspace(U0, U1, n + 1)
     h = (U1 - U0) / n
@@ -214,11 +216,24 @@ def _f1_window_oracle(x0, x1, n):
               weight="sin", wvar=1.0, epsabs=1e-15)[0]
     T = T1 + (G[-1] - G)
     v = u[::4]
-    return _boole_cumulative(T / v, 4 * h)[-1], _boole_cumulative(T * T / v, 4 * h)[-1]
+    return tuple(_boole_cumulative(T ** k / v, 4 * h)[-1] for k in range(1, 5))
 
 
 class TestFigure1Expansion:
-    @pytest.mark.parametrize("r", [3.5, 3.75, 4.0])
+    def test_phi_matches_term_by_term(self):
+        # the matrix-product Phi against sum_k i^k e^{-(k+1)x} q_k(s), one
+        # polyval per term; only the order of the sums differs
+        x = np.linspace(0.0, 36.0, 145).reshape(5, 29)
+        s = 1.0 / (1.0 + x)
+        terms = sum(1j ** k * np.exp(-(k + 1) * x)
+                    * np.polynomial.polynomial.polyval(s, ent_mod._F1_Q[k])
+                    for k in range(ent_mod._F1_TERMS))
+        phi = ent_mod._f1_phi(x)
+        assert phi.shape == x.shape
+        assert np.all(np.abs(phi - terms) <= 8 * np.finfo(float).eps * np.abs(terms))
+        assert ent_mod._f1_phi(5.0) == phi.ravel()[20]
+
+    @pytest.mark.parametrize("r", [2.5, 2.75, 3.5, 3.75, 4.0])
     def test_E_matches_sampling(self, r):
         expansion = ent_mod._figure1_E(FIG, r)
         fine, coarse, _, _ = ent_mod._entropy_sampled(
@@ -229,7 +244,7 @@ class TestFigure1Expansion:
 
     @pytest.mark.parametrize("r", [4.5, 5.0, 6.0])
     def test_D_matches_sampling(self, r):
-        # at r = 4.5 the bound is above the route's 1e-7, so ask for any bound
+        # the expansion whatever its bound, not only where the route takes it
         expansion = ent_mod._figure1_D(r, rel=math.inf)
         fine, coarse, _, _ = ent_mod._variation_sampled(
             FIG, r, ent_mod._window_budget(FIG, r, r + 2.0, 1.0))
@@ -243,15 +258,25 @@ class TestFigure1Expansion:
         for r in np.arange(0.0, 8.01, 0.5):
             E = entropy_E(FIG, r)
             assert E > 0.0 and 0.0 <= E.error <= 1e-6 * E
-            assert E.route == ("sampled" if r < 3.0 else "expansion")
+            assert E.route == ("sampled" if r < 2.5 else "expansion")
         assert variation_D(FIG, 8.0).route == "expansion"
 
     def test_window_moments_against_simpson_oracle(self):
         w = ent_mod._F1Window(6.0, 10.0)
         i1, i2 = w.moments()
-        o1, o2 = _f1_window_oracle(6.0, 10.0, 2 ** 21)
+        o1, o2, _, _ = _f1_window_oracle(6.0, 10.0, 2 ** 22)
         assert abs(i1 - o1) <= w.err1
         assert abs(i2 - o2) <= w.err2
+
+    def test_harmonic_moments_against_simpson_oracle(self):
+        # the window of E(2.5): int T^3 and int T^4 with their harmonics
+        # computed, not bounded
+        w = ent_mod._F1Window(5.0, 9.0)
+        moments = w.moments(4)
+        oracle = _f1_window_oracle(5.0, 9.0, 2 ** 21)
+        for value, ref, err in zip(moments, oracle, (w.err1, w.err2, w.err3, w.err4)):
+            assert abs(value - ref) <= err
+        assert moments[:2] == w.moments()
 
     def test_past_the_phase_range(self):
         # from x = 36 on the oscillating parts are bounded, not computed

@@ -92,7 +92,7 @@ class TestOscillatoryTail:
         for r, ref in T_REF.items():
             assert abs(exp_phase_tail(g, r).imag - ref) < 1e-9
 
-    @pytest.mark.parametrize("case", ["l2_norm", "tail_integral", "phi"])
+    @pytest.mark.parametrize("case", ["l2_norm", "tail_integral", "phi", "phi^4"])
     def test_against_mpmath(self, case):
         # the amplitudes the program integrates, against mpmath at 30 digits;
         # the tolerance allows the rounding of the phase, e^{x0} omega eps
@@ -102,6 +102,9 @@ class TestOscillatoryTail:
             "l2_norm": (l2, l2, 0.0, 2.0),
             "tail_integral": (tail, tail, 1.0, 1.0),
             "phi": (_f1_phi, lambda x: _mpmath_phi(mp, x), 4.75, 1.0),
+            # the highest harmonic of figure1's int T^4
+            "phi^4": (lambda x: _f1_phi(x) ** 4, lambda x: _mpmath_phi(mp, x) ** 4,
+                      9.0, 4.0),
         }[case]
         ref = _mpmath_exp_phase_tail(mp, g_mp, x0, omega)
         tol = 1e-14 + 4.0 * omega * math.exp(x0) * np.finfo(float).eps
@@ -124,6 +127,22 @@ class TestOscillatoryTail:
         direct = float(scipy_cumulative_simpson(trig(u) * 2.0 / u ** 2, x=u,
                                                 initial=0.0)[-1])
         return direct + remainder(U)
+
+    @pytest.mark.parametrize("x0, omega", [(0.0, 1.0), (5.0, 2.0), (12.5, 4.0)])
+    def test_stacked_amplitudes_match_single_calls(self, x0, omega):
+        # a trailing axis of amplitudes shares one set of nodes; a complex
+        # amplitude's integral is bitwise its own call's, a real one's within
+        # rounding (it is divided as a complex one)
+        phi2 = lambda x: _f1_phi(x) ** 2
+        rho2phi = lambda x: np.abs(_f1_phi(x)) ** 2 * _f1_phi(x)
+        real = lambda x: 1.0 / (1.0 + x)
+        stacked = exp_phase_tail(
+            lambda x: np.stack([phi2(x), rho2phi(x), real(x)], -1), x0, omega)
+        assert stacked.shape == (3,)
+        assert stacked[0] == exp_phase_tail(phi2, x0, omega)
+        assert stacked[1] == exp_phase_tail(rho2phi, x0, omega)
+        single = exp_phase_tail(real, x0, omega)
+        assert abs(stacked[2] - single) <= 1e-14 * abs(single)
 
     @pytest.mark.parametrize("x0", [45.0, 1e9, math.inf, math.nan])
     def test_past_the_usable_phase_raises(self, x0):
@@ -340,6 +359,35 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def _lstsq_decay_fit(r, y):
+    """(alpha, c, offset) of y ~ c r^alpha + offset: the scan over alpha in
+    steps of 0.05 and golden section, each alpha's (c, offset) by lstsq."""
+
+    def rss(alpha):
+        A = np.column_stack([r ** alpha, np.ones_like(r)])
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        res = y - A @ coef
+        return float(res @ res), float(coef[0]), float(coef[1])
+
+    alphas = np.arange(0.05, 8.0 + 1e-9, 0.05)
+    k = int(np.argmin([rss(a)[0] for a in alphas]))
+    lo, hi = alphas[max(k - 1, 0)], alphas[min(k + 1, alphas.size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c_pt, d_pt = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = rss(c_pt)[0], rss(d_pt)[0]
+    while hi - lo >= 1e-9:
+        if fc < fd:
+            hi, d_pt, fd = d_pt, c_pt, fc
+            c_pt = hi - invphi * (hi - lo)
+            fc = rss(c_pt)[0]
+        else:
+            lo, c_pt, fc = c_pt, d_pt, fd
+            d_pt = lo + invphi * (hi - lo)
+            fd = rss(d_pt)[0]
+    alpha = 0.5 * (lo + hi)
+    return (alpha,) + rss(alpha)[1:]
+
+
 class TestFitDecay:
     def test_stretched_exponential_recovery(self):
         r = np.linspace(1.0, 10.0, 40)
@@ -367,6 +415,24 @@ class TestFitDecay:
         fit = fit_decay(np.column_stack([r, 0.085 * np.exp(-r)]))
         assert abs(fit.alpha_hat - 1.0) < 0.01
         assert abs(fit.c_hat - 1.0) < 0.01
+
+    @pytest.mark.parametrize("case", ["gaussian", "noisy", "stretched", "shallow"])
+    def test_matches_lstsq_reference(self, case):
+        # the closed-form least squares against the lstsq scan and golden
+        # section it replaced; near the optimum the RSS is flat to rounding,
+        # so alpha is only determined to about 1e-8
+        r = np.arange(0.25, 8.01, 0.25)
+        noise = np.random.default_rng(5).normal(0.0, 0.05, r.size)
+        m = {"gaussian": np.exp(-r ** 2),
+             "noisy": np.exp(-3.0 * r ** 1.3 + noise),
+             "stretched": np.exp(-1.5 * r ** 0.7 - 0.3),
+             "shallow": np.exp(-0.2 * r ** 2.5) * (1.0 + 0.1 * np.sin(r))}[case]
+        fit = fit_decay(np.column_stack([r, m]))
+        usable = (m > 1e-13) & (m < 1.0)
+        alpha, c, offset = _lstsq_decay_fit(r[usable], -np.log(m[usable]))
+        assert fit.alpha_hat == pytest.approx(alpha, rel=1e-7)
+        assert fit.c_hat == pytest.approx(c, rel=1e-6)
+        assert fit.offset == pytest.approx(offset, rel=1e-6, abs=1e-6)
 
     def test_zero_tail_flag(self):
         r = np.linspace(1.0, 5.0, 10)

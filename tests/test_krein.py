@@ -108,6 +108,20 @@ class TestChristoffelDarboux:
     def test_cross_parameters(self):
         assert christoffel_darboux_residual(BOX, 1j, 2j, 2.0) < 1e-6
 
+    def test_equal_parameters_propagate_one_member(self, monkeypatch):
+        # lam == mu is one member, with |P|^2 as its cross integrand
+        members = []
+
+        def spy(gen, y0, *args, **kwargs):
+            members.append(len(y0))
+            return propagate(gen, y0, *args, **kwargs)
+
+        monkeypatch.setattr(krein, "propagate", spy)
+        assert christoffel_darboux_residual(GAUSS, 1.3, 1.3, 2.0) < 1e-7
+        assert christoffel_darboux_residual(GAUSS, 1j, 1j, 2.0) < 1e-7
+        assert christoffel_darboux_residual(GAUSS, 1j, 2j, 2.0) < 1e-6
+        assert members == [1, 1, 2]
+
     def test_monotone_positivity_upper_half_plane(self):
         for pot in (BOX, GAUSS):
             kp = solve_krein(pot, 0.5 + 1j, np.linspace(0.0, 5.0, 51))
