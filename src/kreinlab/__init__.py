@@ -10,7 +10,6 @@ from .kernel import (
     KernelError,
     OdeStepError,
     Propagation,
-    exp_phase_integral,
     exp_phase_tail,
     cumulative_simpson,
     fit_decay,
@@ -44,12 +43,10 @@ from .krein import (
 from .ordered_exp import (
     CoeffPair,
     MatrixPath,
-    VariationStats,
     a2_variation,
     a4_explicit,
     diagonal_a_n,
     f_of_s,
-    gamma_stats,
     iterated_integral,
     mixed_det,
     ordered_exp,
@@ -76,5 +73,4 @@ from .opuc import (
     order_estimate,
     orthogonality_check,
     pi_from_phis,
-    szego_recursion,
 )

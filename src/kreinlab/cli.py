@@ -24,9 +24,8 @@ from .entropy import (
     RouteDisagreement,
     _scan_of,
     _sum_of,
-    entropy_E,
+    _windows,
     sobolev_h_minus1,
-    variation_D,
 )
 from .kernel import DecayFit, Grid, KernelError
 from .krein import dump_krein_csv, krein_paths
@@ -178,9 +177,9 @@ def cmd_entropy(args) -> int:
     sobolev_done = time.perf_counter()
 
     # each distinct window once: the sum reuses the scan's E at integer r
-    E = {r: entropy_E(pot, r) for r in grid.points}
-    D = [variation_D(pot, r) for r in grid.points]
-    scan = _scan_of(grid, list(E.values()), D)
+    E_scan, D = _windows(pot, grid.points, grid.points)
+    E = dict(zip(grid.points, E_scan))
+    scan = _scan_of(grid, E_scan, D)
     with open(args.out / "entropy_scan.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "E", "D", "ratio"])
@@ -190,9 +189,8 @@ def cmd_entropy(args) -> int:
     scan_done = time.perf_counter()
 
     windows = [float(n) for n in range(args.nsum + 1)]
-    for r in windows:
-        if r not in E:
-            E[r] = entropy_E(pot, r)
+    rest = [r for r in windows if r not in E]
+    E.update(zip(rest, _windows(pot, rest, [])[0]))
     esum = _sum_of([E[r] for r in windows])
     sum_done = time.perf_counter()
     _write_json(args.out / "entropy_trace.json", {

@@ -35,7 +35,7 @@ from .kernel import (
     _gauss_panel,
     breakpoint_segments,
     cumulative_simpson,
-    exp_phase_integral,
+    exp_phase_tail,
     fit_decay,
     propagate,
     row_gram,
@@ -59,7 +59,8 @@ _MASS_TOL = 1e-16
 # figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
 # i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
 _F1_TERMS = 8
-# error of exp_phase_integral per unit of sup|g| on the amplitudes used here
+# error of a tail difference (a window's oscillating integral) per unit of
+# sup|g| on the amplitudes used here
 # (measured at most 2e-15 against Gauss panels in u = e^x, and at most 1e-15
 # on Phi^3, Phi^4, rho^2 Phi and rho^2 Phi^2 from x = 5 against mpmath)
 _F1_QUAD = 1e-13
@@ -286,22 +287,33 @@ def _f1_amplitude_polys(n):
 
 
 _F1_Q = _f1_amplitude_polys(_F1_TERMS + 1)
-# Phi as one matrix product: q_k has the powers s^1 .. s^{k+1}, so the rows
-# k < _F1_TERMS need s^0 .. s^_F1_TERMS; i^k exactly, as 1, i, -1, -i, ...
-_F1_QT = _F1_Q[:_F1_TERMS, :_F1_TERMS + 1].T
-_F1_POWERS = np.arange(_F1_TERMS + 1)
-_F1_RATES = np.arange(1.0, _F1_TERMS + 1)
-_F1_IK = np.resize(np.array([1.0, 1j, -1.0, -1j]), _F1_TERMS)
+# Horner coefficients of i^k q_k, k < _F1_TERMS, for s^{k+1} .. s^1: the
+# sign of i^k taken in, its i left to the part (phi1 for even k, phi2 for odd)
+_F1_HORNER = [tuple(float((-1) ** (k // 2) * c) for c in _F1_Q[k, k + 1:0:-1])
+              for k in range(_F1_TERMS)]
 
 
 def _f1_phi(x):
     """The complex amplitude Phi = phi1 + i phi2 at x. With
     E_k = e^{-(k+1)x} q_k, the boundary terms give T = Re(e^{ie^x} Phi),
-    Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + E_4 ..., phi2 = E_1 - E_3 + ...,
-    evaluated as ((s^m) @ Q^T * e^{-(k+1)x}) @ i^k."""
+    Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + E_4 ..., phi2 = E_1 - E_3 + ...
+    Elementwise: each q_k by Horner in s = 1/(1+x), e^{-(k+1)x} as running
+    products of one exp, so that the value at a node does not depend on the
+    array that holds it."""
     x = np.asarray(x, dtype=float)
-    q = (1.0 / (1.0 + x))[..., None] ** _F1_POWERS @ _F1_QT
-    return (q * np.exp(-x[..., None] * _F1_RATES)) @ _F1_IK
+    s = 1.0 / (1.0 + x)
+    decay = np.exp(-x)
+    e = 1.0
+    parts = [0.0, 0.0]
+    for k, coeffs in enumerate(_F1_HORNER):
+        e = e * decay
+        q = coeffs[0] * s
+        for c in coeffs[1:]:
+            q += c
+            q *= s
+        q *= e
+        parts[k % 2] += q
+    return parts[0] + 1j * parts[1]
 
 
 def _f1_rho2(x):
@@ -328,6 +340,48 @@ def _gauss(f, lo: float, hi: float) -> float:
     return float(np.sum(_gauss_panel(f, edges[:-1], edges[1:])))
 
 
+def _f1_harmonic(omega: int, x):
+    """The amplitudes of e^{i omega e^x} in the powers of T (see _F1Window):
+    Phi^omega and rho^2 Phi^omega stacked for omega = 1, 2; Phi^omega alone
+    for omega = 3, 4."""
+    phi = _f1_phi(x)
+    power = phi
+    for _ in range(omega - 1):
+        power = power * phi
+    if omega > 2:
+        return power
+    return np.stack([power, (phi.real ** 2 + phi.imag ** 2) * power], -1)
+
+
+class _F1Tails:
+    """The tail table of a set of figure1 windows: Re int_x^inf of
+    e^{i omega e^y} times the amplitudes of _f1_harmonic, at each distinct
+    endpoint x once. omega = 1 and 2 at the endpoints of every window whose
+    oscillating parts are computed, omega = 3 and 4 at those of the windows
+    that need moments to order 4; one exp_phase_tail call per omega,
+    vectorised over the endpoints. A moment over [x0, x1] is the difference
+    of two rows."""
+
+    def __init__(self, windows):
+        """windows: (window, order) pairs, order 2 or 4."""
+        ends = {2: set(), 4: set()}
+        for w, order in windows:
+            if w.computed:
+                ends[order].update((w.x0, w.x1))
+        self.rows = {}
+        for omega, xs in ((1, ends[2] | ends[4]), (2, ends[2] | ends[4]),
+                          (3, ends[4]), (4, ends[4])):
+            if xs:
+                xs = sorted(xs)
+                tails = exp_phase_tail(lambda x, w=omega: _f1_harmonic(w, x),
+                                       np.array(xs), float(omega))
+                self.rows[omega] = dict(zip(xs, tails.real))
+
+    def __call__(self, omega: int, x0: float, x1: float):
+        rows = self.rows[omega]
+        return rows[x0] - rows[x1]
+
+
 class _F1Window:
     """Moments I_n = int T^n dx, n <= 4, of figure1's tail integral over
     [x0, x1] from its expansion, with error bounds err1 .. err4.
@@ -340,10 +394,9 @@ class _F1Window:
     is at most 2 e^{-x0} |g(x0)| / w after one integration by parts in
     u = e^x; osc1 and osc2, the bounds on the oscillating parts of I1 and I2
     (a cos and a sin integral each), take twice that. The smooth part and
-    the bounds are cheap; moments() adds the oscillating integrals, one
-    exp_phase_integral per frequency with the amplitudes of that frequency
-    stacked, or past EXP_PHASE_MAX, where e^x has no usable phase, leaves
-    them to the bounds."""
+    the bounds are cheap; moments() adds the oscillating integrals, read off
+    a tail table (see _F1Tails), or past EXP_PHASE_MAX, where e^x has no
+    usable phase, leaves them to the bounds."""
 
     def __init__(self, x0: float, x1: float):
         self.x0, self.x1 = x0, x1
@@ -368,40 +421,31 @@ class _F1Window:
         self.err3 = 3.0 * span * tau * tb ** 2 + 2.0 * _F1_QUAD * tb ** 3
         self.err4 = 4.0 * span * tau * tb ** 3 + 2.0 * _F1_QUAD * tb ** 4
 
-    def _harmonic(self, omega: int, with_rho2: bool):
-        """Re int e^{i omega e^x} Phi^omega over the window, and with
-        with_rho2 also Re int e^{i omega e^x} rho^2 Phi^omega, from one set
-        of nodes."""
-
-        def amplitude(x):
-            phi = _f1_phi(x)
-            power = phi ** omega
-            if not with_rho2:
-                return power
-            return np.stack([power, (phi.real ** 2 + phi.imag ** 2) * power], -1)
-
-        return exp_phase_integral(amplitude, self.x0, self.x1, float(omega)).real
-
-    def moments(self, order: int = 2) -> tuple[float, ...]:
-        """(I1, I2), or with order 4 (I1, I2, I3, I4). Past EXP_PHASE_MAX
-        only (I1, I2), their oscillating parts left to the bounds."""
+    def moments(self, order: int = 2, tails: _F1Tails | None = None) -> tuple[float, ...]:
+        """(I1, I2), or with order 4 (I1, I2, I3, I4), from a tail table
+        that holds this window to that order, by default a table of its own.
+        Past EXP_PHASE_MAX only (I1, I2), their oscillating parts left to the
+        bounds."""
         if not self.computed:
             return 0.0, self.smooth2
+        if tails is None:
+            tails = _F1Tails([(self, order)])
+        x0, x1 = self.x0, self.x1
+        i1, t3 = tails(1, x0, x1)
+        o2, t4 = tails(2, x0, x1)
         if order == 2:
-            return (self._harmonic(1, False),
-                    self.smooth2 + 0.5 * self._harmonic(2, False))
-        i1, t3 = self._harmonic(1, True)
-        o2, t4 = self._harmonic(2, True)
-        i3 = 0.25 * self._harmonic(3, False) + 0.75 * t3
-        i4 = (0.375 * _gauss(lambda x: _f1_rho2(x) ** 2, self.x0, self.x1)
-              + 0.5 * t4 + 0.125 * self._harmonic(4, False))
+            return i1, self.smooth2 + 0.5 * o2
+        i3 = 0.25 * tails(3, x0, x1) + 0.75 * t3
+        i4 = (0.375 * _gauss(lambda x: _f1_rho2(x) ** 2, x0, x1)
+              + 0.5 * t4 + 0.125 * tails(4, x0, x1))
         return i1, self.smooth2 + 0.5 * o2, i3, i4
 
 
-def _figure1_E(p: Potential, r: float,
-               rel: float = _EXPANSION_REL) -> WindowValue | None:
-    """E(r) for figure1 from the expansion, or None where its error bound
-    exceeds rel |E|.
+def _f1_E_job(p: Potential, r: float, rel: float = _EXPANSION_REL):
+    """E(r) for figure1 from the expansion, pending its tail table: the
+    window, the moment order it needs and the function that gives E from a
+    table holding it (see _F1Tails), by default a table of its own; None
+    where the error bound exceeds rel |E|.
 
     In x = 2t, delta = c - T on [x0, x0 + 4] with c = T(x0), and the series
     of cosh and sinh give E = 4 J2 - J1^2 + R4 + rest, J_k = int delta^k dx,
@@ -430,30 +474,54 @@ def _figure1_E(p: Potential, r: float,
     lower = 4.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2 - 43.0 * m ** 4
     if not err <= rel * lower:
         return None
-    if not w.computed:
-        i1, i2 = w.moments()
-        return WindowValue(4.0 * i2 - i1 * i1, "expansion", err)
-    i1, i2, i3, i4 = w.moments(4)
-    c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
-    j1 = span * c - i1
-    j2 = span * c ** 2 - 2.0 * c * i1 + i2
-    j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2 - i3
-    j4 = span * c ** 4 - 4.0 * c ** 3 * i1 + 6.0 * c ** 2 * i2 - 4.0 * c * i3 + i4
-    r4 = 4.0 / 3.0 * j4 + j2 * j2 - 4.0 / 3.0 * j1 * j3
-    return WindowValue(4.0 * i2 - i1 * i1 + r4, "expansion", err)
+
+    def value(tails=None):
+        if not w.computed:
+            i1, i2 = w.moments()
+            return WindowValue(4.0 * i2 - i1 * i1, "expansion", err)
+        i1, i2, i3, i4 = w.moments(4, tails)
+        c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
+        j1 = span * c - i1
+        j2 = span * c ** 2 - 2.0 * c * i1 + i2
+        j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2 - i3
+        j4 = span * c ** 4 - 4.0 * c ** 3 * i1 + 6.0 * c ** 2 * i2 - 4.0 * c * i3 + i4
+        r4 = 4.0 / 3.0 * j4 + j2 * j2 - 4.0 / 3.0 * j1 * j3
+        return WindowValue(4.0 * i2 - i1 * i1 + r4, "expansion", err)
+
+    return w, 4, value
 
 
-def _figure1_D(r: float, rel: float = _EXPANSION_REL) -> WindowValue | None:
-    """D(r) for figure1 from the expansion, or None where its error bound
-    exceeds rel D. With g = T(r) - T on [r, r+2], D = 2 int g^2 -
-    (int g)^2 = 2 I2 - I1^2 exactly: T(r) cancels."""
+def _f1_D_job(r: float, rel: float = _EXPANSION_REL):
+    """D(r) for figure1 from the expansion, pending its tail table (as
+    _f1_E_job), or None where the error bound exceeds rel D. With
+    g = T(r) - T on [r, r+2], D = 2 int g^2 - (int g)^2 = 2 I2 - I1^2
+    exactly: T(r) cancels."""
     w = _F1Window(r, r + 2.0)
     err = 2.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
     lower = 2.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2
     if not err <= rel * lower:
         return None
-    i1, i2 = w.moments()
-    return WindowValue(2.0 * i2 - i1 * i1, "expansion", err)
+
+    def value(tails=None):
+        i1, i2 = w.moments(2, tails)
+        return WindowValue(2.0 * i2 - i1 * i1, "expansion", err)
+
+    return w, 2, value
+
+
+def _figure1_E(p: Potential, r: float,
+               rel: float = _EXPANSION_REL) -> WindowValue | None:
+    """E(r) for figure1 from the expansion, or None where its error bound
+    exceeds rel |E| (see _f1_E_job)."""
+    job = _f1_E_job(p, r, rel)
+    return None if job is None else job[2]()
+
+
+def _figure1_D(r: float, rel: float = _EXPANSION_REL) -> WindowValue | None:
+    """D(r) for figure1 from the expansion, or None where its error bound
+    exceeds rel D (see _f1_D_job)."""
+    job = _f1_D_job(r, rel)
+    return None if job is None else job[2]()
 
 
 def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> WindowValue:
@@ -535,11 +603,29 @@ def _sum_of(terms) -> EntropySum:
                       n_terms=len(terms))
 
 
+def _windows(p: Potential, E_at, D_at) -> tuple[list, list]:
+    """E at each r of E_at and D at each r of D_at, as entropy_E and
+    variation_D give them. figure1's windows that take the expansion are
+    computed last, from one tail table (see _F1Tails); every other window
+    goes through entropy_E or variation_D in order, so that a window that
+    fails raises as it would there."""
+    if p.family != "figure1":
+        return [entropy_E(p, r) for r in E_at], [variation_D(p, r) for r in D_at]
+    E = [None if _entropy_bound(p, r) == 0.0 else _f1_E_job(p, r) for r in E_at]
+    D = [None if p.tail_sup(r) == 0.0 else _f1_D_job(r) for r in D_at]
+    E = [entropy_E(p, r) if job is None else job for r, job in zip(E_at, E)]
+    D = [variation_D(p, r) if job is None else job for r, job in zip(D_at, D)]
+    # what is left pending is a (window, order, value) job, not a WindowValue
+    tails = _F1Tails([v[:2] for v in E + D if isinstance(v, tuple)])
+    return ([v[2](tails) if isinstance(v, tuple) else v for v in E],
+            [v[2](tails) if isinstance(v, tuple) else v for v in D])
+
+
 def entropy_sum(p: Potential, N: int) -> EntropySum:
     """Sum of E over integer windows n = 0..N."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return _sum_of([entropy_E(p, float(n)) for n in range(N + 1)])
+    return _sum_of(_windows(p, [float(n) for n in range(N + 1)], [])[0])
 
 
 def _figure1_tail(x: float) -> float:
@@ -641,13 +727,12 @@ def _scan_of(grid: Grid, E, D, floor: float = 1e-12) -> EntropyScan:
 def equivalence_scan(p: Potential, r_grid, floor: float = 1e-12) -> EntropyScan:
     """E and D along the grid with ratios and decay fits of both columns."""
     grid = Grid.coerce(r_grid)
-    return _scan_of(grid, [entropy_E(p, r) for r in grid.points],
-                    [variation_D(p, r) for r in grid.points], floor)
+    return _scan_of(grid, *_windows(p, grid.points, grid.points), floor)
 
 
 def classify_alpha(p: Potential, r_grid, floor: float = 1e-13) -> DecayFit:
     """Decay-class estimate from the variation column (the computable proxy
     for the entropy decay class)."""
     grid = Grid.coerce(r_grid)
-    D = np.array([variation_D(p, r) for r in grid.points])
+    D = np.array(_windows(p, [], grid.points)[1])
     return fit_decay(np.column_stack([grid.points, np.abs(D)]), floor=floor)

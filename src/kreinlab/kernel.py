@@ -490,6 +490,11 @@ def fold_mirrors(x: np.ndarray, image: np.ndarray, use_image: np.ndarray):
 # decay fitting
 # ---------------------------------------------------------------------------
 
+# the rounding of an RSS in eps sqrt(RSS Syy), Syy = sum (y - mean y)^2:
+# each residual carries about 2 eps |y - mean y| of it (Cauchy-Schwarz)
+_RSS_ROUNDING = 4.0
+
+
 def _decay_rss(alpha, r, y):
     """Best RSS of y ~ c*r^alpha + beta at each alpha, and (c, beta): the
     two-parameter least squares in closed form on centred x = r^alpha,
@@ -511,7 +516,10 @@ def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
     Model: -log m = c r^alpha + offset, solved by a deterministic scan over
     alpha with a linear least-squares subproblem (convex at each alpha, no
     initialization). Samples at or below ``floor`` are discarded; if all of
-    them are, the identically-zero-tail flag is set instead of fitting.
+    them are, the identically-zero-tail flag is set instead of fitting. The
+    golden section on alpha stops at a bracket of 1e-9, or earlier where its
+    two interior RSS values agree to their rounding (see _RSS_ROUNDING), so
+    that a change of the data at rounding level leaves alpha where it is.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -546,7 +554,12 @@ def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
     d_pt = lo + invphi * (hi - lo)
     fc = _decay_rss(c_pt, r_u, y)[0]
     fd = _decay_rss(d_pt, r_u, y)[0]
+    syy = float(np.sum((y - np.mean(y)) ** 2))
     for _ in range(70):
+        # the interior values agree to their rounding: comparing them would
+        # move alpha by rounding, not toward the optimum
+        if abs(fc - fd) <= _RSS_ROUNDING * np.finfo(float).eps * math.sqrt(max(fc, fd) * syy):
+            break
         if fc < fd:
             hi, d_pt, fd = d_pt, c_pt, fc
             c_pt = hi - invphi * (hi - lo)
@@ -628,6 +641,9 @@ _OSC_AVERAGINGS = 14
 EXP_PHASE_MAX = 36.0
 # past this u = omega e^x the panel indices u / pi leave the int64 range
 _OSC_PHASE_CAP = 2.0 ** 62
+# nodes in one vectorised pass of exp_phase_tail over many x0: bounds a
+# pass's memory
+_OSC_PASS_NODES = 2 ** 16
 
 
 def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -642,7 +658,7 @@ def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half.reshape(half.shape + (1,) * (sums.ndim - 1)) * sums
 
 
-def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0):
+def exp_phase_tail(g: Callable, x0, omega: float = 1.0):
     """Convergent value of integral_{x0}^inf e^{i omega e^x} g(x) dx.
 
     Substitutes u = omega e^x, sums _OSC_PANELS half-period Gauss panels of
@@ -660,6 +676,11 @@ def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0):
     stacks m amplitudes on one set of nodes: the result is then an array of
     their m integrals. A complex amplitude's is bitwise its own call's; a
     real one, divided as a complex one there, can differ by rounding.
+
+    x0 may be a 1-d array: the result then holds one value, or one stacked
+    row, per x0. The tails share vectorised passes of at most
+    _OSC_PASS_NODES nodes; for a g that acts elementwise each is bitwise
+    the scalar call's.
     """
 
     def w(u):
@@ -669,25 +690,27 @@ def exp_phase_tail(g: Callable, x0: float, omega: float = 1.0):
             phase, u = phase[..., None], u[..., None]
         return phase * (v / u)
 
+    x = np.asarray(x0, dtype=float)
     x_max = math.log(_OSC_PHASE_CAP / omega)
-    if not x0 <= x_max:
+    if not np.all(x <= x_max):
         raise KernelError(f"e^x has no usable phase past x={x_max:.4g}")
-    a = omega * math.exp(x0)
+    # u = omega e^{x0} by math.exp: np.exp can be an ulp off it, and an ulp
+    # of the phase moves a tail by e^{x0} omega eps relative
+    a = np.array([omega * math.exp(v) for v in x.ravel()])
     # panels end at multiples of pi, the zero spacing of sin and cos; the head
     # [a, k0 pi] is cut in four for the steep 1/u factor near small a
-    k0 = int(math.floor(a / math.pi)) + 1
-    edges = np.concatenate([np.linspace(a, k0 * math.pi, 5)[:-1],
-                            np.arange(k0, k0 + _OSC_PANELS + 1) * math.pi])
-    partial = np.cumsum(_gauss_panel(w, edges[:-1], edges[1:]), axis=0)
-
-    arr = partial[-(_OSC_AVERAGINGS + 1):]
-    for _ in range(_OSC_AVERAGINGS):
-        arr = 0.5 * (arr[:-1] + arr[1:])
-    return complex(arr[-1]) if arr.ndim == 1 else arr[-1]
-
-
-def exp_phase_integral(g: Callable, x0: float, x1: float, omega: float = 1.0):
-    """integral_{x0}^{x1} e^{i omega e^x} g(x) dx, as the difference of the
-    tails from x0 and from x1 (see exp_phase_tail; a stacked g gives an
-    array)."""
-    return exp_phase_tail(g, x0, omega) - exp_phase_tail(g, x1, omega)
+    k0 = np.floor(a / math.pi).astype(np.int64) + 1
+    step = (k0 * math.pi - a) / 4.0
+    edges = np.concatenate([np.arange(4.0) * step[:, None] + a[:, None],
+                            (k0[:, None] + np.arange(_OSC_PANELS + 1)) * math.pi], axis=1)
+    per_pass = max(1, _OSC_PASS_NODES // (_GL_X.size * (edges.shape[1] - 1)))
+    tails = []
+    for e in np.split(edges, range(per_pass, a.size, per_pass)):
+        panels = _gauss_panel(w, e[:, :-1].ravel(), e[:, 1:].ravel())
+        arr = np.cumsum(panels.reshape(e.shape[0], -1, *panels.shape[1:]),
+                        axis=1)[:, -(_OSC_AVERAGINGS + 1):]
+        for _ in range(_OSC_AVERAGINGS):
+            arr = 0.5 * (arr[:, :-1] + arr[:, 1:])
+        tails.append(arr[:, -1])
+    out = np.concatenate(tails).reshape(x.shape + tails[0].shape[1:])
+    return complex(out) if out.ndim == 0 else out

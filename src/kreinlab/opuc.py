@@ -51,16 +51,6 @@ class VerblunskySeq:
 
 
 @dataclass
-class OpucState:
-    """Monic polynomial and reversed-polynomial values at one point."""
-
-    z: complex
-    n: int
-    phi: complex
-    phi_star: complex
-
-
-@dataclass
 class OrderEstimate:
     """Entire-function order estimate from Taylor coefficients.
 
@@ -96,15 +86,6 @@ def _phi_arrays(v: VerblunskySeq, z, n: int):
         a = v.alpha(k)
         phi, star = z * phi - np.conj(a) * star, star - a * z * phi
     return phi, star
-
-
-def szego_recursion(v: VerblunskySeq, z: complex, n: int) -> OpucState:
-    """Iterate the recursion n steps from (1, 1) at the point z."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    phi, star = _phi_arrays(v, np.asarray([z], dtype=complex), n)
-    return OpucState(z=complex(z), n=n, phi=complex(phi[0]),
-                     phi_star=complex(star[0]))
 
 
 def christoffel_lambda(v: VerblunskySeq, n: int) -> float:
@@ -201,9 +182,11 @@ def order_estimate(coeffs, floor=0.0) -> OrderEstimate:
 
 def compare_orders(v: VerblunskySeq, degree: int | None = None) -> OrderComparison:
     """Order of the coefficient series against the order of the inverse Szego
-    function, the latter recovered from circle samples at an adaptive radius.
-    Raises KernelError where radius^degree, and with it the scale of the
-    coefficients, leaves the double range."""
+    function, the latter recovered from circle samples at an adaptive radius:
+    1.5, doubled up to six times until the last three coefficients fall below
+    1e-10. ``radius`` is the last radius sampled at. Raises KernelError where
+    radius^degree, and with it the scale of the coefficients, leaves the
+    double range."""
     rho_alpha = order_estimate(v.alphas)
 
     if degree is None:
@@ -216,10 +199,8 @@ def compare_orders(v: VerblunskySeq, degree: int | None = None) -> OrderComparis
     n_samples = 512
     while n_samples < 2 * (degree + 1):
         n_samples *= 2
-    radius = 1.5
-    coeffs = None
-    floor = None
-    for _ in range(7):
+    for k in range(7):
+        radius = 1.5 * 2.0 ** k
         if degree * math.log(radius) >= math.log(np.finfo(float).max):
             raise KernelError(f"the Taylor coefficients of Pi up to degree {degree} "
                               f"leave the double range at radius {radius:g}")
@@ -231,6 +212,5 @@ def compare_orders(v: VerblunskySeq, degree: int | None = None) -> OrderComparis
         floor = 32.0 * np.finfo(float).eps * max_f / radius ** np.arange(degree + 1)
         if np.max(np.abs(coeffs[-3:])) < 1e-10:
             break
-        radius *= 2.0
     rho_pi = order_estimate(coeffs, floor=floor)
     return OrderComparison(rho_alpha=rho_alpha, rho_pi=rho_pi, radius=radius)

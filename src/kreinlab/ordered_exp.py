@@ -91,17 +91,6 @@ class MatrixPath:
     values: np.ndarray
 
 
-@dataclass
-class VariationStats:
-    """Mean, variation, derivative L2 norm, and gamma = sqrt(eps) +
-    eps^{1/4} sqrt(delta) of a function on [0, 1] vanishing at 0."""
-
-    mean: float
-    variation: float
-    delta: float
-    gamma: float
-
-
 def iterated_integral(fs: Sequence, t: float, n_grid: int = N_GRID) -> float:
     """(f_1 ... f_n)_t: nested simplex integral, outermost function first.
 
@@ -324,26 +313,6 @@ def a4_explicit(A: CoeffPair) -> float:
         - 2.0 * C("p") * C("p", "q", "q")
     )
     return float(16.0 * bracket)
-
-
-def gamma_stats(F: Callable, n_grid: int = N_GRID) -> VariationStats:
-    """Mean, variation, ||F'||_L2, and gamma for F on [0,1] with F(0) = 0."""
-    x = _grid(n_grid)
-    Fv = np.broadcast_to(np.asarray(F(x), dtype=float), x.shape)
-    mean = float(simpson(Fv, x))
-    var = float(max(simpson(Fv * Fv, x) - mean ** 2, 0.0))
-    h = x[1] - x[0]
-    d = np.empty_like(Fv)
-    d[2:-2] = (Fv[:-4] - 8 * Fv[1:-3] + 8 * Fv[3:-1] - Fv[4:]) / (12 * h)
-    # one-sided 4th-order stencils at the edges
-    edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
-    d[0] = edge @ Fv[:5]
-    d[1] = edge @ Fv[1:6]
-    d[-1] = -(edge @ Fv[-1:-6:-1])
-    d[-2] = -(edge @ Fv[-2:-7:-1])
-    delta = float(math.sqrt(max(simpson(d * d, x), 0.0)))
-    gamma = math.sqrt(var) + var ** 0.25 * math.sqrt(delta)
-    return VariationStats(mean=mean, variation=var, delta=delta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

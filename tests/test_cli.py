@@ -21,6 +21,7 @@ from kreinlab.cli import (
     parse_complex,
     parse_potential,
 )
+from kreinlab import entropy, kernel, potentials
 from kreinlab.entropy import equivalence_scan
 from kreinlab.kernel import Grid
 from kreinlab.potentials import build_potential
@@ -183,6 +184,30 @@ class TestEntropy:
         trace = assert_no_silent_zeros(tmp_path, nsum=30)
         assert {e["route"] for e in trace["E"]} == {"sampled", "expansion"}
 
+    def test_figure1_scan_is_equivalence_scan(self, tmp_path, monkeypatch):
+        # the scan and the sum's remaining windows each take their expansion
+        # windows from one tail table: one exp_phase_tail call per frequency,
+        # where each window once made 4 (D) or 8 (E)
+        calls = []
+        tail = kernel.exp_phase_tail
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return tail(*args, **kwargs)
+
+        for module in (kernel, entropy, potentials):
+            monkeypatch.setattr(module, "exp_phase_tail", counted)
+        assert run(["entropy", "--potential", "figure1", "--rmax", "8",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert 0 < len(calls) <= 16
+        monkeypatch.undo()
+        with open(tmp_path / "entropy_scan.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        scan = equivalence_scan(build_potential("figure1"),
+                                np.array([float(r["r"]) for r in rows]))
+        assert [float(r["E"]) for r in rows] == list(scan.E)
+        assert [float(r["D"]) for r in rows] == list(scan.D)
+
     def test_complex_coefficient(self, tmp_path):
         assert run(["entropy", "--potential", "gaussian:0.5+0.5i,1", "--rmax", "2",
                     "--out", str(tmp_path)]) == EXIT_OK
@@ -213,6 +238,14 @@ class TestOpuc:
         summary = json.loads((tmp_path / "opuc_summary.json").read_text())
         assert 0.8 <= summary["orders"]["rho_alpha"]["rho"] <= 1.2
         assert 0.8 <= summary["orders"]["rho_pi"]["rho"] <= 1.2
+
+    def test_sampling_radius_is_the_last_one_sampled(self, tmp_path):
+        # none of the seven radii 1.5 ... 96 brings the last coefficients of
+        # factorial:0.5,10 below 1e-10; the summary once reported 192
+        assert run(["opuc", "--rule", "factorial:0.5,10", "--orders",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "opuc_summary.json").read_text())
+        assert summary["orders"]["sampling_radius"] == 96.0
 
     def test_modulus_violation_exit(self, tmp_path):
         assert run(["opuc", "--alphas", "1.2", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -380,11 +413,22 @@ _FUZZ_ARGS = st.one_of(
               st.sampled_from(["1e-300", "1e-3", "0.5", "1", "50", "1e6", "1e300",
                                "nan", "inf", "-1", "0"])),
     st.builds(lambda n: ["opuc", "--rule", f"factorial:0.5,{n}"],
-              st.sampled_from([-1, 0, 200, 5000])))
+              st.sampled_from([-1, 0, 200, 5000])),
+    # figure1 scans and sums whose tail tables reach past x0 = 36, where the
+    # expansion is bound-only
+    st.builds(lambda rmax, dr, nsum: ["entropy", "--potential", "figure1", "--rmax", rmax,
+                                      "--dr", dr, "--nsum", nsum],
+              st.sampled_from(["0", "0.25", "3", "20"]), st.sampled_from(["0.1", "0.25"]),
+              st.sampled_from(["0", "1", "40"])),
+    st.builds(lambda rule, n: ["opuc", "--rule", f"{rule}:0.5,{n}", "--orders"],
+              st.sampled_from(["factorial", "gaussian"]),
+              st.sampled_from([-1, 0, 1, 10, 200, 5000])))
 
 
+# 120 draws cover every figure1 and --orders combination and leave the
+# first two kinds more draws than the 60 they had on their own
 @given(_FUZZ_ARGS)
-@settings(deadline=None, max_examples=60, database=None, derandomize=True)
+@settings(deadline=None, max_examples=120, database=None, derandomize=True)
 def test_cli_fuzz_ends_in_an_exit_code(args):
     # any spec ends in a documented exit code in bounded time, with no
     # traceback and no numpy warning

@@ -278,6 +278,19 @@ class TestFigure1Expansion:
             assert abs(value - ref) <= err
         assert moments[:2] == w.moments()
 
+    def test_scan_windows_are_the_single_window_values(self):
+        # the scan takes every expansion window from one tail table; each is
+        # bitwise what entropy_E and variation_D give for that window alone
+        grid = np.arange(0.0, 8.01, 0.25)
+        E, D = ent_mod._windows(FIG, grid, grid)
+        scan = equivalence_scan(FIG, grid)
+        for r, e, d, scan_e, scan_d in zip(grid, E, D, scan.E, scan.D):
+            one_e, one_d = entropy_E(FIG, r), variation_D(FIG, r)
+            assert (e.route, d.route) == (one_e.route, one_d.route)
+            assert (e, e.error, d, d.error) == (one_e, one_e.error, one_d, one_d.error)
+            assert (scan_e, scan_d) == (one_e, one_d)
+        assert {e.route for e in E} == {d.route for d in D} == {"sampled", "expansion"}
+
     def test_past_the_phase_range(self):
         # from x = 36 on the oscillating parts are bounded, not computed
         for r in (17.5, 18.5, 40.0):

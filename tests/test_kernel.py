@@ -15,7 +15,7 @@ from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from kreinlab import krein
+from kreinlab import kernel as kernel_mod, krein
 from kreinlab.entropy import _F1_Q, _F1_TERMS, _f1_phi
 from kreinlab.kernel import (
     DecayFit,
@@ -150,6 +150,22 @@ class TestOscillatoryTail:
         # such an x0 once gave 0j silently
         with pytest.raises(KernelError, match="no usable phase"):
             exp_phase_tail(lambda x: 1.0 / (1.0 + x), x0)
+        # one such x0 among usable ones fails the whole array
+        with pytest.raises(KernelError, match="no usable phase"):
+            exp_phase_tail(lambda x: 1.0 / (1.0 + x), np.array([0.0, x0, 5.0]))
+
+    @pytest.mark.parametrize("omega", [1.0, 2.0, 4.0])
+    def test_array_x0_is_bitwise_the_scalar_calls(self, omega, monkeypatch):
+        # an elementwise amplitude, alone and stacked, at x0 up to 40, in
+        # passes of three x0 (68 panels of 16 nodes each) and a shorter last
+        monkeypatch.setattr(kernel_mod, "_OSC_PASS_NODES", 3 * 68 * 16)
+        phi2 = lambda x: _f1_phi(x) ** 2
+        stacked = lambda x: np.stack([_f1_phi(x), 1.0 / (1.0 + x) + 0j], -1)
+        x0 = np.concatenate([np.arange(0.0, 40.01, 2.5), [0.3, 7.77, 39.9]])
+        for g in (phi2, stacked):
+            tails = exp_phase_tail(g, x0, omega)
+            assert tails.shape[0] == x0.size
+            assert np.array_equal(tails, [exp_phase_tail(g, x, omega) for x in x0])
 
     def test_cos_kind_and_frequency(self):
         v = exp_phase_tail(lambda x: np.exp(-x), 1.0, omega=2.0)
@@ -416,23 +432,38 @@ class TestFitDecay:
         assert abs(fit.alpha_hat - 1.0) < 0.01
         assert abs(fit.c_hat - 1.0) < 0.01
 
-    @pytest.mark.parametrize("case", ["gaussian", "noisy", "stretched", "shallow"])
-    def test_matches_lstsq_reference(self, case):
-        # the closed-form least squares against the lstsq scan and golden
-        # section it replaced; near the optimum the RSS is flat to rounding,
-        # so alpha is only determined to about 1e-8
+    @staticmethod
+    def _case(case):
         r = np.arange(0.25, 8.01, 0.25)
         noise = np.random.default_rng(5).normal(0.0, 0.05, r.size)
         m = {"gaussian": np.exp(-r ** 2),
              "noisy": np.exp(-3.0 * r ** 1.3 + noise),
              "stretched": np.exp(-1.5 * r ** 0.7 - 0.3),
              "shallow": np.exp(-0.2 * r ** 2.5) * (1.0 + 0.1 * np.sin(r))}[case]
+        return r, m
+
+    @pytest.mark.parametrize("case", ["gaussian", "noisy", "stretched", "shallow"])
+    def test_matches_lstsq_reference(self, case):
+        # the closed-form least squares against the lstsq scan and golden
+        # section it replaced; near the optimum the RSS is flat to rounding,
+        # so alpha is only determined to about 1e-8
+        r, m = self._case(case)
         fit = fit_decay(np.column_stack([r, m]))
         usable = (m > 1e-13) & (m < 1.0)
         alpha, c, offset = _lstsq_decay_fit(r[usable], -np.log(m[usable]))
         assert fit.alpha_hat == pytest.approx(alpha, rel=1e-7)
         assert fit.c_hat == pytest.approx(c, rel=1e-6)
         assert fit.offset == pytest.approx(offset, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["gaussian", "noisy", "stretched", "shallow"])
+    def test_rounding_of_the_data_leaves_alpha(self, case):
+        # the golden section stops where the RSS values it compares agree to
+        # their rounding; run to its 1e-9 bracket, it moved the noisy fit's
+        # alpha by 4.4e-10 under m (1 - 2^-50)
+        r, m = self._case(case)
+        alpha = fit_decay(np.column_stack([r, m])).alpha_hat
+        for factor in (1.0 + 2.0 ** -50, 1.0 - 2.0 ** -50):
+            assert fit_decay(np.column_stack([r, m * factor])).alpha_hat == alpha
 
     def test_zero_tail_flag(self):
         r = np.linspace(1.0, 5.0, 10)

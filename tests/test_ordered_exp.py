@@ -19,7 +19,6 @@ from kreinlab.ordered_exp import (
     diagonal_a_n,
     f_of_s,
     family_gamma,
-    gamma_stats,
     iterated_integral,
     mixed_det,
     ordered_exp,
@@ -274,25 +273,6 @@ class TestA2A4:
         for _ in range(8):
             A = random_coeff_pair(rng)
             assert abs(taylor_a(A, 4)[4] - a4_explicit(A)) < 1e-5
-
-
-class TestGammaStats:
-    def test_linear(self):
-        s = gamma_stats(IDENT)
-        assert s.mean == pytest.approx(0.5, abs=1e-12)
-        assert s.variation == pytest.approx(1 / 12, abs=1e-12)
-        assert s.delta == pytest.approx(1.0, abs=1e-10)
-        assert s.gamma == pytest.approx(math.sqrt(1 / 12) + (1 / 12) ** 0.25, abs=1e-9)
-
-    def test_zero(self):
-        s = gamma_stats(lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-        assert s.mean == 0.0 and s.variation == 0.0 and s.gamma == 0.0
-
-    def test_sine(self):
-        s = gamma_stats(lambda t: np.sin(2 * np.pi * np.asarray(t)) / (2 * np.pi))
-        assert abs(s.mean) < 1e-12
-        assert s.variation == pytest.approx(1 / (8 * np.pi ** 2), abs=1e-9)
-        assert s.delta == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
 
 class TestSmallnessBounds:
