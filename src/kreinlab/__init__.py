@@ -48,7 +48,6 @@ from .ordered_exp import (
     diagonal_a_n,
     f_of_s,
     iterated_integral,
-    mixed_det,
     ordered_exp,
     taylor_a,
 )

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .entropy import (
+    _RATIO_FLOOR,
+    _ROUTE_REL,
     RouteDisagreement,
     _scan_of,
     _sum_of,
@@ -169,8 +171,8 @@ def _provenance(r, value) -> dict:
 def cmd_entropy(args) -> int:
     pot = parse_potential(args.potential)
     grid = _r_grid(args)
-    if args.nsum < 0:
-        raise ValueError(f"--nsum must be nonnegative, got {args.nsum}")
+    if not 0 <= args.nsum <= MAX_GRID_POINTS:
+        raise ValueError(f"--nsum must be in [0, {MAX_GRID_POINTS}], got {args.nsum}")
     start = time.perf_counter()
     sob = sobolev_h_minus1(pot)  # first: it rejects a coefficient not in L2
     args.out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +222,8 @@ def cmd_entropy(args) -> int:
         "sum_to_sobolev_ratio": ratio,
         "band_verdict": verdict,
         "tolerances": {"ratio_band": [0.01, 100.0],
-                       "route_agreement_rel": 1e-6,
-                       "ratio_floor": 1e-12},
+                       "route_agreement_rel": _ROUTE_REL,
+                       "ratio_floor": _RATIO_FLOOR},
         "files": ["entropy_scan.csv"],
     }
     _write_json(args.out / "entropy_summary.json", summary)
@@ -232,7 +234,10 @@ def cmd_opuc(args) -> int:
     if args.rule:
         name, _, params = args.rule.partition(":")
         c_str, n_str = params.split(",")
-        seq = VerblunskySeq.from_rule(name, float(c_str), int(n_str))
+        if (length := int(n_str)) > MAX_GRID_POINTS:
+            raise ValueError(f"--rule asks for {length} coefficients; "
+                             f"the limit is {MAX_GRID_POINTS}")
+        seq = VerblunskySeq.from_rule(name, float(c_str), length)
     else:
         seq = VerblunskySeq(np.array([parse_complex(a)
                                       for a in args.alphas.split(",")]))

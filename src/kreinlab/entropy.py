@@ -53,6 +53,13 @@ _ROUNDING_ULPS = 64
 # the figure1 expansion is used where its error bound is at most this
 # fraction of the value it gives
 _EXPANSION_REL = 1e-7
+# a sampled E moves by at most this fraction of itself between h and 2h, and
+# the ODE route's two Gram orders agree to it, beyond their error estimates
+_ROUTE_REL = 1e-6
+# a ratio E/D is reported where D is above _RATIO_FLOOR; the decay fits take
+# the values above _FIT_FLOOR
+_RATIO_FLOOR = 1e-12
+_FIT_FLOOR = 1e-13
 # H^-1 norm: nodes per period, and the L2 mass left past an effective support
 _SOBOLEV_NODES_PER_PERIOD = 48
 _MASS_TOL = 1e-16
@@ -421,15 +428,12 @@ class _F1Window:
         self.err3 = 3.0 * span * tau * tb ** 2 + 2.0 * _F1_QUAD * tb ** 3
         self.err4 = 4.0 * span * tau * tb ** 3 + 2.0 * _F1_QUAD * tb ** 4
 
-    def moments(self, order: int = 2, tails: _F1Tails | None = None) -> tuple[float, ...]:
+    def moments(self, tails: _F1Tails, order: int = 2) -> tuple[float, ...]:
         """(I1, I2), or with order 4 (I1, I2, I3, I4), from a tail table
-        that holds this window to that order, by default a table of its own.
-        Past EXP_PHASE_MAX only (I1, I2), their oscillating parts left to the
-        bounds."""
+        that holds this window to that order. Past EXP_PHASE_MAX only
+        (I1, I2), their oscillating parts left to the bounds."""
         if not self.computed:
             return 0.0, self.smooth2
-        if tails is None:
-            tails = _F1Tails([(self, order)])
         x0, x1 = self.x0, self.x1
         i1, t3 = tails(1, x0, x1)
         o2, t4 = tails(2, x0, x1)
@@ -441,11 +445,11 @@ class _F1Window:
         return i1, self.smooth2 + 0.5 * o2, i3, i4
 
 
-def _f1_E_job(p: Potential, r: float, rel: float = _EXPANSION_REL):
+def _f1_E_job(p: Potential, r: float):
     """E(r) for figure1 from the expansion, pending its tail table: the
     window, the moment order it needs and the function that gives E from a
-    table holding it (see _F1Tails), by default a table of its own; None
-    where the error bound exceeds rel |E|.
+    table holding it (see _F1Tails); None where the error bound exceeds
+    _EXPANSION_REL |E|.
 
     In x = 2t, delta = c - T on [x0, x0 + 4] with c = T(x0), and the series
     of cosh and sinh give E = 4 J2 - J1^2 + R4 + rest, J_k = int delta^k dx,
@@ -472,14 +476,14 @@ def _f1_E_job(p: Potential, r: float, rel: float = _EXPANSION_REL):
     err = (4.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
            + r4_err + 25.0 * m ** 6)
     lower = 4.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2 - 43.0 * m ** 4
-    if not err <= rel * lower:
+    if not err <= _EXPANSION_REL * lower:
         return None
 
-    def value(tails=None):
+    def value(tails):
         if not w.computed:
-            i1, i2 = w.moments()
+            i1, i2 = w.moments(tails)
             return WindowValue(4.0 * i2 - i1 * i1, "expansion", err)
-        i1, i2, i3, i4 = w.moments(4, tails)
+        i1, i2, i3, i4 = w.moments(tails, 4)
         c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
         j1 = span * c - i1
         j2 = span * c ** 2 - 2.0 * c * i1 + i2
@@ -491,52 +495,28 @@ def _f1_E_job(p: Potential, r: float, rel: float = _EXPANSION_REL):
     return w, 4, value
 
 
-def _f1_D_job(r: float, rel: float = _EXPANSION_REL):
+def _f1_D_job(r: float):
     """D(r) for figure1 from the expansion, pending its tail table (as
-    _f1_E_job), or None where the error bound exceeds rel D. With
+    _f1_E_job), or None where the error bound exceeds _EXPANSION_REL D. With
     g = T(r) - T on [r, r+2], D = 2 int g^2 - (int g)^2 = 2 I2 - I1^2
     exactly: T(r) cancels."""
     w = _F1Window(r, r + 2.0)
     err = 2.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
     lower = 2.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2
-    if not err <= rel * lower:
+    if not err <= _EXPANSION_REL * lower:
         return None
 
-    def value(tails=None):
-        i1, i2 = w.moments(2, tails)
+    def value(tails):
+        i1, i2 = w.moments(tails)
         return WindowValue(2.0 * i2 - i1 * i1, "expansion", err)
 
     return w, 2, value
 
 
-def _figure1_E(p: Potential, r: float,
-               rel: float = _EXPANSION_REL) -> WindowValue | None:
-    """E(r) for figure1 from the expansion, or None where its error bound
-    exceeds rel |E| (see _f1_E_job)."""
-    job = _f1_E_job(p, r, rel)
-    return None if job is None else job[2]()
-
-
-def _figure1_D(r: float, rel: float = _EXPANSION_REL) -> WindowValue | None:
-    """D(r) for figure1 from the expansion, or None where its error bound
-    exceeds rel D (see _f1_D_job)."""
-    job = _f1_D_job(r, rel)
-    return None if job is None else job[2]()
-
-
-def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> WindowValue:
-    """Determinant entropy E(r), with its route and error estimate.
-
-    Exactly 0 only where the tail envelope bound is exactly 0 (past a support
-    bound, or where the bound underflows). A coefficient of constant phase
-    takes one sampled pass (see _entropy_sampled), figure1 its expansion
-    wherever that is accurate to _EXPANSION_REL; RouteDisagreement is raised
-    when the pass on every other node differs by more than rel_tol |E| plus a
-    rounding floor. A coefficient whose phase may vary takes the Gram ODE
-    (see _entropy_ode); RouteDisagreement is raised when its two Gram orders
-    differ by more than rel_tol |E| plus their own error. A window that no
-    route can resolve raises KernelError.
-    """
+def _E_window(p: Potential, r: float):
+    """E(r) by the first route that applies: exact_zero, ode, figure1's
+    expansion, sampled. Returns a WindowValue, or for the expansion the
+    pending (window, order, value) job of _f1_E_job."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if _entropy_bound(p, r) == 0.0:
@@ -545,46 +525,69 @@ def entropy_E(p: Potential, r: float, rel_tol: float = 1e-6) -> WindowValue:
     if p.phase() is None:
         det_route, bridge_route, error, substeps = _entropy_ode(p, r)
         gap = abs(det_route - bridge_route)
-        if gap > rel_tol * abs(det_route) + error:
+        if gap > _ROUTE_REL * abs(det_route) + error:
             raise RouteDisagreement(
                 f"entropy routes disagree at r={r}: det route {det_route:.12g}, "
                 f"bridge route {bridge_route:.12g}", det_route, bridge_route)
         return WindowValue(det_route, "ode", gap + error, substeps)
 
-    if p.family == "figure1" and (value := _figure1_E(p, r)) is not None:
-        return value
+    if p.family == "figure1" and (job := _f1_E_job(p, r)) is not None:
+        return job
     n_total = _window_budget(p, r, r + 2.0, 2.0)
     if n_total > _N_CAP:
         raise KernelError(
             f"window [{r}, {r + 2}] oscillates too fast to resolve "
             f"({n_total} nodes needed)")
     fine, coarse, floor, nodes = _entropy_sampled(p, r, n_total)
-    if abs(fine - coarse) > rel_tol * abs(fine) + floor:
+    if abs(fine - coarse) > _ROUTE_REL * abs(fine) + floor:
         raise RouteDisagreement(
             f"sampled entropy at r={r} moves beyond tolerance between h and 2h: "
             f"{fine:.12g} against {coarse:.12g}", fine, coarse)
     return WindowValue(fine, "sampled", abs(fine - coarse) + floor, nodes)
 
 
-def variation_D(p: Potential, r: float) -> WindowValue:
-    """Local variation over [r, r+2]:
-    2 int |g|^2 - |int g|^2 with g(t) = int_r^t a.
-
-    Exactly 0 only where tail_sup is exactly 0. Sampled, with the change on
-    every other node plus a rounding floor as the error estimate; figure1
-    takes its expansion wherever that is accurate to _EXPANSION_REL."""
+def _D_window(p: Potential, r: float):
+    """D(r) by the first route that applies: exact_zero, figure1's
+    expansion, sampled; as _E_window."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if p.tail_sup(r) == 0.0:
         return WindowValue(0.0, "exact_zero", 0.0)
-    if p.family == "figure1" and (value := _figure1_D(r)) is not None:
-        return value
+    if p.family == "figure1" and (job := _f1_D_job(r)) is not None:
+        return job
 
     n_total = _window_budget(p, r, r + 2.0, 1.0)
     if n_total > _N_CAP:
         raise KernelError(f"window [{r}, {r + 2}] oscillates too fast to resolve")
     fine, coarse, floor, nodes = _variation_sampled(p, r, n_total)
     return WindowValue(fine, "sampled", abs(fine - coarse) + floor, nodes)
+
+
+def entropy_E(p: Potential, r: float) -> WindowValue:
+    """Determinant entropy E(r), with its route and error estimate: the scan
+    of one window (see _windows and _E_window).
+
+    Exactly 0 only where the tail envelope bound is exactly 0 (past a support
+    bound, or where the bound underflows). A coefficient of constant phase
+    takes one sampled pass (see _entropy_sampled), figure1 its expansion
+    wherever that is accurate to _EXPANSION_REL; RouteDisagreement is raised
+    when the pass on every other node differs by more than _ROUTE_REL |E|
+    plus a rounding floor. A coefficient whose phase may vary takes the Gram
+    ODE (see _entropy_ode); RouteDisagreement is raised when its two Gram
+    orders differ by more than _ROUTE_REL |E| plus their own error. A window
+    that no route can resolve raises KernelError.
+    """
+    return _windows(p, [r], [])[0][0]
+
+
+def variation_D(p: Potential, r: float) -> WindowValue:
+    """Local variation over [r, r+2]:
+    2 int |g|^2 - |int g|^2 with g(t) = int_r^t a; the scan of one window.
+
+    Exactly 0 only where tail_sup is exactly 0. Sampled, with the change on
+    every other node plus a rounding floor as the error estimate; figure1
+    takes its expansion wherever that is accurate to _EXPANSION_REL."""
+    return _windows(p, [], [r])[1][0]
 
 
 def _variation_sampled(p: Potential, r: float, n_total: int):
@@ -604,17 +607,12 @@ def _sum_of(terms) -> EntropySum:
 
 
 def _windows(p: Potential, E_at, D_at) -> tuple[list, list]:
-    """E at each r of E_at and D at each r of D_at, as entropy_E and
-    variation_D give them. figure1's windows that take the expansion are
-    computed last, from one tail table (see _F1Tails); every other window
-    goes through entropy_E or variation_D in order, so that a window that
-    fails raises as it would there."""
-    if p.family != "figure1":
-        return [entropy_E(p, r) for r in E_at], [variation_D(p, r) for r in D_at]
-    E = [None if _entropy_bound(p, r) == 0.0 else _f1_E_job(p, r) for r in E_at]
-    D = [None if p.tail_sup(r) == 0.0 else _f1_D_job(r) for r in D_at]
-    E = [entropy_E(p, r) if job is None else job for r, job in zip(E_at, E)]
-    D = [variation_D(p, r) if job is None else job for r, job in zip(D_at, D)]
+    """E at each r of E_at and D at each r of D_at. Each window's route is
+    decided in order (see _E_window, _D_window), so that a window that fails
+    raises in that order; figure1's windows that take the expansion are
+    computed last, from one tail table (see _F1Tails)."""
+    E = [_E_window(p, r) for r in E_at]
+    D = [_D_window(p, r) for r in D_at]
     # what is left pending is a (window, order, value) job, not a WindowValue
     tails = _F1Tails([v[:2] for v in E + D if isinstance(v, tuple)])
     return ([v[2](tails) if isinstance(v, tuple) else v for v in E],
@@ -708,31 +706,31 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
 
 def _fit_or_flag(r: np.ndarray, m: np.ndarray) -> DecayFit:
     try:
-        return fit_decay(np.column_stack([r, m]), floor=1e-13)
+        return fit_decay(np.column_stack([r, m]), floor=_FIT_FLOOR)
     except InsufficientDataError:
         return DecayFit(alpha_hat=math.nan, c_hat=math.nan, offset=math.nan,
                         residual=math.inf, window=(float(r[0]), float(r[-1])),
-                        n_used=int(np.sum(m > 1e-13)))
+                        n_used=int(np.sum(m > _FIT_FLOOR)))
 
 
-def _scan_of(grid: Grid, E, D, floor: float = 1e-12) -> EntropyScan:
+def _scan_of(grid: Grid, E, D) -> EntropyScan:
     E = np.array(E, dtype=float)
     D = np.array(D, dtype=float)
-    ratio = np.where(D > floor, E / np.where(D > floor, D, 1.0), np.nan)
+    ratio = np.where(D > _RATIO_FLOOR, E / np.where(D > _RATIO_FLOOR, D, 1.0), np.nan)
     return EntropyScan(r_grid=grid, E=E, D=D, ratio=ratio,
                        fit_E=_fit_or_flag(grid.points, np.abs(E)),
                        fit_D=_fit_or_flag(grid.points, np.abs(D)))
 
 
-def equivalence_scan(p: Potential, r_grid, floor: float = 1e-12) -> EntropyScan:
+def equivalence_scan(p: Potential, r_grid) -> EntropyScan:
     """E and D along the grid with ratios and decay fits of both columns."""
     grid = Grid.coerce(r_grid)
-    return _scan_of(grid, *_windows(p, grid.points, grid.points), floor)
+    return _scan_of(grid, *_windows(p, grid.points, grid.points))
 
 
-def classify_alpha(p: Potential, r_grid, floor: float = 1e-13) -> DecayFit:
+def classify_alpha(p: Potential, r_grid) -> DecayFit:
     """Decay-class estimate from the variation column (the computable proxy
     for the entropy decay class)."""
     grid = Grid.coerce(r_grid)
     D = np.array(_windows(p, [], grid.points)[1])
-    return fit_decay(np.column_stack([grid.points, np.abs(D)]), floor=floor)
+    return fit_decay(np.column_stack([grid.points, np.abs(D)]), floor=_FIT_FLOOR)

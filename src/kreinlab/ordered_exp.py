@@ -37,7 +37,8 @@ def _cum(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 class CoeffPair:
     """Pair of real functions (p, q) on [0, 1] generating A = ((-q, p), (p, q)).
 
-    ``g_p`` and ``g_q`` are the antiderivatives vanishing at 0.
+    ``_tables`` samples p and q once on a uniform grid of [0, 1] and holds
+    their antiderivatives vanishing at 0.
     """
 
     p: Callable
@@ -62,14 +63,6 @@ class CoeffPair:
     def q_is_zero(self) -> bool:
         _, _, qv, _, _ = self._tables()
         return bool(np.max(np.abs(qv)) == 0.0)
-
-    def g_p(self, t):
-        x, _, _, gp, _ = self._tables()
-        return np.interp(t, x, gp)
-
-    def g_q(self, t):
-        x, _, _, _, gq = self._tables()
-        return np.interp(t, x, gq)
 
     def scaled(self, s: float) -> "CoeffPair":
         return CoeffPair(lambda t, f=self.p: s * np.asarray(f(t)),
@@ -231,13 +224,6 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
     return out if np.ndim(s) else out.item()
 
 
-def mixed_det(M: np.ndarray, N: np.ndarray) -> float:
-    """det(M + N) - det(M) - det(N), the polarization of det on 2x2 matrices."""
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    return float(np.linalg.det(M + N) - np.linalg.det(M) - np.linalg.det(N))
-
-
 def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
     """Taylor coefficients a_0..a_{n_max} of F_A via the structural route.
 
@@ -263,7 +249,9 @@ def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
     for n in range(1, n_max // 2 + 1):
         val = float(np.linalg.det(L[n]))
         for k in range(n):
-            val += mixed_det(L[k], L[2 * n - k])
+            # the mixed determinant, the polarization of det on 2x2 matrices
+            M, N = L[k], L[2 * n - k]
+            val += float(np.linalg.det(M + N) - np.linalg.det(M) - np.linalg.det(N))
         out[2 * n] = val
     return out
 

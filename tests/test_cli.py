@@ -17,6 +17,7 @@ from kreinlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
     main,
     parse_complex,
     parse_potential,
@@ -413,16 +414,16 @@ _FUZZ_ARGS = st.one_of(
               st.sampled_from(["1e-300", "1e-3", "0.5", "1", "50", "1e6", "1e300",
                                "nan", "inf", "-1", "0"])),
     st.builds(lambda n: ["opuc", "--rule", f"factorial:0.5,{n}"],
-              st.sampled_from([-1, 0, 200, 5000])),
+              st.sampled_from([-1, 0, 200, 5000, MAX_GRID_POINTS + 1])),
     # figure1 scans and sums whose tail tables reach past x0 = 36, where the
     # expansion is bound-only
     st.builds(lambda rmax, dr, nsum: ["entropy", "--potential", "figure1", "--rmax", rmax,
                                       "--dr", dr, "--nsum", nsum],
               st.sampled_from(["0", "0.25", "3", "20"]), st.sampled_from(["0.1", "0.25"]),
-              st.sampled_from(["0", "1", "40"])),
+              st.sampled_from(["0", "1", "40", str(MAX_GRID_POINTS + 1)])),
     st.builds(lambda rule, n: ["opuc", "--rule", f"{rule}:0.5,{n}", "--orders"],
               st.sampled_from(["factorial", "gaussian"]),
-              st.sampled_from([-1, 0, 1, 10, 200, 5000])))
+              st.sampled_from([-1, 0, 1, 10, 200, 5000, MAX_GRID_POINTS + 1])))
 
 
 # 120 draws cover every figure1 and --orders combination and leave the

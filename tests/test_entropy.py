@@ -235,7 +235,8 @@ class TestFigure1Expansion:
 
     @pytest.mark.parametrize("r", [2.5, 2.75, 3.5, 3.75, 4.0])
     def test_E_matches_sampling(self, r):
-        expansion = ent_mod._figure1_E(FIG, r)
+        expansion = entropy_E(FIG, r)
+        assert expansion.route == "expansion"
         fine, coarse, _, _ = ent_mod._entropy_sampled(
             FIG, r, ent_mod._window_budget(FIG, r, r + 2.0, 2.0))
         gap = abs(expansion - fine)
@@ -244,8 +245,8 @@ class TestFigure1Expansion:
 
     @pytest.mark.parametrize("r", [4.5, 5.0, 6.0])
     def test_D_matches_sampling(self, r):
-        # the expansion whatever its bound, not only where the route takes it
-        expansion = ent_mod._figure1_D(r, rel=math.inf)
+        expansion = variation_D(FIG, r)
+        assert expansion.route == "expansion"
         fine, coarse, _, _ = ent_mod._variation_sampled(
             FIG, r, ent_mod._window_budget(FIG, r, r + 2.0, 1.0))
         gap = abs(expansion - fine)
@@ -263,7 +264,7 @@ class TestFigure1Expansion:
 
     def test_window_moments_against_simpson_oracle(self):
         w = ent_mod._F1Window(6.0, 10.0)
-        i1, i2 = w.moments()
+        i1, i2 = w.moments(ent_mod._F1Tails([(w, 2)]))
         o1, o2, _, _ = _f1_window_oracle(6.0, 10.0, 2 ** 22)
         assert abs(i1 - o1) <= w.err1
         assert abs(i2 - o2) <= w.err2
@@ -272,11 +273,12 @@ class TestFigure1Expansion:
         # the window of E(2.5): int T^3 and int T^4 with their harmonics
         # computed, not bounded
         w = ent_mod._F1Window(5.0, 9.0)
-        moments = w.moments(4)
+        tails = ent_mod._F1Tails([(w, 4)])
+        moments = w.moments(tails, 4)
         oracle = _f1_window_oracle(5.0, 9.0, 2 ** 21)
         for value, ref, err in zip(moments, oracle, (w.err1, w.err2, w.err3, w.err4)):
             assert abs(value - ref) <= err
-        assert moments[:2] == w.moments()
+        assert moments[:2] == w.moments(ent_mod._F1Tails([(w, 2)]))
 
     def test_scan_windows_are_the_single_window_values(self):
         # the scan takes every expansion window from one tail table; each is
@@ -290,6 +292,23 @@ class TestFigure1Expansion:
             assert (e, e.error, d, d.error) == (one_e, one_e.error, one_d, one_d.error)
             assert (scan_e, scan_d) == (one_e, one_d)
         assert {e.route for e in E} == {d.route for d in D} == {"sampled", "expansion"}
+
+    def test_each_window_is_planned_once(self, monkeypatch):
+        # the route of each window is decided once, so every E and D value
+        # builds one _F1Window, whichever route it takes
+        built = []
+        init = ent_mod._F1Window.__init__
+
+        def counted(self, x0, x1):
+            built.append((x0, x1))
+            init(self, x0, x1)
+
+        monkeypatch.setattr(ent_mod._F1Window, "__init__", counted)
+        equivalence_scan(FIG, np.arange(0.0, 8.01, 0.25))
+        assert len(built) == 66
+        built.clear()
+        entropy_sum(FIG, 30)
+        assert len(built) == 31
 
     def test_past_the_phase_range(self):
         # from x = 36 on the oscillating parts are bounded, not computed

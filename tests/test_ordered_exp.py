@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kreinlab.kernel import (SeriesTailWarning, propagate, row_gram, series_coeffs_from_samples,
                              simpson)
@@ -20,7 +19,6 @@ from kreinlab.ordered_exp import (
     f_of_s,
     family_gamma,
     iterated_integral,
-    mixed_det,
     ordered_exp,
     ordered_exp_path,
     random_admissible_family,
@@ -216,26 +214,6 @@ class TestTaylorRoutes:
         for a in vals:
             for b in vals:
                 assert abs(a - b) < 1e-6
-
-
-class TestMixedDet:
-    def test_identity_pair(self):
-        assert mixed_det(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_zero_partner(self):
-        assert mixed_det(np.array([[1.0, 2], [3, 4]]), np.zeros((2, 2))) == 0.0
-
-    def test_rank_one_pair(self):
-        assert mixed_det(np.diag([1.0, 0]), np.diag([0, 1.0])) == pytest.approx(1.0)
-
-    @given(st.lists(st.floats(-5, 5), min_size=8, max_size=8))
-    @settings(deadline=None, max_examples=30)
-    def test_column_polarization(self, xs):
-        M = np.array(xs[:4]).reshape(2, 2)
-        N = np.array(xs[4:]).reshape(2, 2)
-        ref = (np.linalg.det(np.column_stack([M[:, 0], N[:, 1]]))
-               + np.linalg.det(np.column_stack([N[:, 0], M[:, 1]])))
-        assert mixed_det(M, N) == pytest.approx(ref, abs=1e-9)
 
 
 class TestDiagonalFormula:
