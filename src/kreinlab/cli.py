@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .entropy import (
     _windows,
     sobolev_h_minus1,
 )
-from .kernel import DecayFit, Grid, KernelError
+from .kernel import DecayFit, Grid, KernelError, _write_csv
 from .krein import dump_krein_csv, krein_paths
 from .opuc import VerblunskySeq, compare_orders
 from .potentials import build_potential, read_potential_csv, tail_integral
@@ -106,10 +105,6 @@ def _r_grid(args) -> Grid:
     return Grid(np.arange(0.0, args.rmax + dr / 2.0, dr))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _fit_dict(fit: DecayFit) -> dict:
     return {
         "alpha_hat": None if math.isnan(fit.alpha_hat) else fit.alpha_hat,
@@ -182,12 +177,9 @@ def cmd_entropy(args) -> int:
     E_scan, D = _windows(pot, grid.points, grid.points)
     E = dict(zip(grid.points, E_scan))
     scan = _scan_of(grid, E_scan, D)
-    with open(args.out / "entropy_scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "E", "D", "ratio"])
-        for r, e, d, q in zip(grid.points, scan.E, scan.D, scan.ratio):
-            writer.writerow([_fmt(r), _fmt(e), _fmt(d),
-                             "" if math.isnan(q) else _fmt(q)])
+    _write_csv(args.out / "entropy_scan.csv", ["r", "E", "D", "ratio"],
+               [grid.points.tolist(), scan.E.tolist(), scan.D.tolist(),
+                ["" if math.isnan(q) else q for q in scan.ratio.tolist()]])
     scan_done = time.perf_counter()
 
     windows = [float(n) for n in range(args.nsum + 1)]
@@ -244,11 +236,9 @@ def cmd_opuc(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     lams = np.cumprod(1.0 - np.abs(seq.alphas) ** 2)
-    with open(args.out / "opuc_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "Re_alpha", "Im_alpha", "lambda_n"])
-        for n, (a, lam) in enumerate(zip(seq.alphas, lams)):
-            writer.writerow([n, _fmt(a.real), _fmt(a.imag), _fmt(lam)])
+    _write_csv(args.out / "opuc_table.csv", ["n", "Re_alpha", "Im_alpha", "lambda_n"],
+               [[str(n) for n in range(len(seq))], seq.alphas.real.tolist(),
+                seq.alphas.imag.tolist(), lams.tolist()])
 
     out = {
         "command": "opuc",
@@ -283,12 +273,8 @@ def cmd_figure1(args) -> int:
     pot = build_potential("figure1")
     args.out.mkdir(parents=True, exist_ok=True)
     rs = np.arange(0.0, 8.0 + 0.005, 0.01)
-    with open(args.out / "figure1.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "f", "tail"])
-        for r in rs:
-            writer.writerow([_fmt(r), _fmt(float(pot(r))),
-                             _fmt(tail_integral(pot, r))])
+    _write_csv(args.out / "figure1.csv", ["r", "f", "tail"],
+               [rs.tolist(), pot(rs).tolist(), tail_integral(pot, rs).tolist()])
     return EXIT_OK
 
 

@@ -145,13 +145,13 @@ class SobolevNorm:
 
 
 def _jq(p: Potential):
-    """The generator s -> JQ(s) = ((p, q), (q, -p)), shape (*s.shape, 2, 2),
-    and its breakpoints (those of a, halved)."""
+    """The generator s -> JQ(s) = ((p, q), (q, -p)) as propagate's components
+    (0, p, q, q), and its breakpoints (those of a, halved)."""
 
     def gen(s):
         a = p(2.0 * np.asarray(s, dtype=float))
-        pp, q = -2.0 * np.real(a), 2.0 * np.imag(a)
-        return np.stack([np.stack([pp, q], -1), np.stack([q, -pp], -1)], -2)
+        q = 2.0 * np.imag(a)
+        return 0.0, -2.0 * np.real(a), q, q
 
     return gen, tuple(b / 2.0 for b in p.breakpoints())
 

@@ -1,11 +1,13 @@
 """Shared numerical primitives.
 
-Simpson rules, a fourth-order Magnus propagator for linear 2x2 systems,
-stretched-exponential decay fitting, power-series coefficient extraction
-from circle samples, and the oscillatory tail quadrature for integrands of
-the form e^{i omega e^x} g(x).
+Simpson rules, a fourth-order Magnus propagator for linear 2x2 systems
+(generators given as components tr I + ((e, o01), (o10, -e)) that broadcast
+over time and batch; maps held component-major), stretched-exponential decay
+fitting, power-series coefficient extraction from circle samples, the
+oscillatory tail quadrature for integrands of the form e^{i omega e^x} g(x),
+and the writer of the CSV result files.
 
-All routines are pure functions of their arguments and deterministic.
+Every routine but the CSV writer is a pure, deterministic function of its arguments.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 
 class KernelError(Exception):
@@ -137,11 +138,10 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 # the two Gauss nodes of a step, as fractions of its width
 _GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-# below this |d| the exponential takes the Taylor series in d, to d^6 (the
-# first term left out is below 1e-18 of the sum)
+# below this |d| _expm takes the Taylor series in d (at most to d^7)
 _TAYLOR_D = 0.1
-_COSH_D = 1.0 / np.array([math.factorial(2 * k) for k in range(7)])
-_SINH_D = 1.0 / np.array([math.factorial(2 * k + 1) for k in range(7)])
+_COSH_D = 1.0 / np.array([math.factorial(2 * k) for k in range(9)])
+_SINH_D = 1.0 / np.array([math.factorial(2 * k + 1) for k in range(9)])
 # substeps one propagate call may take before it raises OdeStepError
 _MAX_SUBSTEPS = 2 ** 20
 # pieces are bisected for their integral (not their maps) only while the
@@ -158,15 +158,15 @@ _TOL_FLOOR = 1e-14
 
 @dataclass
 class Propagation:
-    """What propagate returns. ``y``: the state at hi, or its rows at
-    t_eval. ``integral``: the integral of the integrand from lo to the same
-    points (None without an integrand). ``substeps``: the Magnus steps the
-    result is made of. ``error``: for each batch member, the sum over the
-    pieces of max|T_2 - T_4| / max(1, |T_4|), two steps against four; it
-    estimates the error of the two-step path, so it bounds that of the
-    four-step path returned (a 0-d zero when lo == hi). ``integral_error``:
-    the sum over the pieces of the difference of the Simpson sums on two and
-    on four substeps, which bounds the error of the Boole sums returned."""
+    """What propagate returns, in the caller's layout. ``y``: the state at
+    hi, or its rows at t_eval. ``integral``: the integral of the integrand
+    from lo to the same points (None without one). ``substeps``: the Magnus
+    steps the result is made of. ``error``: per batch member (the shape the
+    components broadcast to past time), the sum over the pieces of
+    max|T_2 - T_4| / max(1, |T_4|): it estimates the error of the two-step
+    path, so bounds that of the four-step path returned (0-d 0 if lo == hi).
+    ``integral_error``: the sum over the pieces of the difference of the
+    Simpson sums on two and four substeps, bounding the Boole sums' error."""
 
     y: np.ndarray
     integral: np.ndarray | None
@@ -176,81 +176,106 @@ class Propagation:
 
 
 def _mul(m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Products m k of stacks of 2x2 maps; components 00, 01, 10, 11 on axis 1."""
-    a, b, c, d = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
-    e, f, g, h = k[:, 0], k[:, 1], k[:, 2], k[:, 3]
-    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], axis=1)
+    """Products m k of two stacks of maps, component-major: (4, n, *batch)
+    holds the components 00, 01, 10, 11 of n maps per batch member."""
+    return _apply(m, k.reshape((2, 2) + k.shape[1:])).reshape(k.shape)
 
 
 def _prefix(m: np.ndarray) -> np.ndarray:
     """Running products m_k ... m_0 of a stack of maps, by doubling."""
     m = m.copy()
     s = 1
-    while s < m.shape[0]:
-        m[s:] = _mul(m[s:], m[:-s])
+    while s < m.shape[1]:
+        m[:, s:] = _mul(m[:, s:], m[:, :-s])
         s *= 2
     return m
 
 
 def _apply(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Maps (n, 4, *batch) applied to states (..., *batch, 2, c)."""
-    m = m[..., None]
-    y0, y1 = y[..., 0, :], y[..., 1, :]
-    return np.stack([m[:, 0] * y0 + m[:, 1] * y1, m[:, 2] * y0 + m[:, 3] * y1], axis=-2)
+    """Maps (4, n, *batch) applied to 2 x c states (2, c, ..., *batch): (2, c, n, *batch)."""
+    out = np.empty(y.shape[:2] + m.shape[1:], np.result_type(m, y))
+    tmp = np.empty(m.shape[1:], out.dtype)
+    for i, j in [(i, j) for i in (0, 1) for j in range(y.shape[1])]:
+        np.multiply(m[2 * i], y[0, j], out=out[i, j])
+        np.multiply(m[2 * i + 1], y[1, j], out=tmp)
+        out[i, j] += tmp
+    return out
 
 
-def _expm(tau, e, o01, o10) -> np.ndarray:
-    """exp of 2x2 matrices ((tau + e, o01), (o10, tau - e)) given by
-    components. The trace part is exp(tau); the rest squares to d I with
-    d = e^2 + o01 o10, so its exponential is cosh(sqrt d) I + sinh(sqrt d) /
-    sqrt(d) times it, both even in sqrt d: their Taylor series in d where
-    |d| < _TAYLOR_D."""
-    d = e * e + o01 * o10
-    ch, sh = polyval(d, _COSH_D), polyval(d, _SINH_D)
-    small = np.abs(d) < _TAYLOR_D
+@np.errstate(over="ignore", invalid="ignore")
+def _expm(tau, e, o01, o10, shape) -> np.ndarray:
+    """exp of the 2x2 matrices tau I + ((e, o01), (o10, -e)) given by
+    components that broadcast to ``shape``: maps (4, *shape). The trace-free
+    part squares to d I, d = e^2 + o01 o10, so its exponential is c I + s
+    times it, c = cosh(sqrt d), s = sinh(sqrt d) / sqrt d. A tau that is the
+    scalar 0 skips exp(tau); an overflow gives non-finite maps, silently."""
+    oo = o01 * o10
+    d = np.broadcast_to(e * e + oo, shape)
+    tau = None if np.ndim(tau) == 0 and tau == 0 else np.broadcast_to(tau, shape)
+    ad = np.abs(d)
+    small = ad < _TAYLOR_D
+    dtype = d.dtype if tau is None else np.result_type(d, tau)
+    c, s = np.empty(shape, dtype), np.empty(shape, dtype)
+    if small.any():
+        # exp(tau) times the series in d (all elements: ..., no gather), up to
+        # the first term that the largest |d| makes fall below 1e-18 of the sum
+        where = ... if small.all() else small
+        x = d[where]
+        dmax = float(np.max(ad[where]))
+        n = next(n for n in range(1, _COSH_D.size) if _COSH_D[n] * dmax ** n < 1e-18)
+        ch, sh = _COSH_D[n - 1], _SINH_D[n - 1]
+        for k in range(n - 2, -1, -1):
+            ch, sh = ch * x + _COSH_D[k], sh * x + _SINH_D[k]
+        if tau is not None:
+            g = np.exp(tau[where])
+            ch, sh = g * ch, g * sh
+        c[where], s[where] = ch, sh
     if not small.all():
-        if np.iscomplexobj(d):
-            z = np.sqrt(d)
-            big_ch, big_sh = np.cosh(z), np.sinh(z) / np.where(small, 1.0, z)
-        else:
-            up = np.sqrt(np.maximum(d, 0.0))
-            down = np.sqrt(np.maximum(-d, 0.0))
-            big_ch = np.where(d >= 0, np.cosh(up), np.cos(down))
-            big_sh = (np.where(d >= 0, np.sinh(up), np.sin(down))
-                      / np.where(small, 1.0, up + down))
-        ch, sh = np.where(small, ch, big_ch), np.where(small, sh, big_sh)
-    g = np.exp(tau)
-    gs = g * sh
-    sh *= e
-    m00, m11 = g * (ch + sh), g * (ch - sh)
+        # half the sum of exp(tau + z) and exp(tau - z), z = sqrt d, and half
+        # their difference over z
+        where = ~small if small.any() else ...
+        z = np.sqrt(d[where].astype(complex))
+        t = 0.0 if tau is None else tau[where]
+        up, down = np.exp(t + z), np.exp(t - z)
+        ch, sh = 0.5 * (up + down), (up - down) / (2.0 * z)
+        c[where], s[where] = (ch, sh) if c.dtype.kind == "c" else (ch.real, sh.real)
+    out = np.empty((4,) + shape, np.result_type(c, e, oo))
+    se = s * e
+    np.add(c, se, out=out[0])
+    np.multiply(s, o01, out=out[1])
+    np.multiply(s, o10, out=out[2])
+    np.subtract(c, se, out=out[3])
     # a triangular matrix has the diagonal exp(tau + e), exp(tau - e): exact,
     # so that a decoupled component (a zero coefficient) stays exactly constant
-    tri = o01 * o10 == 0
+    tri = np.broadcast_to(oo == 0, shape)
     if tri.any():
-        m00 = np.where(tri, np.exp(tau + e), m00)
-        m11 = np.where(tri, np.exp(tau - e), m11)
-    return np.stack([m00, gs * o01, gs * o10, m11], axis=1)
+        et = np.broadcast_to(e, shape)[tri]
+        tt = 0.0 if tau is None else tau[tri]
+        out[0][tri], out[3][tri] = np.exp(tt + et), np.exp(tt - et)
+    return out
 
 
-def _magnus(gen: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _magnus(gen: Callable, a: np.ndarray, b: np.ndarray, batch: tuple) -> np.ndarray:
     """One fourth-order Magnus step on each [a_i, b_i]: exp of
     Omega = (h/2)(A1 + A2) + (sqrt3/12) h^2 [A2, A1] with A1, A2 the generator
-    at the two Gauss nodes. Returns maps of shape (n, 4, *batch)."""
-    n = a.size
+    at the two Gauss nodes. Returns maps (4, n, *batch)."""
     h = b - a
-    A = np.asarray(gen(np.concatenate([a + _GAUSS2[0] * h, a + _GAUSS2[1] * h])))
-    h = h.reshape((n,) + (1,) * (A.ndim - 3))
-    # components first and contiguous: the arithmetic below runs on them
-    (p00, p01), (p10, p11) = np.ascontiguousarray(np.moveaxis(A[:n], (-2, -1), (0, 1)))
-    (q00, q01), (q10, q11) = np.ascontiguousarray(np.moveaxis(A[n:], (-2, -1), (0, 1)))
-    dp, dq = p00 - p11, q00 - q11
+    tp, ep, bp, cp = gen(a + _GAUSS2[0] * h)
+    tq, eq, bq, cq = gen(a + _GAUSS2[1] * h)
+    shape = a.shape + batch
+    h = h.reshape(shape[:1] + (1,) * len(batch))
     k = math.sqrt(3.0) / 12.0 * h * h
-    quarter, half = 0.25 * h, 0.5 * h
-    # Omega = ((tau + e, o01), (o10, tau - e)); the commutator is trace-free
-    return _expm(quarter * (p00 + p11 + q00 + q11),
-                 quarter * (dp + dq) + k * (q01 * p10 - p01 * q10),
-                 half * (p01 + q01) + k * (p01 * dq - q01 * dp),
-                 half * (p10 + q10) + k * (q10 * dp - p10 * dq))
+    half = 0.5 * h
+    # Omega = tau I + ((e, o01), (o10, -e)); the commutator is trace-free, with
+    # the diagonal k (bq cp - bp cq), the off-diagonal 2k (bp eq - bq ep), 2k (cq ep - cp eq)
+    tau = 0.0 if np.ndim(tp) == 0 and tp == 0 else half * (tp + tq)
+    anti = 2.0 * k * (bp * eq - bq * ep)
+    if bp is cp:
+        # symmetric: the commutator has no diagonal and an antisymmetric rest
+        sym = half * (bp + bq)
+        return _expm(tau, half * (ep + eq), sym + anti, sym - anti, shape)
+    return _expm(tau, half * (ep + eq) + k * (bq * cp - bp * cq),
+                 half * (bp + bq) + anti, half * (cp + cq) + 2.0 * k * (cq * ep - cp * eq), shape)
 
 
 def breakpoint_segments(lo: float, hi: float, breaks) -> list[tuple[float, float]]:
@@ -262,25 +287,30 @@ def breakpoint_segments(lo: float, hi: float, breaks) -> list[tuple[float, float
 def row_gram(X: np.ndarray) -> np.ndarray:
     """Entries 00, 01, 11 of X X^T for stacks of 2x2 matrices X, on a last
     axis of length 3: the integrand of a Gram integral."""
-    r0, r1 = X[..., 0, :], X[..., 1, :]
-    return np.stack([(r0 * r0).sum(-1), (r0 * r1).sum(-1), (r1 * r1).sum(-1)], -1)
+    x00, x01, x10, x11 = (X[..., i, j] for i in (0, 1) for j in (0, 1))
+    out = np.empty(X.shape[:-2] + (3,), X.dtype)
+    np.add(x00 * x00, x01 * x01, out=out[..., 0])
+    np.add(x00 * x10, x01 * x11, out=out[..., 1])
+    np.add(x10 * x10, x11 * x11, out=out[..., 2])
+    return out
 
 
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.stack([x, y], axis=1).reshape((-1,) + x.shape[1:])
-
-
-# A set of pieces is a tuple (a, b, row, maps) of arrays with one entry per
-# piece [a, b]: row marks a b that is a t_eval point, and maps holds the
-# two-step map of a pending piece, or the four quarter-step maps of an
-# accepted one.
+# A set of pieces is a tuple (a, b, row, maps, ...) with the pieces [a, b] on
+# axis 0 of times and on axis 1 of maps. row marks a b that is a t_eval point;
+# a pending piece holds its two-step map, an accepted one its four-step map
+# and, with an integrand, its quarter-step maps (4, n, 4, *batch).
 
 def _cat(*sets):
-    return tuple(np.concatenate(f) for f in zip(*sets))
+    return tuple(np.concatenate(f, axis=int(f[0].ndim > 1)) for f in zip(*sets))
 
 
 def _take(pieces, idx):
-    return tuple(f[idx] for f in pieces)
+    return tuple(f[:, idx] if f.ndim > 1 else f[idx] for f in pieces)
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    ax = int(x.ndim > 1)
+    return np.stack([x, y], axis=ax + 1).reshape(x.shape[:ax] + (-1,) + x.shape[ax + 1:])
 
 
 def _halves(a, b, row, left, right):
@@ -296,26 +326,33 @@ def _splittable(a, b):
     return (a < q1) & (q1 < mid) & (mid < q3) & (q3 < b)
 
 
-def _quarter_maps(gen, a, b):
-    """Maps of the four quarter steps of each piece, shape (n, 4, 4, *batch)."""
+def _quarter_maps(gen, a, b, batch):
+    """Maps (4, n, 4, *batch) of the quarter steps of each piece, a view in
+    which each quarter's maps are contiguous."""
     mid = 0.5 * (a + b)
     q1, q3 = 0.5 * (a + mid), 0.5 * (mid + b)
-    Q = _magnus(gen, np.concatenate([a, q1, mid, q3]), np.concatenate([q1, mid, q3, b]))
-    return np.moveaxis(Q.reshape((4, a.size) + Q.shape[1:]), 0, 1)
+    Q = _magnus(gen, np.concatenate([a, q1, mid, q3]), np.concatenate([q1, mid, q3, b]), batch)
+    return Q.reshape((4, 4, a.size) + batch).swapaxes(1, 2)
 
 
-def _piece_sums(integrand, layout, Q, starts, ends, width):
+def _piece_sums(integrand, layout, Q, y, ends, width):
     """Boole's rule on the five states of each piece (the Richardson
     extrapolation of Simpson on two and on four substeps), the difference of
-    those two Simpson sums, and the largest |f| on the piece."""
-    s1 = _apply(Q[:, 0], starts)
-    s2 = _apply(Q[:, 1], s1)
-    s3 = _apply(Q[:, 2], s2)
-    f = np.stack([integrand(layout(s)) for s in (starts, s1, s2, s3, ends)])
-    w = width.reshape((-1,) + (1,) * (f.ndim - 2))
-    two = w / 6.0 * (f[0] + 4.0 * f[2] + f[4])
-    four = w / 12.0 * (f[0] + 4.0 * f[1] + 2.0 * f[2] + 4.0 * f[3] + f[4])
-    return four + (four - two) / 15.0, np.abs(four - two), np.max(np.abs(f), axis=0)
+    those two Simpson sums, and the largest |f| on the piece. The pieces run
+    from the state y to the states ends (see _apply); one integrand call
+    takes each shared boundary state once."""
+    n = ends.shape[2]
+    bounds = np.concatenate([y[:, :, None], ends], axis=2)
+    s1 = _apply(Q[:, :, 0], bounds[:, :, :-1])
+    s2 = _apply(Q[:, :, 1], s1)
+    s3 = _apply(Q[:, :, 2], s2)
+    f = integrand(layout(np.concatenate([bounds, s1, s2, s3], axis=2)))
+    f0, f4, (f1, f2, f3) = f[:n], f[1:n + 1], f[n + 1:].reshape((3, n) + f.shape[1:])
+    w = width.reshape((-1,) + (1,) * (f.ndim - 1))
+    two = w / 6.0 * (f0 + 4.0 * f2 + f4)
+    four = w / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
+    fmax = np.abs(np.stack([f0, f1, f2, f3, f4])).max(axis=0)
+    return four + (four - two) / 15.0, np.abs(four - two), fmax
 
 
 # an overflowing or undefined map fails its piece's error test, which is the
@@ -325,21 +362,25 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
               t_eval=None, integrand: Callable | None = None) -> Propagation:
     """Integrate y' = A(t) y from y(lo) = y0 to hi, for 2x2 generators A.
 
-    ``gen`` maps a 1-d array of times to generators of shape
-    (t.size, *batch, 2, 2); ``y0`` is a vector (*batch, 2) or a matrix
-    (*batch, 2, 2) per batch member. The mesh starts at lo, hi, the
-    ``breaks`` inside (lo, hi) and the ``t_eval`` points (increasing points
-    of [lo, hi]). Each piece takes four fourth-order Magnus steps (see
-    _magnus) and is accepted when they differ from two steps over it by at
-    most tol max(1, |T|) for every batch member; only the pieces that fail
-    are bisected, all of them in one vectorised pass, so a constant
-    generator is exact on the starting mesh.
+    ``gen`` maps a 1-d array of times t to the components (tr, e, o01, o10)
+    of A = tr I + ((e, o01), (o10, -e)), each broadcasting to (t.size,
+    *batch): one constant in time or over the batch may be a scalar or have
+    length 1 there. A tr that is the scalar 0 skips exp(tr); an o01 that is
+    o10 itself (a symmetric trace-free part) skips the commutator's
+    diagonal. ``y0`` is a vector (*batch, 2) or a matrix (*batch, 2, 2) per
+    batch member. The mesh starts at lo, hi, the ``breaks`` inside (lo, hi)
+    and the ``t_eval`` points (increasing points of [lo, hi]). Each piece
+    takes four fourth-order Magnus steps (see _magnus; maps held
+    component-major, see _mul) and is accepted when they differ from two
+    steps over it by at most tol max(1, |T|) for every batch member; only
+    the pieces that fail are bisected, all of them in one vectorised pass,
+    so a constant generator is exact on the starting mesh.
 
     With t_eval, ``y`` holds the states there as rows; else the state at hi.
-    ``integrand`` maps states (n, *y0.shape) to values (n, ...); Boole's
-    rule on the five states of each piece accumulates ``integral``, and a
-    piece is bisected too where the Simpson sums on its two and on its four
-    substeps differ by more than tol max(1, |f|) (see _QUAD_SUBSTEPS).
+    ``integrand`` maps states (n, *y0.shape) to values (n, ...) row by row;
+    Boole's rule on the five states of each piece accumulates ``integral``,
+    and a piece is bisected too where the Simpson sums on its two and on its
+    four substeps differ by more than tol max(1, |f|) (see _QUAD_SUBSTEPS).
     When lo == hi the generator is not called. A tol below _TOL_FLOOR is
     taken as _TOL_FLOOR; a tol <= 0, a piece that cannot be bisected
     further, or more than _MAX_SUBSTEPS substeps raises OdeStepError with
@@ -363,11 +404,12 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
         [lo, hi], [b for b in breaks if lo < b < hi],
         [] if ts is None else ts[(ts > lo) & (ts < hi)]]))
     # the batch shape, from the generator at the first node the path uses
-    batch = np.shape(gen(lo + _GAUSS2[0] * (mesh[1:2] - lo)))[1:-2]
+    batch = np.broadcast_shapes(*map(np.shape, gen(lo + _GAUSS2[0] * (mesh[1:2] - lo))))[1:]
     vector = y0.ndim == len(batch) + 1
-    y = y0[..., None] if vector else y0          # (*batch, 2, c)
+    y = np.moveaxis(y0[..., None] if vector else y0, (-2, -1), (0, 1))  # (2, c, *batch)
 
-    def layout(s):
+    def layout(s):                              # (2, c, ...) -> (..., 2[, c])
+        s = np.moveaxis(s, (0, 1), (-2, -1))
         return s[..., 0] if vector else s
 
     todo = (mesh[:-1], mesh[1:],
@@ -387,8 +429,8 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
         if take > 0:
             a, b = todo[0][:take], todo[1][:take]
             mid = 0.5 * (a + b)
-            two = _magnus(gen, np.concatenate([a, mid]), np.concatenate([mid, b]))
-            fresh = (a, b, todo[2][:take], _mul(two[take:], two[:take]))
+            two = _magnus(gen, np.concatenate([a, mid]), np.concatenate([mid, b]), batch)
+            fresh = (a, b, todo[2][:take], _mul(two[:, take:], two[:, :take]))
             pend = fresh if pend is None else _cat(pend, fresh)
             todo = _take(todo, slice(take, None))
 
@@ -397,20 +439,20 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
         k = min(pend[0].size, per_pass)
         rest = _take(pend, slice(k, None))
         a, b, row, coarse = _take(pend, slice(0, k))
-        Q = _quarter_maps(gen, a, b)
-        left, right = _mul(Q[:, 1], Q[:, 0]), _mul(Q[:, 3], Q[:, 2])
+        Q = _quarter_maps(gen, a, b, batch)
+        left, right = _mul(Q[:, :, 1], Q[:, :, 0]), _mul(Q[:, :, 3], Q[:, :, 2])
         fine = _mul(right, left)
-        err = (np.max(np.abs(fine - coarse), axis=1)
-               / np.maximum(1.0, np.max(np.abs(fine), axis=1)))
+        err = (np.max(np.abs(fine - coarse), axis=0)
+               / np.maximum(1.0, np.max(np.abs(fine), axis=0)))
         ok = err.reshape(k, -1).max(axis=1) <= tol
         bad = ~ok
         if np.any(bad & ~_splittable(a, b)):
             fail(f"ODE step size underflow near t = {a[bad][0]:.17g}")
         error += err[ok].sum(axis=0)
         substeps += 4 * int(ok.sum())
-        accepted = (a[ok], b[ok], row[ok], Q[ok])
+        accepted = (a[ok], b[ok], row[ok], fine[:, ok]) + (() if total is None else (Q[:, ok],))
         done = accepted if done is None else _cat(done, accepted)
-        pend = _cat(_halves(a[bad], b[bad], row[bad], left[bad], right[bad]), rest)
+        pend = _cat(_halves(a[bad], b[bad], row[bad], left[:, bad], right[:, bad]), rest)
         if substeps + 4 * pend[0].size > _MAX_SUBSTEPS:
             fail(f"ODE substep budget of {_MAX_SUBSTEPS} exhausted on [{lo}, {hi}]")
 
@@ -420,12 +462,12 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
         n = int(np.searchsorted(done[1], upto, side="right"))
         if n == 0:
             continue
-        fa, fb, frow, fQ = _take(done, slice(0, n))
+        fa, fb, frow, fmap, *fQ = _take(done, slice(0, n))
         done = _take(done, slice(n, None))
-        ends = _apply(_prefix(_mul(_mul(fQ[:, 3], fQ[:, 2]), _mul(fQ[:, 1], fQ[:, 0]))), y)
+        ends = _apply(_prefix(fmap), y)
         if total is not None:
-            starts = np.concatenate([y[None], ends[:-1]])
-            piece, diff, fmax = _piece_sums(integrand, layout, fQ, starts, ends, fb - fa)
+            (fQ,) = fQ
+            piece, diff, fmax = _piece_sums(integrand, layout, fQ, y, ends, fb - fa)
             redo = ((diff > tol * np.maximum(1.0, fmax)).reshape(n, -1).any(axis=1)
                     & _splittable(fa, fb) & (substeps < _QUAD_SUBSTEPS))
             if redo.any():
@@ -433,26 +475,34 @@ def propagate(gen: Callable, y0, lo: float, hi: float, tol: float, breaks=(),
                 # the first, and the pieces past it wait in done again
                 j = int(np.argmax(redo))
                 pend = _cat(_halves(fa[redo], fb[redo], frow[redo],
-                                    _mul(fQ[redo, 1], fQ[redo, 0]),
-                                    _mul(fQ[redo, 3], fQ[redo, 2])), pend)
+                                    _mul(fQ[:, redo, 1], fQ[:, redo, 0]),
+                                    _mul(fQ[:, redo, 3], fQ[:, redo, 2])), pend)
                 substeps -= 4 * int(redo.sum())
                 later = j + np.nonzero(~redo[j:])[0]
-                done = _cat((fa[later], fb[later], frow[later], fQ[later]), done)
+                done = _cat(_take((fa, fb, frow, fmap, fQ), later), done)
                 if j == 0:
                     continue
-                ends, fb, frow, piece, diff = ends[:j], fb[:j], frow[:j], piece[:j], diff[:j]
+                ends, fb, frow, piece, diff = ends[:, :, :j], fb[:j], frow[:j], piece[:j], diff[:j]
             cum = total + np.cumsum(piece, axis=0)
             sums.extend(cum[frow])
             total = cum[-1]
             total_error = total_error + diff.sum(axis=0)
-        rows.extend(layout(ends[frow]))
-        y = ends[-1]
+        rows.extend(layout(ends[:, :, frow]))
+        y = ends[:, :, -1]
         t_done = fb[-1]
 
     if ts is None:
         return Propagation(layout(y), total, substeps, error, total_error)
     return Propagation(np.stack(rows), None if total is None else np.stack(sums),
                        substeps, error, total_error)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a CSV file in one call: the header, then a row per entry of the
+    columns, floats as .17g and strs as they are: csv.writer's bytes."""
+    cells = [[v if isinstance(v, str) else format(v, ".17g") for v in c] for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in [header, *zip(*cells)]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ decay probe for P at a resonance-conjugate point.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .kernel import (
     Grid,
     KernelError,
     Propagation,
+    _write_csv,
     fit_decay,
     fold_mirrors,
     propagate,
@@ -72,15 +72,13 @@ class SzegoValue:
 
 
 def _krein_gen(p: Potential, lams: np.ndarray):
-    """Generators ((i lam, -conj a), (-a, 0)) at times t for each lam."""
+    """Generators ((i lam, -conj a), (-a, 0)) at times t for each lam, as
+    propagate's components (i lam / 2, i lam / 2, -conj a, -a)."""
+    half = 0.5j * lams[None]
 
     def gen(t):
         a = p(t)[:, None]
-        A = np.zeros((t.size, lams.size, 2, 2), dtype=complex)
-        A[..., 0, 0] = 1j * lams
-        A[..., 0, 1] = -np.conj(a)
-        A[..., 1, 0] = -a
-        return A
+        return half, half, -np.conj(a), -a
 
     return gen
 
@@ -337,9 +335,6 @@ def probe_magnitudes(p: Potential, z0: complex, window,
 
 def dump_krein_csv(path, kp: KreinPath) -> None:
     """Write a KreinPath as CSV: r,ReP,ImP,RePstar,ImPstar,cumP2."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "ReP", "ImP", "RePstar", "ImPstar", "cumP2"])
-        for r, P, Ps, c2 in zip(kp.r_grid.points, kp.P, kp.P_star, kp.cum_P2):
-            writer.writerow([f"{r:.17g}", f"{P.real:.17g}", f"{P.imag:.17g}",
-                             f"{Ps.real:.17g}", f"{Ps.imag:.17g}", f"{c2:.17g}"])
+    _write_csv(path, ["r", "ReP", "ImP", "RePstar", "ImPstar", "cumP2"],
+               [x.tolist() for x in (kp.r_grid.points, kp.P.real, kp.P.imag,
+                                     kp.P_star.real, kp.P_star.imag, kp.cum_P2)])

@@ -159,17 +159,13 @@ def ordered_exp(A: CoeffPair, t: float, mode: str = "ode", n_terms: int = 12,
 
 
 def _sa_gen(A: CoeffPair, s: np.ndarray):
-    """Generators s A(t) at times t for each s of a 1-d batch."""
+    """Generators s A(t) = s ((-q, p), (p, q)) at times t for each s of a 1-d
+    batch, as propagate's components (0, -q s, p s, p s): one p s array."""
 
     def gen(t):
-        pv = np.broadcast_to(np.asarray(A.p(t), dtype=float), t.shape)[:, None] * s
-        qv = np.broadcast_to(np.asarray(A.q(t), dtype=float), t.shape)[:, None] * s
-        G = np.empty(pv.shape + (2, 2), dtype=pv.dtype)
-        G[..., 0, 0] = -qv
-        G[..., 0, 1] = pv
-        G[..., 1, 0] = pv
-        G[..., 1, 1] = qv
-        return G
+        p = np.broadcast_to(np.asarray(A.p(t), dtype=float), t.shape)[:, None] * s
+        q = np.broadcast_to(np.asarray(A.q(t), dtype=float), t.shape)[:, None] * -s
+        return 0.0, q, p, p
 
     return gen
 

@@ -245,20 +245,23 @@ def read_potential_csv(path) -> Potential:
     return build_potential("sampled", arr[:, 0], arr[:, 1] + 1j * arr[:, 2])
 
 
-def tail_integral(p: Potential, r: float):
-    """A(r) = int_r^inf a(x) dx. For figure1 past EXP_PHASE_MAX, where e^r
-    has no usable phase, raises KernelError."""
-    r = float(r)
-    if r < 0:
+def tail_integral(p: Potential, r):
+    """A(r) = int_r^inf a(x) dx, for a number r or a 1-d array of them. Past
+    EXP_PHASE_MAX, where e^r has no usable phase, figure1 raises KernelError;
+    its array takes one exp_phase_tail call, bitwise the scalar calls."""
+    rs = np.asarray(r, dtype=float)
+    if np.any(rs < 0):
         raise ValueError("r must be >= 0")
+    if p.family == "figure1":
+        if np.any(rs > EXP_PHASE_MAX):
+            raise KernelError(f"figure1 has no usable phase past r={EXP_PHASE_MAX}")
+        return exp_phase_tail(lambda x: 1.0 / (1.0 + x), rs).imag
+    return np.asarray([_tail_at(p, x) for x in rs.tolist()]) if rs.ndim else _tail_at(p, float(rs))
 
+
+def _tail_at(p: Potential, r: float):
     if p.support_bound is not None and r >= p.support_bound:
         return 0.0 if p.is_real else 0.0 + 0.0j
-
-    if p.family == "figure1":
-        if r > EXP_PHASE_MAX:
-            raise KernelError(f"figure1 has no usable phase past r={EXP_PHASE_MAX}")
-        return exp_phase_tail(lambda x: 1.0 / (1.0 + x), r).imag
 
     if p.family == "gaussian":
         c, scale = p.params
@@ -288,6 +291,6 @@ def oscillation_classify(p: Potential, window, floor: float = 1e-13) -> TailProf
     their support, reported via the fit (membership in every decay class).
     """
     window = Grid.coerce(window)
-    values = np.asarray([tail_integral(p, r) for r in window.points])
+    values = tail_integral(p, window.points)
     fit = fit_decay(np.column_stack([window.points, np.abs(values)]), floor=floor)
     return TailProfile(grid=window, values=values, fit=fit)

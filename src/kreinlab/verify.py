@@ -322,7 +322,7 @@ def check_opuc_modulus(rng):
 def check_figure1(rng):
     fig = _catalog()["figure1"]
     rs = np.arange(1.0, 8.0 + 1e-9, 0.05)
-    tails = np.array([tail_integral(fig, r) for r in rs])
+    tails = tail_integral(fig, rs)
     envelope = float(np.max(np.abs(tails) / (2.0 * np.exp(-rs))))
     # independent oracle at a handful of points: half-period composite in
     # u = e^x space with the IBP remainder

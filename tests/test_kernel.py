@@ -1,11 +1,14 @@
 """Numerics-kernel tests: oscillatory tails, Simpson, ODE, decay fits, series
 coefficients."""
 
+import csv
+import importlib
 import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from scipy.linalg import expm
 from kreinlab import kernel as kernel_mod, krein
 from kreinlab.entropy import _F1_Q, _F1_TERMS, _f1_phi
 from kreinlab.kernel import (
+    _write_csv,
     DecayFit,
     Grid,
     InsufficientDataError,
@@ -180,19 +184,26 @@ class TestOscillatoryTail:
         assert abs(v.imag - direct) < 1e-8
 
 
+def components(M):
+    """propagate's components (tr, e, o01, o10) of 2x2 arrays M (..., 2, 2)."""
+    M = np.asarray(M)
+    return ((M[..., 0, 0] + M[..., 1, 1]) / 2, (M[..., 0, 0] - M[..., 1, 1]) / 2,
+            M[..., 0, 1], M[..., 1, 0])
+
+
 def fundamental(A, ts, tol, breaks=()):
     """X' = A(t) X with X(ts[0]) = I, on the grid ts, by the propagator;
     A maps one time to a 2x2 array."""
 
     def gen(t):
-        return np.array([A(s) for s in t])
+        return components([A(s) for s in t])
 
     return propagate(gen, np.eye(2), ts[0], ts[-1], tol, breaks, t_eval=ts).y
 
 
 def constant(M):
-    """The generator that is the 2x2 array M at every time."""
-    return lambda t: np.broadcast_to(M, t.shape + np.shape(M))
+    """The generator that is the 2x2 array M at every time: scalar components."""
+    return lambda t: components(M)
 
 
 def krein_dop853(p, lams, ts):
@@ -219,9 +230,9 @@ def krein_dop853(p, lams, ts):
 
 
 def smooth_pair(t):
-    q = np.sin(3 * t)
+    """((-q, p), (p, q)) with p = cos 2t, q = sin 3t."""
     p = np.cos(2 * t)
-    return np.stack([np.stack([-q, p], -1), np.stack([p, q], -1)], -2)
+    return 0.0, -np.sin(3 * t), p, p
 
 
 class TestSolveLinearOde:
@@ -257,9 +268,8 @@ class TestSolveLinearOde:
         # y1' = y1 / (0.5 - t) cannot be continued past t = 0.5; the pieces
         # next to it are bisected until they cannot be, in bounded time
         def gen(t):
-            A = np.zeros(t.shape + (2, 2))
-            A[:, 0, 0] = 1.0 / (0.5 - t)
-            return A
+            half = 0.5 / (0.5 - t)
+            return half, half, 0.0, 0.0
 
         start = time.perf_counter()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -288,7 +298,7 @@ class TestSolveLinearOde:
         # each constant piece is exact on the starting mesh
         A1 = np.array([[-0.7, 0.9], [0.9, 0.7]])
         A2 = np.array([[0.5, -1.1], [-1.1, -0.5]])
-        res = propagate(lambda t: np.where((t < 0.4)[:, None, None], A1, A2),
+        res = propagate(lambda t: components(np.where((t < 0.4)[:, None, None], A1, A2)),
                         np.eye(2), 0.0, 1.0, 1e-12, breaks=(0.4,))
         assert np.max(np.abs(res.y - expm(0.6 * A2) @ expm(0.4 * A1))) < 1e-12
         assert res.substeps == 8
@@ -339,6 +349,166 @@ class TestMagnusOracle:
                         1e-10, integrand=lambda y: y[..., 0] ** 2)
         assert abs(res.integral - (1.0 - math.exp(-2.0)) / 2.0) < 1e-10
         assert res.integral_error < 1e-8
+
+
+class TestExpm:
+    """_expm on each of its branches against scipy's expm, whose own error
+    reaches 1e-13 of the largest entry here, and against mpmath at 30 digits."""
+
+    @staticmethod
+    def check(tau, e, o01, o10):
+        mp = pytest.importorskip("mpmath")
+        shape = np.broadcast_shapes(*map(np.shape, (tau, e, o01, o10)))
+        got = kernel_mod._expm(tau, e, o01, o10, shape)
+        assert got.shape == (4,) + shape
+        for idx in np.ndindex(shape):
+            t, x, b, c = (np.broadcast_to(v, shape)[idx] for v in (tau, e, o01, o10))
+            A = np.array([[t + x, b], [c, t - x]])
+            with mp.workdps(30):
+                exact = np.array(mp.expm(mp.matrix(A.tolist())).tolist(), dtype=complex).ravel()
+            scale = max(1.0, np.max(np.abs(exact)))
+            assert np.max(np.abs(got[(slice(None),) + idx] - exact)) <= 4e-15 * scale
+            assert np.max(np.abs(got[(slice(None),) + idx] - expm(A).ravel())) <= 1e-12 * scale
+        return got
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-5, 1e-3, 0.03, 0.3])
+    def test_series_branch_at_several_magnitudes(self, scale):
+        # |d| from 1e-18 to 0.09, all below the series bound 0.1
+        rng = np.random.default_rng(7)
+        e, o01, o10 = (scale * (rng.uniform(-0.5, 0.5, 6) + 1j * rng.uniform(-0.5, 0.5, 6))
+                       for _ in range(3))
+        assert np.all(np.abs(e * e + o01 * o10) < kernel_mod._TAYLOR_D)
+        self.check(0.1 + 0.2j, e, o01, o10)
+
+    def test_complex_exponential_branch(self):
+        e = np.array([0.5 + 0.3j, 2.0 - 1.0j, -3.0 + 4.0j])
+        o01 = np.array([1.2 - 0.4j, 0.5j, 1.0])
+        o10 = np.array([0.7 + 0.9j, -1.0, 2.0 - 0.5j])
+        assert np.all(np.abs(e * e + o01 * o10) >= kernel_mod._TAYLOR_D)
+        self.check(np.array([0.3j, -0.2, 0.1 + 0.1j]), e, o01, o10)
+
+    def test_both_branches_in_one_batch(self):
+        scale = np.array([1e-4, 0.1, 0.2, 1.0, 3.0])
+        got = self.check(0.0, 0.3 * scale, (0.5 + 0.5j) * scale, (1.0 - 0.2j) * scale)
+        assert np.iscomplexobj(got)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_real_d_of_either_sign(self, sign):
+        # d = e^2 + o01 o10 > 0 (cosh, sinh) and < 0 (cos, sin), small and large
+        e = np.array([0.01, 0.2, 0.8, 2.0])
+        o01 = np.array([0.1, 0.5, 1.0, 1.5])
+        o10 = sign * np.array([0.3, 0.9, 1.7, 4.0])
+        d = e * e + o01 * o10
+        assert np.all(np.sign(d[1:]) == sign)
+        got = self.check(np.array([0.0, 0.1, -0.3, 0.2]), e, o01, o10)
+        assert got.dtype == float
+
+    def test_triangular_diagonal_is_exact(self):
+        e = np.array([1e-3, 0.4 + 0.2j, 2.0j, -1.5])
+        tau = np.array([0.1, -0.2j, 0.3, 0.0])
+        got = self.check(tau, e, np.array([0.5, 0.0, 1.0, 0.0]), np.zeros(4))
+        assert np.array_equal(got[0], np.exp(tau + e))
+        assert np.array_equal(got[3], np.exp(tau - e))
+
+    def test_scalar_zero_trace_skips_the_factor(self):
+        rng = np.random.default_rng(3)
+        e, o = rng.normal(size=(2, 8)) * np.array([[0.01], [1.0]])
+        got = self.check(0.0, e, o, o)
+        assert np.array_equal(got, kernel_mod._expm(np.zeros(8), e, o, o, (8,)))
+
+    def test_overflow_is_non_finite_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_mod._expm(0.0, np.array([800.0, 0.5]), np.array([1.0, 0.0]),
+                                   np.array([1.0, 0.0]), (2,))
+        assert not np.all(np.isfinite(got[:, 0]))
+        assert np.all(np.isfinite(got[:, 1]))
+
+
+class TestComponents:
+    """One generator given by broadcast components and by full-size ones."""
+
+    LAMS = np.array([0.5 + 0.1j, -1.0 + 0.3j, 2.0 + 0.5j])
+
+    @staticmethod
+    def full(gen, batch):
+        def gen_full(t):
+            return tuple(np.array(np.broadcast_to(c, (t.size, batch))) for c in gen(t))
+        return gen_full
+
+    @staticmethod
+    def same(a, b):
+        assert a.substeps == b.substeps
+        for field in ("y", "integral", "error", "integral_error"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_krein_like_vector_system(self):
+        # a scalar, a (1, batch), a (t, 1) and a full component
+        lams = self.LAMS
+
+        def gen(t):
+            a = np.cos(3 * t) + 0.5j * np.sin(t)
+            return 0.25, 0.5j * lams[None], -np.conj(a)[:, None], np.outer(-a, 1 + 0.1 * lams)
+
+        kw = dict(t_eval=np.linspace(0.0, 2.0, 9), integrand=lambda y: np.abs(y[..., 0]) ** 2)
+        y0 = np.ones((lams.size, 2), complex)
+        self.same(propagate(gen, y0, 0.0, 2.0, 1e-10, **kw),
+                  propagate(self.full(gen, lams.size), y0, 0.0, 2.0, 1e-10, **kw))
+
+    def test_symmetric_trace_free_matrix_system(self):
+        # tr the scalar 0 and o01 the same array as o10, against full copies
+        s = np.array([0.3, 0.8 + 0.4j, -1.1j])
+
+        def gen(t):
+            p = np.cos(2 * t)[:, None] * s
+            return 0.0, -np.sin(3 * t)[:, None] * s, p, p
+
+        y0 = np.broadcast_to(np.eye(2, dtype=complex), (s.size, 2, 2))
+        self.same(propagate(gen, y0, 0.0, 1.0, 1e-11, integrand=kernel_mod.row_gram),
+                  propagate(self.full(gen, s.size), y0, 0.0, 1.0, 1e-11,
+                            integrand=kernel_mod.row_gram))
+
+
+class TestMeshPins:
+    """Substep counts of fixed problems: the mesh propagate builds."""
+
+    def test_circle_sampling_batch(self, monkeypatch):
+        ordered_exp = importlib.import_module("kreinlab.ordered_exp")
+        calls = []
+        real = ordered_exp.propagate
+
+        def spy(gen, y0, *args, **kwargs):
+            res = real(gen, y0, *args, **kwargs)
+            calls.append((len(y0), res.substeps))
+            return res
+
+        monkeypatch.setattr(ordered_exp, "propagate", spy)
+        A = ordered_exp.random_coeff_pair(np.random.default_rng(0))
+        series_coeffs_from_samples(lambda s: ordered_exp.f_of_s(A, s, n_grid=1025), 5,
+                                   radius=0.8, n_samples=64)
+        assert calls == [(33, 1024)]
+
+    @pytest.mark.parametrize("spec, substeps", [("figure1", 6304), ("gaussian", 720),
+                                                ("box", 640)])
+    def test_krein_paths(self, spec, substeps):
+        p = build_potential(spec) if spec == "figure1" else build_potential(spec, 1.0, 1.0)
+        lams = [0.5 + 0.1j, -1.0 + 0.3j, 2.0 + 0.5j, 0.1 + 0.9j, -2.5 + 0.6j]
+        _, res = krein.krein_paths(p, lams, np.linspace(0.0, 6.0, 121), tol=1e-10)
+        assert res.substeps == substeps
+
+
+def test_write_csv_is_csv_writers_bytes(tmp_path):
+    header = ["r", "x", "note"]
+    cols = [[0.0, -0.0, 0.1, 1e-300, 12345678901234567890.0, 2.5],
+            np.array([math.nan, math.inf, -math.inf, 1 / 3, -7.0, 5e-324]).tolist(),
+            ["", "a", "", "1.5", "", "b"]]
+    _write_csv(tmp_path / "ours.csv", header, cols)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*cols):
+            writer.writerow([v if isinstance(v, str) else f"{v:.17g}" for v in row])
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSimpson:

@@ -315,3 +315,15 @@ class TestCsvDump:
         assert len(rows) == 6
         assert float(rows[1][1]) == 1.0
         assert all(float(a[5]) <= float(b[5]) for a, b in zip(rows[1:-1], rows[2:]))
+
+    def test_bytes_are_csv_writers(self, tmp_path):
+        kp = solve_krein(build_potential("gaussian", 1.0, 1.0), 0.5 + 0.1j,
+                         np.linspace(0.0, 6.0, 121))
+        dump_krein_csv(tmp_path / "path.csv", kp)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", "ReP", "ImP", "RePstar", "ImPstar", "cumP2"])
+            for r, P, Ps, c2 in zip(kp.r_grid.points, kp.P, kp.P_star, kp.cum_P2):
+                writer.writerow([f"{r:.17g}", f"{P.real:.17g}", f"{P.imag:.17g}",
+                                 f"{Ps.real:.17g}", f"{Ps.imag:.17g}", f"{c2:.17g}"])
+        assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -91,6 +91,21 @@ class TestTailIntegral:
             with pytest.raises(KernelError, match="phase"):
                 tail_integral(fig, r)
 
+    def test_figure1_array_is_bitwise_the_scalar_calls(self):
+        fig = build_potential("figure1")
+        rs = np.arange(0.0, 8.0 + 0.005, 0.01)
+        assert np.array_equal(tail_integral(fig, rs), [tail_integral(fig, r) for r in rs])
+        with pytest.raises(KernelError, match="phase"):
+            tail_integral(fig, np.array([1.0, 36.5]))
+
+    @pytest.mark.parametrize("spec", [("box", 1.0, 1.0), ("gaussian", 0.5 + 0.5j, 1.0)])
+    def test_array_of_r_is_the_scalar_calls(self, spec):
+        p = build_potential(*spec)
+        rs = np.linspace(0.0, 3.0, 13)
+        assert np.array_equal(tail_integral(p, rs), [tail_integral(p, r) for r in rs])
+        with pytest.raises(ValueError):
+            tail_integral(p, np.array([0.5, -0.1]))
+
     def test_untruncated_constant_raises(self):
         with pytest.raises(KernelError):
             tail_integral(build_potential("constant", 1.0), 0.0)
