@@ -9,17 +9,20 @@ determinant defect of the Gram integral of N over [r, r+2].
 
 A coefficient of constant phase, a = u psi with |u| = 1 and psi real, has
 JQ = R (-2 psi Z) R^T for one fixed rotation R, so E is that of psi: one
-sampled pass over delta(t) = int_{2r}^{2t} psi, whose sums on every other
-node give its error estimate. For figure1, past the point where sampling
-gets expensive, E and D come from the asymptotic expansion of its tail
-integral. A coefficient whose phase may vary takes the transfer-matrix ODE,
-whose two Gram orders N^T N and N N^T must agree (for strongly complex
-coefficients they genuinely differ, and the error is the designed signal).
+sampled pass over delta(t) = int_{2r}^{2t} psi by a sixth-order rule,
+whose sums on every other node give its error estimate; D is that of psi
+too. For figure1, past the point where sampling gets expensive, E and D
+come from the asymptotic expansion of its tail integral. A coefficient
+whose phase may vary takes a complex pass for D and the transfer-matrix
+ODE for E, whose two Gram orders N^T N and N N^T must agree (for strongly
+complex coefficients they genuinely differ, and the error is the designed
+signal).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +36,9 @@ from .kernel import (
     InsufficientDataError,
     KernelError,
     _gauss_panel,
+    boole_weights,
     breakpoint_segments,
+    cumulative_boole,
     cumulative_simpson,
     exp_phase_tail,
     fit_decay,
@@ -43,8 +48,10 @@ from .kernel import (
 )
 from .potentials import Potential
 
-# oscillation-resolving sample budget: nodes per period and the hard cap
-_NODES_PER_PERIOD = 360
+# oscillation-resolving sample budget: nodes per period, floor and hard cap
+# (2^12 + 1 nodes keep the spacing of a window of length 2 a power of two)
+_NODES_PER_PERIOD = 160
+_NODES_MIN = 4097
 _N_CAP = 30_000_000
 # rounding floor of a sampled E or D: this many ulps of the terms it is the
 # difference of, plus the smallest normal double; below it the h-against-2h
@@ -66,6 +73,8 @@ _MASS_TOL = 1e-16
 # figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
 # i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
 _F1_TERMS = 8
+# figure1 windows built in one pass: at most 2^16 Gauss nodes
+_F1_CHUNK = 1024
 # error of a tail difference (a window's oscillating integral) per unit of
 # sup|g| on the amplitudes used here
 # (measured at most 2e-15 against Gauss panels in u = e^x, and at most 1e-15
@@ -166,12 +175,13 @@ def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
 
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
                    nodes_per_period: int = _NODES_PER_PERIOD):
-    """Node count that resolves the oscillation of a(arg_scale * t) on [lo, hi]."""
+    """Node count that resolves the oscillation of a(arg_scale * t) on [lo, hi]
+    (the defaults are sized for the sixth-order rule of _sampled_sums)."""
     if p.osc_rate(arg_scale * hi) == 0.0:
-        return 8193
+        return _NODES_MIN
     # for exponential phases the accumulated phase is the rate difference
     phase = max(p.osc_rate(arg_scale * hi) - p.osc_rate(arg_scale * lo), 1.0)
-    return max(8193, int(phase / (2.0 * math.pi) * nodes_per_period))
+    return max(_NODES_MIN, int(phase / (2.0 * math.pi) * nodes_per_period))
 
 
 def _one_sided(f, panel: np.ndarray) -> np.ndarray:
@@ -196,22 +206,27 @@ def _entropy_bound(p: Potential, r: float) -> float | None:
     return 4.0 * vmax ** 2 * (1.0 + 8.0 * vmax)
 
 
-def _panels(lo, hi, breaks, n_total):
+def _panels(lo, hi, breaks, n_total, group=8):
     """Uniform panels of [lo, hi] cut at breaks, n_total nodes in all; each
-    has n >= 17 nodes with n - 1 a multiple of 4, so that every other node
-    is a Simpson grid too."""
+    has n >= 17 nodes with n - 1 a multiple of group, so that every other
+    node is a Boole (group 8) or Simpson (group 4) grid too."""
     out = []
     for a, b in breakpoint_segments(lo, hi, breaks):
         n = max(17, int(round(n_total * (b - a) / (hi - lo))))
-        n += (1 - n) % 4
+        n += (1 - n) % group
         out.append(np.linspace(a, b, n))
     return out
 
 
 def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
-    """Simpson sums over [lo, hi] of each array in moments(G), G(t) the
-    cumulative integral of f from lo, on panels cut at breaks: row 0 on all
-    nodes, row 1 on every other node. Returns the rows and the node count."""
+    """Boole sums over [lo, hi] of each array in moments(G), G(t) the
+    cumulative integral of f from lo (see cumulative_boole), on panels cut
+    at breaks: row 0 on all nodes, row 1 on every other node, off by about
+    64 times row 0's sixth-order error. Returns the rows and the node count.
+    Raises KernelError past _N_CAP nodes."""
+    if n_total > _N_CAP:
+        raise KernelError(f"window [{lo}, {hi}] oscillates too fast to resolve "
+                          f"({n_total} nodes needed)")
     parts = ([], [])
     offset = [0.0, 0.0]
     nodes = 0
@@ -220,9 +235,9 @@ def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
         nodes += panel.size
         for j, step in enumerate((1, 2)):
             x = panel[::step]
-            G = cumulative_simpson(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
+            G = cumulative_boole(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
             offset[j] = G[-1]
-            w = simpson_weights(x)
+            w = boole_weights(x)
             parts[j].append([np.sum(w * m) for m in moments(G)])
     return np.array([np.sum(rows, axis=0) for rows in parts]), nodes
 
@@ -238,16 +253,21 @@ def _entropy_sampled(p: Potential, r: float, n_total: int):
     relative precision below the ulps of 4). Returns E from all nodes, E from
     every other node, the rounding floor of their difference and the node
     count."""
-    u = p.phase()
-    psi = p if u == 1.0 else (lambda x: np.conj(u) * p(x))
+    psi = _psi(p, p.phase())
     sums, nodes = _sampled_sums(
-        lambda t: 2.0 * np.real(psi(2.0 * t)), r, r + 2.0,
+        lambda t: 2.0 * psi(2.0 * t), r, r + 2.0,
         [b / 2.0 for b in p.breakpoints()], n_total,
         lambda delta: (2.0 * np.sinh(delta) ** 2, np.sinh(2.0 * delta)))
     c, S = sums[:, 0], sums[:, 1]
     E = 4.0 * c + c * c - S * S
     floor = _rounding(4.0 * c[0] + c[0] ** 2 + S[0] ** 2)
     return float(E[0]), float(E[1]), floor, nodes
+
+
+def _psi(p: Potential, u):
+    """psi = Re(conj(u) a) of a coefficient a = u psi of constant phase u
+    (see Potential.phase)."""
+    return lambda x: np.real(p(x) if u == 1.0 else np.conj(u) * p(x))
 
 
 def _rounding(terms: float) -> float:
@@ -323,28 +343,56 @@ def _f1_phi(x):
     return parts[0] + 1j * parts[1]
 
 
-def _f1_rho2(x):
-    """rho^2 = |Phi|^2 = phi1^2 + phi2^2 at x."""
+def _f1_rho24(x):
+    """rho^2 = |Phi|^2 = phi1^2 + phi2^2 and rho^4 at x, on a trailing axis."""
     phi = _f1_phi(x)
-    return phi.real ** 2 + phi.imag ** 2
+    rho2 = phi.real ** 2 + phi.imag ** 2
+    return np.stack([rho2, rho2 * rho2], -1)
 
 
-def _f1_rest(x: float) -> float:
-    """Bound on |T - Re(e^{ie^y} Phi)| for y >= x: the rest is
+def _f1_rest(x):
+    """Bound on |T - Re(e^{ie^y} Phi)| for y >= x, elementwise: the rest is
     int trig(e^y) e^{-Ky} q_K, and one more integration by parts bounds it
     by e^{-(K+1)x} (|q_K|(s) + |q_{K+1}|(s) / (K+1)), |q| taking absolute
     coefficients, which grows with s = 1/(1+x) and so is largest at x."""
     s = 1.0 / (1.0 + x)
     K = _F1_TERMS
-    return math.exp(-(K + 1) * x) * (polyval(s, np.abs(_F1_Q[K]))
-                                     + polyval(s, np.abs(_F1_Q[K + 1])) / (K + 1))
+    return np.exp(-(K + 1) * x) * (polyval(s, np.abs(_F1_Q[K]))
+                                   + polyval(s, np.abs(_F1_Q[K + 1])) / (K + 1))
 
 
-def _gauss(f, lo: float, hi: float) -> float:
-    """16-point Gauss-Legendre on unit panels: for e^{-nx}, n <= 4, times a
-    polynomial in 1/(1+x) its error is far below double rounding."""
-    edges = np.linspace(lo, hi, max(1, math.ceil(hi - lo)) + 1)
-    return float(np.sum(_gauss_panel(f, edges[:-1], edges[1:])))
+def _f1_windows(spans) -> list:
+    """The _F1Window of each (x0, x1) in spans, x1 - x0 whole, in one pass:
+    int rho^2 and int rho^4 by 16-point Gauss-Legendre on all the unit
+    panels at once (for e^{-nx}, n <= 4, times a polynomial in 1/(1+x) its
+    error is far below double rounding), bitwise each window's own pass."""
+    x0, x1 = np.array(spans, dtype=float).reshape(-1, 2).T
+    k = np.rint(x1 - x0).astype(int)
+    first = np.cumsum(k) - k
+    lo = np.repeat(x0, k) + (np.arange(first[-1] + k[-1]) - np.repeat(first, k))
+    rho = np.add.reduceat(_gauss_panel(_f1_rho24, lo, lo + 1.0), first)
+    return [_F1Window(*v) for v in zip(x0.tolist(), x1.tolist(), _f1_phi(x0).tolist(),
+                                       _f1_rest(x0).tolist(), *rho.T.tolist())]
+
+
+def _f1_plan(E_at, D_at):
+    """The window (x0, x1) -> _F1Window of the E windows at E_at, then the D
+    windows at D_at, asked for in that order: each is built on first use
+    together with the _F1_CHUNK - 1 windows after it (see _f1_windows), so
+    that the windows a scan never asks for are mostly not built."""
+    spans = itertools.chain(((2.0 * r, 2.0 * r + 4.0) for r in E_at),
+                            ((r, r + 2.0) for r in D_at))
+    built = {}
+
+    def window(x0: float, x1: float):
+        if (x0, x1) not in built:
+            for span in spans:       # skip the windows not asked for
+                if span == (x0, x1):
+                    break
+            chunk = [(x0, x1), *itertools.islice(spans, _F1_CHUNK - 1)]
+            built.update(zip(chunk, _f1_windows(chunk)))
+        return built[(x0, x1)]
+    return window
 
 
 def _f1_harmonic(omega: int, x):
@@ -365,16 +413,17 @@ class _F1Tails:
     e^{i omega e^y} times the amplitudes of _f1_harmonic, at each distinct
     endpoint x once. omega = 1 and 2 at the endpoints of every window whose
     oscillating parts are computed, omega = 3 and 4 at those of the windows
-    that need moments to order 4; one exp_phase_tail call per omega,
+    that need those harmonics; one exp_phase_tail call per omega,
     vectorised over the endpoints. A moment over [x0, x1] is the difference
     of two rows."""
 
     def __init__(self, windows):
-        """windows: (window, order) pairs, order 2 or 4."""
+        """windows: (window, omega) pairs, omega 2 or 4, the highest harmonic
+        whose tails the window needs."""
         ends = {2: set(), 4: set()}
-        for w, order in windows:
+        for w, omega in windows:
             if w.computed:
-                ends[order].update((w.x0, w.x1))
+                ends[omega].update((w.x0, w.x1))
         self.rows = {}
         for omega, xs in ((1, ends[2] | ends[4]), (2, ends[2] | ends[4]),
                           (3, ends[4]), (4, ends[4])):
@@ -400,18 +449,20 @@ class _F1Window:
     An integral of trig(w e^x) g over the window, with e^{-x}|g| decreasing,
     is at most 2 e^{-x0} |g(x0)| / w after one integration by parts in
     u = e^x; osc1 and osc2, the bounds on the oscillating parts of I1 and I2
-    (a cos and a sin integral each), take twice that. The smooth part and
-    the bounds are cheap; moments() adds the oscillating integrals, read off
-    a tail table (see _F1Tails), or past EXP_PHASE_MAX, where e^x has no
+    (a cos and a sin integral each), take twice that. The window is built
+    (see _f1_windows) from Phi(x0), tau = _f1_rest(x0) and int rho^2 and
+    int rho^4 over it; moments() adds the oscillating integrals, read off a
+    tail table (see _F1Tails), or past EXP_PHASE_MAX, where e^x has no
     usable phase, leaves them to the bounds."""
 
-    def __init__(self, x0: float, x1: float):
+    def __init__(self, x0, x1, phi0: complex, tau: float, rho2: float, rho4: float):
         self.x0, self.x1 = x0, x1
         span = x1 - x0
-        self.tau = tau = _f1_rest(x0)
+        self.phi0, self.tau = phi0, tau
         # rho decreases, so tb bounds |T| on [x0, inf)
-        self.tb = tb = abs(complex(_f1_phi(x0))) + tau
-        self.smooth2 = 0.5 * _gauss(_f1_rho2, x0, x1)
+        self.tb = tb = abs(phi0) + tau
+        self.smooth2 = 0.5 * rho2
+        self.smooth4 = 0.375 * rho4
 
         def osc(amplitude, w):
             return 2.0 * 2.0 * 2.0 * math.exp(-x0) * amplitude / w
@@ -428,10 +479,12 @@ class _F1Window:
         self.err3 = 3.0 * span * tau * tb ** 2 + 2.0 * _F1_QUAD * tb ** 3
         self.err4 = 4.0 * span * tau * tb ** 3 + 2.0 * _F1_QUAD * tb ** 4
 
-    def moments(self, tails: _F1Tails, order: int = 2) -> tuple[float, ...]:
+    def moments(self, tails: _F1Tails, order: int = 2,
+                harmonics: bool = True) -> tuple[float, ...]:
         """(I1, I2), or with order 4 (I1, I2, I3, I4), from a tail table
-        that holds this window to that order. Past EXP_PHASE_MAX only
-        (I1, I2), their oscillating parts left to the bounds."""
+        that holds this window to that harmonic; with harmonics False, to
+        harmonic 2, the omega = 3, 4 terms of I3 and I4 left to the caller.
+        Past EXP_PHASE_MAX only (I1, I2), their oscillating parts bounded."""
         if not self.computed:
             return 0.0, self.smooth2
         x0, x1 = self.x0, self.x1
@@ -439,17 +492,17 @@ class _F1Window:
         o2, t4 = tails(2, x0, x1)
         if order == 2:
             return i1, self.smooth2 + 0.5 * o2
-        i3 = 0.25 * tails(3, x0, x1) + 0.75 * t3
-        i4 = (0.375 * _gauss(lambda x: _f1_rho2(x) ** 2, x0, x1)
-              + 0.5 * t4 + 0.125 * tails(4, x0, x1))
+        h3, h4 = (tails(3, x0, x1), tails(4, x0, x1)) if harmonics else (0.0, 0.0)
+        i3 = 0.25 * h3 + 0.75 * t3
+        i4 = self.smooth4 + 0.5 * t4 + 0.125 * h4
         return i1, self.smooth2 + 0.5 * o2, i3, i4
 
 
-def _f1_E_job(p: Potential, r: float):
+def _f1_E_job(p: Potential, r: float, plan):
     """E(r) for figure1 from the expansion, pending its tail table: the
-    window, the moment order it needs and the function that gives E from a
-    table holding it (see _F1Tails); None where the error bound exceeds
-    _EXPANSION_REL |E|.
+    window (from the scan's _f1_plan), the highest harmonic it needs and the
+    function that gives E from a table holding it (see _F1Tails); None
+    where the error bound exceeds _EXPANSION_REL |E|.
 
     In x = 2t, delta = c - T on [x0, x0 + 4] with c = T(x0), and the series
     of cosh and sinh give E = 4 J2 - J1^2 + R4 + rest, J_k = int delta^k dx,
@@ -461,11 +514,15 @@ def _f1_E_job(p: Potential, r: float):
     errors dc in c (the rest of the expansion, and the rounding of the
     phase e^x), err1 and err2 move it by at most
     200 m^2 (m dc + m err1 + err2). Past EXP_PHASE_MAX c has no usable
-    phase, so R4 is left out and bounded: |R4| <= 43 m^4. The bound falls
-    below 1e-7 E from r = 2.5, where a sampled window needs 455 769 nodes."""
+    phase, so R4 is left out and bounded: |R4| <= 43 m^4. The omega = 3, 4
+    terms of I3 and I4 (Re int e^{3ie^x} Phi^3 / 4 and Re int e^{4ie^x} Phi^4
+    / 8, each integral at most 8 e^{-x0} tb^omega / omega as osc1) move R4 by
+    at most 11 e^{-x0} tb^4; below the rounding of E (from r = 5.75) they
+    are left to that bound. The bound falls below 1e-7 E from r = 2.5,
+    where a sampled window needs 202 569 nodes."""
     x0 = 2.0 * r
     span = 4.0
-    w = _F1Window(x0, x0 + span)
+    w = plan(x0, x0 + span)
     m = 2.0 * p.tail_sup(x0)
     if w.computed:
         dc = w.tau + 2.0 * math.exp(x0) * np.finfo(float).eps * w.tb
@@ -476,6 +533,10 @@ def _f1_E_job(p: Potential, r: float):
     err = (4.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
            + r4_err + 25.0 * m ** 6)
     lower = 4.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2 - 43.0 * m ** 4
+    harmonics = 11.0 * math.exp(-x0) * w.tb ** 4
+    computed = harmonics > np.finfo(float).eps * lower
+    if not computed:
+        err += harmonics
     if not err <= _EXPANSION_REL * lower:
         return None
 
@@ -483,8 +544,8 @@ def _f1_E_job(p: Potential, r: float):
         if not w.computed:
             i1, i2 = w.moments(tails)
             return WindowValue(4.0 * i2 - i1 * i1, "expansion", err)
-        i1, i2, i3, i4 = w.moments(tails, 4)
-        c = (cmath.exp(1j * math.exp(x0)) * complex(_f1_phi(x0))).real
+        i1, i2, i3, i4 = w.moments(tails, 4, computed)
+        c = (cmath.exp(1j * math.exp(x0)) * w.phi0).real
         j1 = span * c - i1
         j2 = span * c ** 2 - 2.0 * c * i1 + i2
         j3 = span * c ** 3 - 3.0 * c ** 2 * i1 + 3.0 * c * i2 - i3
@@ -492,15 +553,15 @@ def _f1_E_job(p: Potential, r: float):
         r4 = 4.0 / 3.0 * j4 + j2 * j2 - 4.0 / 3.0 * j1 * j3
         return WindowValue(4.0 * i2 - i1 * i1 + r4, "expansion", err)
 
-    return w, 4, value
+    return w, 4 if computed else 2, value
 
 
-def _f1_D_job(r: float):
+def _f1_D_job(r: float, plan):
     """D(r) for figure1 from the expansion, pending its tail table (as
     _f1_E_job), or None where the error bound exceeds _EXPANSION_REL D. With
     g = T(r) - T on [r, r+2], D = 2 int g^2 - (int g)^2 = 2 I2 - I1^2
     exactly: T(r) cancels."""
-    w = _F1Window(r, r + 2.0)
+    w = plan(r, r + 2.0)
     err = 2.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
     lower = 2.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2
     if not err <= _EXPANSION_REL * lower:
@@ -513,12 +574,10 @@ def _f1_D_job(r: float):
     return w, 2, value
 
 
-def _E_window(p: Potential, r: float):
+def _E_window(p: Potential, r: float, plan):
     """E(r) by the first route that applies: exact_zero, ode, figure1's
     expansion, sampled. Returns a WindowValue, or for the expansion the
-    pending (window, order, value) job of _f1_E_job."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    pending (window, omega, value) job of _f1_E_job."""
     if _entropy_bound(p, r) == 0.0:
         return WindowValue(0.0, "exact_zero", 0.0)
 
@@ -531,14 +590,9 @@ def _E_window(p: Potential, r: float):
                 f"bridge route {bridge_route:.12g}", det_route, bridge_route)
         return WindowValue(det_route, "ode", gap + error, substeps)
 
-    if p.family == "figure1" and (job := _f1_E_job(p, r)) is not None:
+    if p.family == "figure1" and (job := _f1_E_job(p, r, plan)) is not None:
         return job
-    n_total = _window_budget(p, r, r + 2.0, 2.0)
-    if n_total > _N_CAP:
-        raise KernelError(
-            f"window [{r}, {r + 2}] oscillates too fast to resolve "
-            f"({n_total} nodes needed)")
-    fine, coarse, floor, nodes = _entropy_sampled(p, r, n_total)
+    fine, coarse, floor, nodes = _entropy_sampled(p, r, _window_budget(p, r, r + 2.0, 2.0))
     if abs(fine - coarse) > _ROUTE_REL * abs(fine) + floor:
         raise RouteDisagreement(
             f"sampled entropy at r={r} moves beyond tolerance between h and 2h: "
@@ -546,20 +600,14 @@ def _E_window(p: Potential, r: float):
     return WindowValue(fine, "sampled", abs(fine - coarse) + floor, nodes)
 
 
-def _D_window(p: Potential, r: float):
+def _D_window(p: Potential, r: float, plan):
     """D(r) by the first route that applies: exact_zero, figure1's
     expansion, sampled; as _E_window."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
     if p.tail_sup(r) == 0.0:
         return WindowValue(0.0, "exact_zero", 0.0)
-    if p.family == "figure1" and (job := _f1_D_job(r)) is not None:
+    if p.family == "figure1" and (job := _f1_D_job(r, plan)) is not None:
         return job
-
-    n_total = _window_budget(p, r, r + 2.0, 1.0)
-    if n_total > _N_CAP:
-        raise KernelError(f"window [{r}, {r + 2}] oscillates too fast to resolve")
-    fine, coarse, floor, nodes = _variation_sampled(p, r, n_total)
+    fine, coarse, floor, nodes = _variation_sampled(p, r, _window_budget(p, r, r + 2.0, 1.0))
     return WindowValue(fine, "sampled", abs(fine - coarse) + floor, nodes)
 
 
@@ -592,10 +640,12 @@ def variation_D(p: Potential, r: float) -> WindowValue:
 
 def _variation_sampled(p: Potential, r: float, n_total: int):
     """D(r) from one sampled pass, D from every other node, the rounding
-    floor of their difference and the node count."""
+    floor of their difference and the node count. For a = u psi of constant
+    phase u, |g|^2 and |int g|^2 are those of psi: a real pass."""
+    u = p.phase()
     sums, nodes = _sampled_sums(
-        lambda t: np.asarray(p(t), dtype=complex), r, r + 2.0, p.breakpoints(),
-        n_total, lambda g: (np.abs(g) ** 2, g.real, g.imag))
+        (lambda t: np.asarray(p(t), dtype=complex)) if u is None else _psi(p, u),
+        r, r + 2.0, p.breakpoints(), n_total, lambda g: (np.abs(g) ** 2, g.real, g.imag))
     D = 2.0 * sums[:, 0] - sums[:, 1] ** 2 - sums[:, 2] ** 2
     return float(D[0]), float(D[1]), _rounding(2.0 * sums[0, 0] + sums[0, 1] ** 2
                                                + sums[0, 2] ** 2), nodes
@@ -609,11 +659,15 @@ def _sum_of(terms) -> EntropySum:
 def _windows(p: Potential, E_at, D_at) -> tuple[list, list]:
     """E at each r of E_at and D at each r of D_at. Each window's route is
     decided in order (see _E_window, _D_window), so that a window that fails
-    raises in that order; figure1's windows that take the expansion are
-    computed last, from one tail table (see _F1Tails)."""
-    E = [_E_window(p, r) for r in E_at]
-    D = [_D_window(p, r) for r in D_at]
-    # what is left pending is a (window, order, value) job, not a WindowValue
+    raises in that order; figure1's windows are built in few passes (see
+    _f1_plan), and those that take the expansion are computed last, from
+    one tail table (see _F1Tails). Raises ValueError for an r below 0."""
+    if not all(r >= 0 for r in itertools.chain(E_at, D_at)):
+        raise ValueError("r must be >= 0")
+    plan = _f1_plan(E_at, D_at)
+    E = [_E_window(p, r, plan) for r in E_at]
+    D = [_D_window(p, r, plan) for r in D_at]
+    # what is left pending is a (window, omega, value) job, not a WindowValue
     tails = _F1Tails([v[:2] for v in E + D if isinstance(v, tuple)])
     return ([v[2](tails) if isinstance(v, tuple) else v for v in E],
             [v[2](tails) if isinstance(v, tuple) else v for v in D])
@@ -697,7 +751,7 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     if n > _N_CAP:
         raise KernelError(f"the H^-1 integral over [0, {hi:g}] needs {n:.3g} nodes; "
                           f"the limit is {_N_CAP}")
-    panels = _panels(0.0, hi, p.breakpoints(), math.ceil(n))
+    panels = _panels(0.0, hi, p.breakpoints(), math.ceil(n), 4)
     values = [np.asarray(_one_sided(p, x)) for x in panels]
     value = _h_minus1_sum(panels, values)
     coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])

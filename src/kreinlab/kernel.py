@@ -1,11 +1,11 @@
 """Shared numerical primitives.
 
-Simpson rules, a fourth-order Magnus propagator for linear 2x2 systems
-(generators given as components tr I + ((e, o01), (o10, -e)) that broadcast
-over time and batch; maps held component-major), stretched-exponential decay
-fitting, power-series coefficient extraction from circle samples, the
-oscillatory tail quadrature for integrands of the form e^{i omega e^x} g(x),
-and the writer of the CSV result files.
+Simpson and Boole rules, a fourth-order Magnus propagator for linear 2x2
+systems (generators given as components tr I + ((e, o01), (o10, -e)) that
+broadcast over time and batch; maps held component-major),
+stretched-exponential decay fitting, power-series coefficient extraction
+from circle samples, the oscillatory tail quadrature for integrands of the
+form e^{i omega e^x} g(x), and the writer of the CSV result files.
 
 Every routine but the CSV writer is a pure, deterministic function of its arguments.
 """
@@ -91,7 +91,7 @@ class DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# Simpson rules on uniform grids
+# Simpson and Boole rules on uniform grids
 # ---------------------------------------------------------------------------
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -127,6 +127,35 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     parts[-1] = dx / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     out = np.zeros(y.shape, dtype=parts.dtype)
     np.cumsum(parts, axis=0, out=out[1:])
+    return out
+
+
+# the quartic through nodes 4k .. 4k + 4 integrated from node 4k to node
+# 4k + j, j = 1 .. 4, in units of the spacing; row 4 is Boole's rule
+_BOOLE_PARTIAL = np.array([[251, 646, -264, 106, -19], [232, 992, 192, 32, -8],
+                           [243, 918, 648, 378, -27], [224, 1024, 384, 1024, 224]]) / 720
+
+
+def boole_weights(x: np.ndarray) -> np.ndarray:
+    """Composite Boole weights on a uniform grid of 4k + 1 nodes."""
+    if x.size % 4 != 1:
+        raise ValueError("Boole's rule needs 4k + 1 nodes")
+    w = np.tile([14.0, 32.0, 12.0, 32.0], x.size // 4 + 1)[:x.size]
+    w[[0, -1]] = 7.0
+    return w * (2.0 * (x[-1] - x[0]) / (x.size - 1) / 45.0)
+
+
+def cumulative_boole(y: np.ndarray, dx: float) -> np.ndarray:
+    """Integral of samples y (1-d, spacing dx, 4k + 1 nodes) from the first
+    node to each node, by the quartic through each group of five nodes from
+    a node 4k; an einsum, not a BLAS product (see _gauss_panel)."""
+    groups = np.lib.stride_tricks.sliding_window_view(y, 5)[::4]
+    parts = dx * np.einsum("kj,ij->ki", groups, _BOOLE_PARTIAL)
+    out = np.empty(y.shape, dtype=parts.dtype)
+    out[0] = 0.0
+    body = out[1:].reshape(-1, 4)
+    body[...] = parts
+    body[1:] += np.cumsum(parts[:-1, 3])[:, None]
     return out
 
 

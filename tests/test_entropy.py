@@ -3,6 +3,7 @@ partial sums, the H^-1 norm, scans and classification."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -155,12 +156,15 @@ class TestRealPass:
 
     def test_injected_error_raises(self):
         # one interior odd node's sample is off, which moves E by about 1e-3
-        # relative at E = 3.9e-12; the pass on every other node skips it
+        # relative at E = 3.9e-12 (one node's error moves Boole's rule on
+        # 4 097 nodes 3.6 times as much as it moved Simpson's on 8 193, so
+        # the injected error is 1.4e-6, was 5e-6); the pass on every other
+        # node skips it
         r = 1.625
         panel = ent_mod._panels(r, r + 2.0, (), ent_mod._window_budget(GAUSS, r, r + 2.0, 2.0))[0]
         x_odd = 2.0 * panel[101]
         bad = Potential("closed-form", "gaussian",
-                        lambda x: np.exp(-x * x) + np.where(x == x_odd, 5e-6, 0.0),
+                        lambda x: np.exp(-x * x) + np.where(x == x_odd, 1.4e-6, 0.0),
                         support_bound=None, l2_norm=GAUSS.l2_norm, params=GAUSS.params)
         assert abs(entropy_E(GAUSS, r) - 3.9e-12) < 0.1e-12
         with pytest.raises(RouteDisagreement) as exc:
@@ -179,6 +183,16 @@ class TestRealPass:
             D = variation_D(GAUSS, r)
             assert D.route == "sampled"
             assert abs(D - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 4.0, 5.0])
+    def test_constant_phase_D_is_that_of_its_real_part(self, r):
+        # a = c e^{-x^2}: |g|^2 and |int g|^2 are |c|^2 times those of e^{-x^2}
+        c = 0.5 + 0.5j
+        g = _gaussian_delta(r, 1.0)
+        ref = abs(c) ** 2 * (2.0 * _quad(lambda t: g(t) ** 2, r) - _quad(g, r) ** 2)
+        D = variation_D(build_potential("gaussian", c, 1), r)
+        assert D.route == "sampled"
+        assert abs(D - ref) <= 1e-9 * ref
 
     def test_exact_zero_only_where_the_bound_is_zero(self):
         assert entropy_E(BOX, 0.5).route == "exact_zero"
@@ -263,7 +277,7 @@ class TestFigure1Expansion:
         assert variation_D(FIG, 8.0).route == "expansion"
 
     def test_window_moments_against_simpson_oracle(self):
-        w = ent_mod._F1Window(6.0, 10.0)
+        [w] = ent_mod._f1_windows([(6.0, 10.0)])
         i1, i2 = w.moments(ent_mod._F1Tails([(w, 2)]))
         o1, o2, _, _ = _f1_window_oracle(6.0, 10.0, 2 ** 22)
         assert abs(i1 - o1) <= w.err1
@@ -272,7 +286,7 @@ class TestFigure1Expansion:
     def test_harmonic_moments_against_simpson_oracle(self):
         # the window of E(2.5): int T^3 and int T^4 with their harmonics
         # computed, not bounded
-        w = ent_mod._F1Window(5.0, 9.0)
+        [w] = ent_mod._f1_windows([(5.0, 9.0)])
         tails = ent_mod._F1Tails([(w, 4)])
         moments = w.moments(tails, 4)
         oracle = _f1_window_oracle(5.0, 9.0, 2 ** 21)
@@ -299,9 +313,9 @@ class TestFigure1Expansion:
         built = []
         init = ent_mod._F1Window.__init__
 
-        def counted(self, x0, x1):
-            built.append((x0, x1))
-            init(self, x0, x1)
+        def counted(self, *args):
+            built.append(args[:2])
+            init(self, *args)
 
         monkeypatch.setattr(ent_mod._F1Window, "__init__", counted)
         equivalence_scan(FIG, np.arange(0.0, 8.01, 0.25))
@@ -310,11 +324,82 @@ class TestFigure1Expansion:
         entropy_sum(FIG, 30)
         assert len(built) == 31
 
+    def test_windows_are_built_in_vectorised_passes(self, monkeypatch):
+        # a scan builds its windows in one pass; in passes of three windows
+        # the values are bitwise the same
+        grid = np.arange(0.0, 8.01, 0.25)
+        passes = []
+        build = ent_mod._f1_windows
+        monkeypatch.setattr(ent_mod, "_f1_windows",
+                            lambda spans: passes.append(len(spans)) or build(spans))
+        E, D = ent_mod._windows(FIG, grid, grid)
+        assert passes == [66]
+        passes.clear()
+        monkeypatch.setattr(ent_mod, "_F1_CHUNK", 3)
+        E3, D3 = ent_mod._windows(FIG, grid, grid)
+        assert passes == [3] * 22
+        for one, three in zip(E + D, E3 + D3):
+            assert (one, one.error, one.route) == (three, three.error, three.route)
+
+    @pytest.mark.parametrize("r", [5.5, 5.75, 6.0, 8.0])
+    def test_small_harmonics_are_bounded(self, r):
+        # from r = 5.75 the omega = 3, 4 harmonics of I3 and I4 move E by
+        # less than its rounding: they are left to their bound, which E's
+        # error carries, and the table holds the window to omega = 2 only
+        x0 = 2.0 * r
+        w, omega, value = ent_mod._E_window(FIG, r, ent_mod._f1_plan([r], []))
+        full = w.moments(ent_mod._F1Tails([(w, 4)]), 4)
+        left_out = w.moments(ent_mod._F1Tails([(w, 2)]), 4, harmonics=False)
+        # each harmonic's integral is at most 8 e^{-x0} tb^omega / omega
+        osc = lambda omega: 8.0 * math.exp(-x0) * w.tb ** omega / omega
+        assert abs(full[2] - left_out[2]) <= 0.25 * osc(3)
+        assert abs(full[3] - left_out[3]) <= 0.125 * osc(4)
+        bound = 11.0 * math.exp(-x0) * w.tb ** 4
+        E = value(ent_mod._F1Tails([(w, omega)]))
+        assert omega == (4 if r < 5.75 else 2)
+        assert (bound <= np.finfo(float).eps * E) == (omega == 2)
+        assert E == entropy_E(FIG, r) and E.error >= (bound if omega == 2 else 0.0)
+
     def test_past_the_phase_range(self):
         # from x = 36 on the oscillating parts are bounded, not computed
         for r in (17.5, 18.5, 40.0):
             E = entropy_E(FIG, r)
             assert E.route == "expansion" and 0.0 < E.error <= 1e-7 * E
+
+
+def _box_E_mp(c, length, r):
+    """E(r) of the box c on [0, length) at 40 digits: in t, a(2t) = c on
+    [r, r + m], so g+- = int exp(+-4 c min(t - r, m)) dt over [r, r + 2]."""
+    with mp.workdps(40):
+        c, m = mp.mpf(c), min(mp.mpf(length) / 2, r + 2) - mp.mpf(r)
+        k = 4 * c * m
+        gp = mp.expm1(k) / (4 * c) + (2 - m) * mp.exp(k)
+        gm = -mp.expm1(-k) / (4 * c) + (2 - m) * mp.exp(-k)
+        return gp * gm - 4
+
+
+def _box_D_mp(c, length, r):
+    """D(r) of the box at 40 digits: g = c min(t - r, m), m = length - r."""
+    with mp.workdps(40):
+        c, m = mp.mpf(c), min(mp.mpf(length), r + 2) - mp.mpf(r)
+        return (2 * c * c * (m ** 3 / 3 + m * m * (2 - m))
+                - (c * (m * m / 2 + m * (2 - m))) ** 2)
+
+
+class TestBoxClosedForms:
+    # every nonzero window, r = 0, 0.25, ...; each sampled pass is within
+    # 1.3e-14 (E) and 5e-15 (D) of the closed form
+    @pytest.mark.parametrize("c, length", [(1.0, 1.0), (0.5, 2.0)])
+    def test_E_and_D(self, c, length):
+        p = build_potential("box", c, length)
+        for r in np.arange(0.0, length, 0.25):
+            if r < length / 2:
+                E = entropy_E(p, r)
+                assert E.route == "sampled"
+                assert abs(E / _box_E_mp(c, length, r) - 1) <= 2e-14, r
+            D = variation_D(p, r)
+            assert D.route == "sampled"
+            assert abs(D / _box_D_mp(c, length, r) - 1) <= 1e-14, r
 
 
 class TestVariationD:

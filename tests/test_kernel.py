@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+from scipy.integrate import newton_cotes
 from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -27,7 +28,9 @@ from kreinlab.kernel import (
     InsufficientDataError,
     KernelError,
     OdeStepError,
+    boole_weights,
     breakpoint_segments,
+    cumulative_boole,
     cumulative_simpson,
     exp_phase_tail,
     fit_decay,
@@ -534,6 +537,56 @@ class TestSimpson:
     def test_even_node_count_rejected(self):
         with pytest.raises(ValueError):
             simpson(np.ones(4), np.linspace(0.0, 1.0, 4))
+
+
+class TestBoole:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_cumulative_rule_is_exact_on_quartics(self, degree):
+        # the integral to every node, interior nodes of each group too
+        x = np.linspace(0.3, 1.9, 33)
+        coeffs = np.random.default_rng(degree).normal(size=degree + 1)
+        ours = cumulative_boole(np.polynomial.polynomial.polyval(x, coeffs), x[1] - x[0])
+        antider = np.polynomial.polynomial.polyint(coeffs)
+        exact = (np.polynomial.polynomial.polyval(x, antider)
+                 - np.polynomial.polynomial.polyval(x[0], antider))
+        assert np.max(np.abs(ours - exact)) <= 1e-14
+
+    def test_sixth_order_on_a_smooth_integrand(self):
+        # halving h divides the error at every node by about 2^6
+        errors = []
+        for n in (65, 129, 257):
+            x = np.linspace(0.0, 2.0, n)
+            exact = (np.exp(x) * (np.sin(3 * x) - 3 * np.cos(3 * x)) + 3.0) / 10.0
+            errors.append(np.max(np.abs(
+                cumulative_boole(np.exp(x) * np.sin(3 * x), x[1] - x[0]) - exact)))
+        assert errors[2] < 1e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 50.0 < coarse / fine < 80.0
+
+    def test_weights_are_composite_newton_cotes(self):
+        x = np.linspace(-1.0, 2.0, 25)
+        ref = np.zeros(25)
+        w4, _ = newton_cotes(4, 1)
+        for k in range(0, 24, 4):
+            ref[k:k + 5] += w4 * (x[1] - x[0])
+        assert np.allclose(boole_weights(x), ref, rtol=1e-15, atol=0.0)
+        y = np.cos(x)
+        assert boole_weights(x) @ y == pytest.approx(cumulative_boole(y, x[1] - x[0])[-1],
+                                                    rel=1e-15)
+
+    def test_complex_samples_and_strided_views(self):
+        y = np.exp(1j * np.linspace(0.0, 3.0, 81))
+        both = cumulative_boole(y, 0.1)
+        for part, samples in ((both.real, y.real), (both.imag, y.imag)):
+            assert np.allclose(part, cumulative_boole(samples.copy(), 0.1),
+                               rtol=0.0, atol=1e-15)
+        assert np.array_equal(cumulative_boole(y[::2], 0.2),
+                              cumulative_boole(y[::2].copy(), 0.2))
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    def test_node_count_not_4k_plus_1_rejected(self, n):
+        with pytest.raises(ValueError):
+            boole_weights(np.linspace(0.0, 1.0, n))
 
 
 def test_cli_import_leaves_scipy_out():
