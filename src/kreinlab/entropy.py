@@ -14,9 +14,13 @@ whose sums on every other node give its error estimate; D is that of psi
 too. For figure1, past the point where sampling gets expensive, E and D
 come from the asymptotic expansion of its tail integral. A coefficient
 whose phase may vary takes a complex pass for D and the transfer-matrix
-ODE for E, whose two Gram orders N^T N and N N^T must agree (for strongly
-complex coefficients they genuinely differ, and the error is the designed
-signal).
+ODE for E: det int N^T N - 4 over the window, N started from I at r. As
+det N = 1 this does not depend on where N starts, and N^T N is the Krein
+system's Gram at lambda = 0 (the entropy of Bessonov and Denisov, "A
+spectral Szego theorem on the real line", Adv. Math. 2020). The other
+order N N^T depends on the start and is a different functional: its
+det int - 4 is 4 (F - 1) for the ordered-exponential bridge F of
+ordered_exp.f_of_s.
 """
 
 from __future__ import annotations
@@ -60,9 +64,11 @@ _ROUNDING_ULPS = 64
 # the figure1 expansion is used where its error bound is at most this
 # fraction of the value it gives
 _EXPANSION_REL = 1e-7
-# a sampled E moves by at most this fraction of itself between h and 2h, and
-# the ODE route's two Gram orders agree to it, beyond their error estimates
+# a sampled E moves by at most this fraction of itself between h and 2h,
+# beyond its rounding floor
 _ROUTE_REL = 1e-6
+# step tolerance of the transfer-matrix ODE route
+_ODE_TOL = 1e-11
 # a ratio E/D is reported where D is above _RATIO_FLOOR; the decay fits take
 # the values above _FIT_FLOOR
 _RATIO_FLOOR = 1e-12
@@ -83,20 +89,19 @@ _F1_QUAD = 1e-13
 
 
 class RouteDisagreement(KernelError):
-    """The two values computed for one window disagree beyond tolerance: on
-    the ODE route the determinants of the two Gram orders, on the sampled
-    route the pass on all nodes and on every other node."""
+    """A sampled E differs beyond tolerance between the pass on all nodes
+    (``fine``) and the pass on every other node (``coarse``)."""
 
-    def __init__(self, message, det_route, bridge_route):
+    def __init__(self, message, fine, coarse):
         super().__init__(message)
-        self.det_route = det_route
-        self.bridge_route = bridge_route
+        self.fine = fine
+        self.coarse = coarse
 
 
 class WindowValue(float):
     """E or D on one window, with how it was computed: ``route`` (sampled,
     expansion, ode or exact_zero), ``error`` (the error estimate or bound;
-    for ode the gap between the Gram orders plus their own error) and
+    for ode the Gram integral's error carried through the determinant) and
     ``nodes`` (the sample count, for ode the substep count, None for
     expansion and exact_zero). A non-finite value raises KernelError."""
 
@@ -194,18 +199,6 @@ def _one_sided(f, panel: np.ndarray) -> np.ndarray:
     return f(x)
 
 
-def _entropy_bound(p: Potential, r: float) -> float | None:
-    """Rigorous upper bound on E(r) from the tail envelope: E <= 2 int v^2
-    with |v| <= 4 sup_{x >= 2r} |tail(x)|, plus a cubic safety term."""
-    ts = p.tail_sup(2.0 * r)
-    if ts is None:
-        return None
-    vmax = 4.0 * ts
-    if vmax > 0.5:
-        return None
-    return 4.0 * vmax ** 2 * (1.0 + 8.0 * vmax)
-
-
 def _panels(lo, hi, breaks, n_total, group=8):
     """Uniform panels of [lo, hi] cut at breaks, n_total nodes in all; each
     has n >= 17 nodes with n - 1 a multiple of group, so that every other
@@ -274,23 +267,17 @@ def _rounding(terms: float) -> float:
     return float(_ROUNDING_ULPS * np.finfo(float).eps * terms + np.finfo(float).tiny)
 
 
-def _entropy_ode(p: Potential, r: float, tol: float = 1e-11):
-    """E(r) through the transfer matrix from N(r) = I, as det int N^T N - 4
-    and as det int N N^T - 4 (the ordered-exponential bridge 4 (F - 1) of
-    A_r(t) = 2 J Q(r + 2t), as X_{A_r}(t) = N(r + 2t)), both Gram integrals
-    on one propagation's substeps. Returns the two, the error of their
-    difference (the Grams' integral_error carried through g00 g11 - g01^2,
-    plus the rounding of the determinants) and the substep count."""
+def _entropy_ode(p: Potential, r: float):
+    """E(r) = det int_r^{r+2} N^T N - 4 through the transfer matrix from
+    N(r) = I, the Gram integral on the propagation's substeps. Returns E, its
+    error (the Gram's integral_error carried through g00 g11 - g01^2, plus
+    the rounding of the determinant) and the substep count."""
     gen, breaks = _jq(p)
-    path = propagate(gen, np.eye(2), r, r + 2.0, tol, breaks,
-                     integrand=lambda N: np.concatenate(
-                         [row_gram(np.swapaxes(N, -1, -2)), row_gram(N)], -1))
-    (g0, g1, g2), (e0, e1, e2) = (
-        x.reshape(2, 3).T for x in (path.integral, path.integral_error))
-    det_route, bridge_route = g0 * g2 - g1 * g1 - 4.0
-    error = (np.sum(g2 * e0 + g0 * e2 + 2.0 * np.abs(g1) * e1)
-             + _rounding(np.sum(g0 * g2 + g1 * g1)))
-    return float(det_route), float(bridge_route), float(error), path.substeps
+    path = propagate(gen, np.eye(2), r, r + 2.0, _ODE_TOL, breaks,
+                     integrand=lambda N: row_gram(np.swapaxes(N, -1, -2)))
+    (g0, g1, g2), (e0, e1, e2) = path.integral, path.integral_error
+    error = g2 * e0 + g0 * e2 + 2.0 * abs(g1) * e1 + _rounding(g0 * g2 + g1 * g1)
+    return float(g0 * g2 - g1 * g1 - 4.0), float(error), path.substeps
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +565,13 @@ def _E_window(p: Potential, r: float, plan):
     """E(r) by the first route that applies: exact_zero, ode, figure1's
     expansion, sampled. Returns a WindowValue, or for the expansion the
     pending (window, omega, value) job of _f1_E_job."""
-    if _entropy_bound(p, r) == 0.0:
+    # E <= 4 v^2 (1 + 8 v) for v = 4 tail_sup(2r) <= 1/2, a bound that is 0
+    # exactly where v^2 underflows
+    if (ts := p.tail_sup(2.0 * r)) is not None and (4.0 * ts) ** 2 == 0.0:
         return WindowValue(0.0, "exact_zero", 0.0)
-
     if p.phase() is None:
-        det_route, bridge_route, error, substeps = _entropy_ode(p, r)
-        gap = abs(det_route - bridge_route)
-        if gap > _ROUTE_REL * abs(det_route) + error:
-            raise RouteDisagreement(
-                f"entropy routes disagree at r={r}: det route {det_route:.12g}, "
-                f"bridge route {bridge_route:.12g}", det_route, bridge_route)
-        return WindowValue(det_route, "ode", gap + error, substeps)
+        E, error, substeps = _entropy_ode(p, r)
+        return WindowValue(E, "ode", error, substeps)
 
     if p.family == "figure1" and (job := _f1_E_job(p, r, plan)) is not None:
         return job
@@ -621,9 +604,8 @@ def entropy_E(p: Potential, r: float) -> WindowValue:
     wherever that is accurate to _EXPANSION_REL; RouteDisagreement is raised
     when the pass on every other node differs by more than _ROUTE_REL |E|
     plus a rounding floor. A coefficient whose phase may vary takes the Gram
-    ODE (see _entropy_ode); RouteDisagreement is raised when its two Gram
-    orders differ by more than _ROUTE_REL |E| plus their own error. A window
-    that no route can resolve raises KernelError.
+    ODE, det int N^T N - 4 (see _entropy_ode), with its integral's error. A
+    window that no route can resolve raises KernelError.
     """
     return _windows(p, [r], [])[0][0]
 

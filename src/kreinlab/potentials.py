@@ -131,11 +131,14 @@ class TailProfile:
     fit: DecayFit
 
 
+@np.errstate(over="ignore")
 def _segment_l2(grid: np.ndarray, vals: np.ndarray) -> float:
-    """Exact integral of |a|^2 for a piecewise-linear a."""
+    """Exact integral of |a|^2 for a piecewise-linear a: on a segment from u
+    to v, (|u|^2 + |u + v|^2 + |v|^2) / 6 per unit length, nonnegative terms
+    whose overflow gives inf, not nan."""
     u = vals[:-1]
     v = vals[1:]
-    seg = (np.abs(u) ** 2 + np.real(np.conj(u) * v) + np.abs(v) ** 2) / 3.0
+    seg = (np.abs(u) ** 2 + np.abs(u + v) ** 2 + np.abs(v) ** 2) / 6.0
     return float(np.sum(np.diff(grid) * seg))
 
 

@@ -31,7 +31,7 @@ from .ordered_exp import (
     random_coeff_pair,
     taylor_a,
 )
-from .potentials import build_potential, tail_integral
+from .potentials import Potential, build_potential, tail_integral
 
 
 @dataclass
@@ -230,9 +230,22 @@ def check_entropy_references(rng):
     worst = max(abs(ent.entropy_E(const, r) - ref) for r in (0.0, 1.3, 4.0))
     box = _catalog()["box11"]
     var = abs(ent.variation_D(box, 0.0) - 5.0 / 12.0)
+    # the chirp c e^{ikx} on [0, 6]: N = R(s) e^{sB} with B^2 = mu^2 I, so
+    # E = det int_0^2 e^{tB^T} e^{tB} dt - 4 in closed form for r <= 1
+    c, k = 0.7, 1.3
+    chirp = Potential("closed-form", "chirp", lambda x: c * np.exp(1j * k * x),
+                      support_bound=6.0, l2_norm=c * math.sqrt(6.0), is_real=False)
+    mu = math.sqrt(4.0 * c * c - k * k)
+    cc = 1.0 + math.sinh(4.0 * mu) / (4.0 * mu)
+    cs = 4.0 * c * math.sinh(2.0 * mu) ** 2 / (2.0 * mu * mu)
+    ss = (math.sinh(4.0 * mu) / (4.0 * mu) - 1.0) / mu ** 2
+    ref = (cc + (4.0 * c * c + k * k) * ss) ** 2 - cs ** 2 - (4.0 * c * k * ss) ** 2 - 4.0
+    chirp_rel = max(abs(ent.entropy_E(chirp, r) / ref - 1.0) for r in (0.0, 0.5, 1.0))
     return [_result("entropy.const_reference", worst, 1e-6,
                     "constant quarter closed form"),
-            _result("entropy.variation_reference", var, 1e-9, "unit box at 0")]
+            _result("entropy.variation_reference", var, 1e-9, "unit box at 0"),
+            _result("entropy.varying_phase_reference", chirp_rel, 1e-8,
+                    "chirp 0.7 e^{1.3ix} on [0, 6], relative")]
 
 def check_entropy_support(rng):
     worst = 0.0
@@ -372,8 +385,8 @@ _GROUPS = [
     (("ordered.bounds",), check_iterated_bounds),
     (("ordered.defect",), check_defect_scaling),
     (("entropy.E_nonneg", "entropy.D_nonneg"), check_entropy_nonneg),
-    (("entropy.const_reference", "entropy.variation_reference"),
-     check_entropy_references),
+    (("entropy.const_reference", "entropy.variation_reference",
+      "entropy.varying_phase_reference"), check_entropy_references),
     (("entropy.support_zero",), check_entropy_support),
     (("entropy.D_scaling",), check_entropy_scaling),
     (("entropy.band",), check_entropy_band),

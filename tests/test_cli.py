@@ -8,6 +8,7 @@ import math
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from kreinlab.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_USAGE,
     MAX_GRID_POINTS,
@@ -328,9 +330,9 @@ class TestFigure1:
 
 
 class TestExitCodes:
-    def test_complex_potential_inconsistency_exit(self, tmp_path):
-        # a strongly complex coefficient triggers the designed dual-route
-        # disagreement inside the entropy scan; the CLI maps it to exit 3
+    def test_varying_phase_potential_takes_the_ode_route(self, tmp_path):
+        # a strongly complex coefficient whose phase varies: E comes from the
+        # transfer-matrix Gram ODE in every window that is not past the data
         src = tmp_path / "pot.csv"
         rows = ["r,re,im"]
         rng_vals = [(0.0, 0.9, 0.7), (0.7, -0.8, 0.9), (1.4, 0.7, -0.8),
@@ -339,7 +341,18 @@ class TestExitCodes:
         src.write_text("\n".join(rows) + "\n")
         code = run(["entropy", "--potential", f"sampled:{src}", "--rmax", "1",
                     "--out", str(tmp_path)])
-        assert code == 3
+        assert code == EXIT_OK
+        trace = json.loads((tmp_path / "entropy_trace.json").read_text())
+        assert {e["route"] for e in trace["E"] if 2.0 * e["r"] < 3.5} == {"ode"}
+
+    def test_sampled_disagreement_exit(self, tmp_path, monkeypatch):
+        # a sampled E whose passes on all nodes and on every other node
+        # disagree raises RouteDisagreement, which the CLI maps to exit 3
+        monkeypatch.setattr(entropy, "_entropy_sampled",
+                            lambda p, r, n: (1.0, 1.1, 0.0, n))
+        code = run(["entropy", "--potential", "gaussian:1,1", "--rmax", "1",
+                    "--out", str(tmp_path)])
+        assert code == EXIT_INCONSISTENT
 
 
 class TestInputValidation:
@@ -423,23 +436,40 @@ _FUZZ_ARGS = st.one_of(
               st.sampled_from(["0", "1", "40", str(MAX_GRID_POINTS + 1)])),
     st.builds(lambda rule, n: ["opuc", "--rule", f"{rule}:0.5,{n}", "--orders"],
               st.sampled_from(["factorial", "gaussian"]),
-              st.sampled_from([-1, 0, 1, 10, 200, 5000, MAX_GRID_POINTS + 1])))
+              st.sampled_from([-1, 0, 1, 10, 200, 5000, MAX_GRID_POINTS + 1])),
+    # complex sampled CSVs c e^{ikx} on n points of [0, 3], of varying phase
+    # where k > 0; at most 61 points, as the sampled passes cut a panel at
+    # each point
+    st.builds(lambda c, k, n: (["entropy", "--potential", "sampled:{out}/a.csv",
+                                "--rmax", "1", "--nsum", "1"], _csv(c, k, n)),
+              st.sampled_from([1e-300, 0.3, 1 + 1j, 5.0, 1e200, 1e308]),
+              st.sampled_from([0.0, 1.0, 30.0]), st.sampled_from([2, 7, 61])))
 
 
-# 120 draws cover every figure1 and --orders combination and leave the
+def _csv(c, k, n):
+    x = np.linspace(0.0, 3.0, n)
+    a = c * np.exp(1j * k * x)
+    return "r,re,im\n" + "".join(f"{t!r},{v.real!r},{v.imag!r}\n"
+                                  for t, v in zip(x.tolist(), a.tolist()))
+
+
+# 160 draws cover every figure1 and --orders combination and leave the
 # first two kinds more draws than the 60 they had on their own
 @given(_FUZZ_ARGS)
-@settings(deadline=None, max_examples=120, database=None, derandomize=True)
+@settings(deadline=None, max_examples=160, database=None, derandomize=True)
 def test_cli_fuzz_ends_in_an_exit_code(args):
     # any spec ends in a documented exit code in bounded time, with no
-    # traceback and no numpy warning
+    # traceback and no numpy warning; a CSV draw is (args, the CSV's text)
+    args, text = args if isinstance(args, tuple) else (args, None)
     err = io.StringIO()
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        if text is not None:
+            Path(out, "a.csv").write_text(text)
         try:
-            got = run(args + ["--out", out])
+            got = run([a.replace("{out}", out) for a in args] + ["--out", out])
         except SystemExit as exc:
             got = exc.code
     assert got in (0, 1, 2, 3)

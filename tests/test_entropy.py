@@ -7,8 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import kreinlab.entropy as ent_mod
+from kreinlab import krein
 from kreinlab.entropy import (
     RouteDisagreement,
     classify_alpha,
@@ -19,7 +21,7 @@ from kreinlab.entropy import (
     sobolev_h_minus1,
     variation_D,
 )
-from kreinlab.kernel import KernelError
+from kreinlab.kernel import KernelError, propagate
 from kreinlab.potentials import Potential, build_potential, oscillation_classify
 
 ZERO = build_potential("zero")
@@ -103,18 +105,49 @@ class TestEntropyE:
         assert E.route == "ode" and ref.route == "sampled"
         assert abs(E - ref) <= 1e-10 * ref
 
-    def test_complex_routes_disagree_by_design(self):
-        # with both real and imaginary parts present the two Gram transpose
-        # orders genuinely differ; the internal-consistency error reports both
-        rng = np.random.default_rng(1)
-        g = np.linspace(0.0, 3.0, 61)
-        vals = (rng.normal(size=61) + 1j * rng.normal(size=61)) * 0.8
-        p = build_potential("sampled", g, vals)
-        with pytest.raises(RouteDisagreement) as exc:
-            entropy_E(p, 0.2)
-        assert exc.value.det_route > 0
-        assert exc.value.bridge_route > 0
-        assert abs(exc.value.det_route - exc.value.bridge_route) > 1e-6
+
+# the chirp a = c e^{ikx} on [0, 6]: in the frame that rotates with its
+# phase the generator is the constant B, so every window r <= 1 has
+# E = det int_0^2 e^{tB^T} e^{tB} dt - 4
+_CHIRP_C, _CHIRP_K = 0.7, 1.3
+CHIRP = Potential("closed-form", "chirp", lambda x: _CHIRP_C * np.exp(1j * _CHIRP_K * x),
+                  support_bound=6.0, l2_norm=_CHIRP_C * math.sqrt(6.0), is_real=False)
+# e^{ix} e^{-x^2/4} sampled on 4 001 points of [0, 20]
+_VARYING_X = np.linspace(0.0, 20.0, 4001)
+VARYING = build_potential("sampled", _VARYING_X,
+                          np.exp(1j * _VARYING_X) * np.exp(-_VARYING_X ** 2 / 4.0))
+
+
+class TestVaryingPhase:
+    """A coefficient whose phase may vary takes the Gram ODE for E."""
+
+    @pytest.fixture(scope="class")
+    def chirp_E(self):
+        B = np.array([[-2.0 * _CHIRP_C, -_CHIRP_K], [_CHIRP_K, 2.0 * _CHIRP_C]])
+        G = [[quad(lambda t: (expm(t * B.T) @ expm(t * B))[i, j], 0.0, 2.0,
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0] for j in (0, 1)] for i in (0, 1)]
+        return np.linalg.det(G) - 4.0
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_chirp_against_closed_form(self, r, chirp_E):
+        assert CHIRP.phase() is None
+        assert abs(chirp_E - 12.080495595546978) <= 1e-12 * chirp_E
+        E = entropy_E(CHIRP, r)
+        assert E.route == "ode"
+        assert abs(E - chirp_E) <= min(E.error, 1e-10 * chirp_E)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+    def test_krein_gram_at_lambda_zero(self, r):
+        # N^T N is the Krein system's Gram at lambda = 0: with W the lambda = 0
+        # transfer matrix from I at x = 2r, E = det(1/2 int W* W dx) - 4 over
+        # [2r, 2r + 4], through the same propagator on another generator
+        W = propagate(krein._krein_gen(VARYING, np.zeros(1)), np.eye(2)[None],
+                      2.0 * r, 2.0 * r + 4.0, 1e-11, VARYING.breakpoints(),
+                      integrand=lambda W: np.conj(np.swapaxes(W, -1, -2)) @ W)
+        ref = np.linalg.det(0.5 * W.integral[0]).real - 4.0
+        E = entropy_E(VARYING, r)
+        assert E.route == "ode"
+        assert abs(E - ref) <= E.error
 
 
 def _gaussian_delta(r, scale):
@@ -169,7 +202,7 @@ class TestRealPass:
         assert abs(entropy_E(GAUSS, r) - 3.9e-12) < 0.1e-12
         with pytest.raises(RouteDisagreement) as exc:
             entropy_E(bad, r)
-        moved = abs(exc.value.det_route / exc.value.bridge_route - 1.0)
+        moved = abs(exc.value.fine / exc.value.coarse - 1.0)
         assert 3e-4 < moved < 3e-3
 
     def test_tail_windows_are_computed(self):
