@@ -209,8 +209,7 @@ def cmd_entropy(args) -> int:
         "fit_D": _fit_dict(scan.fit_D),
         "entropy_sum": {"total": esum.total, "last_term": esum.last_term,
                         "n_terms": esum.n_terms},
-        "sobolev": {"value": sob.value, "cutoff": None,
-                    "tail_bound": sob.tail_bound},
+        "sobolev": {"value": sob.value, "tail_bound": sob.tail_bound},
         "sum_to_sobolev_ratio": ratio,
         "band_verdict": verdict,
         "tolerances": {"ratio_band": [0.01, 100.0],

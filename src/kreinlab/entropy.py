@@ -59,7 +59,8 @@ _NODES_MIN = 4097
 _N_CAP = 30_000_000
 # rounding floor of a sampled E or D: this many ulps of the terms it is the
 # difference of, plus the smallest normal double; below it the h-against-2h
-# difference is rounding, not discretisation
+# difference is rounding, not discretisation; the H^-1 norm's error estimate
+# adds this many ulps of the norm
 _ROUNDING_ULPS = 64
 # the figure1 expansion is used where its error bound is at most this
 # fraction of the value it gives
@@ -67,8 +68,9 @@ _EXPANSION_REL = 1e-7
 # a sampled E moves by at most this fraction of itself between h and 2h,
 # beyond its rounding floor
 _ROUTE_REL = 1e-6
-# step tolerance of the transfer-matrix ODE route
+# step tolerance of the transfer-matrix ODE route, and of n_matrix
 _ODE_TOL = 1e-11
+_N_MATRIX_TOL = 1e-10
 # a ratio E/D is reported where D is above _RATIO_FLOOR; the decay fits take
 # the values above _FIT_FLOOR
 _RATIO_FLOOR = 1e-12
@@ -170,12 +172,12 @@ def _jq(p: Potential):
     return gen, tuple(b / 2.0 for b in p.breakpoints())
 
 
-def n_matrix(p: Potential, r: float, tol: float = 1e-10) -> np.ndarray:
-    """Transfer matrix N(r): solution of N' = J Q N, N(0) = identity."""
+def n_matrix(p: Potential, r: float) -> np.ndarray:
+    """Transfer matrix N(r): solution of N' = J Q N, N(0) = identity, at _N_MATRIX_TOL."""
     if r < 0:
         raise ValueError("r must be >= 0")
     gen, breaks = _jq(p)
-    return propagate(gen, np.eye(2), 0.0, r, tol, breaks).y
+    return propagate(gen, np.eye(2), 0.0, r, _N_MATRIX_TOL, breaks).y
 
 
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
@@ -719,7 +721,8 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Simpson pass over
     panels of [0, X] (see _truncation) with max(oscillation budget,
     2048 X, 16385) nodes. tail_bound is the error estimate: the change from
-    the same sum on every other node, plus the bound on the part past X.
+    the same sum on every other node, plus the bound on the part past X,
+    plus _ROUNDING_ULPS ulps of the value.
     ``cutoff`` is accepted and ignored. Raises ValueError if a is not in L2
     (an uncut constant) or has no known truncation point, KernelError if the
     node count exceeds _N_CAP or the sums overflow (as where |a|_2 does)."""
@@ -737,7 +740,8 @@ def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
     values = [np.asarray(_one_sided(p, x)) for x in panels]
     value = _h_minus1_sum(panels, values)
     coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])
-    return SobolevNorm(value=value, tail_bound=abs(value - coarse) + truncated)
+    rounding = _ROUNDING_ULPS * np.finfo(float).eps * abs(value)
+    return SobolevNorm(value=value, tail_bound=abs(value - coarse) + truncated + rounding)
 
 
 def _fit_or_flag(r: np.ndarray, m: np.ndarray) -> DecayFit:

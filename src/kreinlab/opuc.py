@@ -15,17 +15,20 @@ import numpy as np
 
 from .kernel import KernelError, series_coeffs_from_samples
 
+# nodes of the rectangle rule on the circle in orthogonality_check
+_N_THETA = 4096
+
 
 @dataclass(frozen=True)
 class VerblunskySeq:
-    """Finite recurrence-coefficient sequence, each strictly inside the disk;
-    coefficients beyond the stored length are treated as zero."""
+    """Finite recurrence-coefficient sequence, each strictly inside the disk
+    (so not NaN); coefficients beyond the stored length are treated as zero."""
 
     alphas: np.ndarray
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.alphas, dtype=complex))
-        if arr.size and np.max(np.abs(arr)) >= 1.0:
+        if not np.all(np.abs(arr) < 1.0):
             raise ValueError("recurrence coefficients must satisfy |alpha| < 1")
         object.__setattr__(self, "alphas", arr)
 
@@ -128,13 +131,12 @@ def bs_weight(v: VerblunskySeq, theta):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def orthogonality_check(v: VerblunskySeq, j: int, k: int,
-                        n_theta: int = 4096) -> complex:
+def orthogonality_check(v: VerblunskySeq, j: int, k: int) -> complex:
     """<Phi_j, Phi_k> under the Bernstein-Szego weight by the (spectrally
-    accurate) rectangle rule on the circle."""
+    accurate) rectangle rule on _N_THETA nodes of the circle."""
     if max(j, k) > len(v) + 4:
         raise ValueError("degrees far beyond the stored coefficients")
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    theta = 2.0 * np.pi * np.arange(_N_THETA) / _N_THETA
     z = np.exp(1j * theta)
     w = bs_weight(v, theta)
     phi_j, _ = _phi_arrays(v, z, j)
@@ -180,7 +182,7 @@ def order_estimate(coeffs, floor=0.0) -> OrderEstimate:
     return OrderEstimate(rho, "finite")
 
 
-def compare_orders(v: VerblunskySeq, degree: int | None = None) -> OrderComparison:
+def compare_orders(v: VerblunskySeq) -> OrderComparison:
     """Order of the coefficient series against the order of the inverse Szego
     function, the latter recovered from circle samples at an adaptive radius:
     1.5, doubled up to six times until the last three coefficients fall below
@@ -188,12 +190,10 @@ def compare_orders(v: VerblunskySeq, degree: int | None = None) -> OrderComparis
     radius^degree, and with it the scale of the coefficients, leaves the
     double range."""
     rho_alpha = order_estimate(v.alphas)
-
-    if degree is None:
-        # the inverse Szego function of a sequence whose last nonzero
-        # coefficient is alpha_{M-1} is a polynomial of degree M; sampling
-        # past it would manufacture a terminating tail
-        degree = max(_effective_length(v) - 1, 8)
+    # the inverse Szego function of a sequence whose last nonzero coefficient
+    # is alpha_{M-1} is a polynomial of degree M; sampling past it would
+    # manufacture a terminating tail
+    degree = max(_effective_length(v) - 1, 8)
     # at least twice as many samples as coefficients, so that the transform
     # does not alias
     n_samples = 512

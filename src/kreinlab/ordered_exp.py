@@ -19,6 +19,12 @@ from .kernel import (SeriesTailWarning, cumulative_simpson, fold_mirrors, propag
                      simpson, simpson_weights)
 
 N_GRID = 4097
+# grid of diagonal_a_n's double integral
+_DIAGONAL_GRID = 2049
+# random_coeff_pair's modes and norm range, random_admissible_family's norms
+_N_MODES = 3
+_NORM_RANGE = (0.3, 0.95)
+_DELTA_RANGE = (0.02, 0.1)
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -127,18 +133,15 @@ def _series_terms(A: CoeffPair, n_terms: int):
 
 
 def ordered_exp(A: CoeffPair, t: float, mode: str = "ode", n_terms: int = 12,
-                tol: float = 1e-10, tail_tol: float = 1e-8,
-                n_grid: int | None = None) -> np.ndarray:
+                tol: float = 1e-10, tail_tol: float = 1e-8) -> np.ndarray:
     """X_A(t): fundamental solution of X' = A X at time t.
 
-    ``mode='series'`` sums the time-ordered series to ``n_terms`` (a warning
-    is attached when the tail estimate exceeds ``tail_tol``); ``mode='ode'``
-    integrates with the Magnus propagator at tolerance ``tol``.
+    ``mode='series'`` sums the time-ordered series to ``n_terms`` on A's grid
+    (a warning is attached when the tail estimate exceeds ``tail_tol``);
+    ``mode='ode'`` integrates with the Magnus propagator at tolerance ``tol``.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if n_grid is not None:
-        A = CoeffPair(A.p, A.q, n_grid=n_grid)
     if mode == "series":
         x, terms = _series_terms(A, n_terms)
         stack = np.array([np.array([[np.interp(t, x, M[:, i, j]) for j in (0, 1)]
@@ -252,12 +255,13 @@ def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
     return out
 
 
-def diagonal_a_n(g: Callable, n: int, n_grid: int = 2049) -> float:
+def diagonal_a_n(g: Callable, n: int) -> float:
     """Coefficient a_n for a diagonal generator with antiderivative g:
-    (2^n / n!) * double integral of (g(x) - g(y))^n over the unit square."""
+    (2^n / n!) * double integral of (g(x) - g(y))^n over the unit square, by
+    Simpson's rule on _DIAGONAL_GRID nodes a side."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = _grid(n_grid)
+    x = _grid(_DIAGONAL_GRID)
     gv = np.asarray(g(x), dtype=float)
     w = simpson_weights(x)
     diff = gv[:, None] - gv[None, :]
@@ -322,27 +326,23 @@ def _trig_poly(rng: np.random.Generator, n_modes: int, norm: float) -> Callable:
     return f
 
 
-def random_coeff_pair(rng: np.random.Generator, n_modes: int = 3,
-                      norm_lo: float = 0.3, norm_hi: float = 0.95) -> CoeffPair:
-    """Seeded smooth pair with ||p||, ||q|| drawn in [norm_lo, norm_hi]."""
-    np_norm = rng.uniform(norm_lo, norm_hi)
-    nq_norm = rng.uniform(norm_lo, norm_hi)
-    return CoeffPair(_trig_poly(rng, n_modes, np_norm),
-                     _trig_poly(rng, n_modes, nq_norm))
+def random_coeff_pair(rng: np.random.Generator) -> CoeffPair:
+    """Seeded smooth pair of _N_MODES modes, ||p|| and ||q|| drawn in _NORM_RANGE."""
+    np_norm, nq_norm = rng.uniform(*_NORM_RANGE, 2)
+    return CoeffPair(_trig_poly(rng, _N_MODES, np_norm),
+                     _trig_poly(rng, _N_MODES, nq_norm))
 
 
-def random_admissible_family(rng: np.random.Generator, count: int,
-                             delta_lo: float = 0.02,
-                             delta_hi: float = 0.1) -> list[Callable]:
-    """Seeded functions whose antiderivatives share small (eps, delta) stats;
-    ||f|| <= delta_hi forces sup|F| <= delta_hi and eps <= delta_hi^2."""
-    return [_trig_poly(rng, rng.integers(1, 4), rng.uniform(delta_lo, delta_hi))
+def random_admissible_family(rng: np.random.Generator, count: int) -> list[Callable]:
+    """Seeded functions of L2 norm in _DELTA_RANGE, so their antiderivatives share
+    small (eps, delta) stats: ||f|| <= delta forces sup|F| <= delta, eps <= delta^2."""
+    return [_trig_poly(rng, rng.integers(1, 4), rng.uniform(*_DELTA_RANGE))
             for _ in range(count)]
 
 
-def family_gamma(fs: Sequence[Callable], n_grid: int = N_GRID) -> float:
-    """Shared gamma for a family: worst-case variation and derivative norm."""
-    x = _grid(n_grid)
+def family_gamma(fs: Sequence[Callable]) -> float:
+    """Shared gamma for a family: worst-case variation and derivative norm (N_GRID nodes)."""
+    x = _grid(N_GRID)
     eps = 0.0
     delta = 0.0
     for f in fs:

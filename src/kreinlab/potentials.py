@@ -287,13 +287,13 @@ def _tail_at(p: Potential, r: float):
     return p.params[0] * (p.support_bound - r)
 
 
-def oscillation_classify(p: Potential, window, floor: float = 1e-13) -> TailProfile:
-    """Tail-decay classification of |A| on the window.
+def oscillation_classify(p: Potential, window) -> TailProfile:
+    """Tail-decay classification of |A| on the window, at fit_decay's default floor.
 
     Support-bounded potentials produce the identically-zero-tail flag past
     their support, reported via the fit (membership in every decay class).
     """
     window = Grid.coerce(window)
     values = tail_integral(p, window.points)
-    fit = fit_decay(np.column_stack([window.points, np.abs(values)]), floor=floor)
+    fit = fit_decay(np.column_stack([window.points, np.abs(values)]))
     return TailProfile(grid=window, values=values, fit=fit)

@@ -84,7 +84,7 @@ def check_szego_modulus(rng):
     for name in ("zero", "box11", "box052", "gaussian"):
         pot = _catalog()[name]
         for lam in (1j, 0.5 + 0.5j):
-            worst = max(worst, krein.pi_modulus_check(pot, lam, horizon=40.0))
+            worst = max(worst, krein.pi_modulus_check(pot, lam))
     return [_result("krein.szego_modulus", worst, 1e-4,
                     "modulus identity at horizon 40")]
 

@@ -223,6 +223,17 @@ class TestEntropy:
         assert [float(r["D"]) for r in rows] == list(scan.D)
 
 
+    def test_cutoff_flag_changes_nothing(self, tmp_path):
+        base = ["entropy", "--potential", "box:1,1", "--rmax", "1"]
+        assert run(base + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert run(base + ["--cutoff", "1", "--out", str(tmp_path / "cut")]) == EXIT_OK
+        for name in ("entropy_scan.csv", "entropy_summary.json"):
+            assert (tmp_path / "cut" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+        summary = json.loads((tmp_path / "cut" / "entropy_summary.json").read_text())
+        assert set(summary["sobolev"]) == {"value", "tail_bound"}
+
+
 class TestOpuc:
     def test_single_alpha_orders(self, tmp_path):
         assert run(["opuc", "--alphas", "0.5", "--orders",
@@ -252,6 +263,13 @@ class TestOpuc:
 
     def test_modulus_violation_exit(self, tmp_path):
         assert run(["opuc", "--alphas", "1.2", "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_nan_rule_is_usage_error(self, tmp_path):
+        # a NaN coefficient once passed the |alpha| < 1 test and gave a table
+        # of nan with rho_alpha = rho_pi = 0, flagged polynomial
+        assert run(["opuc", "--rule", "factorial:nan,10", "--orders",
+                    "--out", str(tmp_path)]) == EXIT_USAGE
+        assert not (tmp_path / "opuc_table.csv").exists()
 
     @pytest.mark.parametrize("args, code", [
         # alpha_n underflows to 0 from n = 28, so Pi is that of gaussian:0.5,28

@@ -504,6 +504,17 @@ class TestSobolev:
             ref = c * c * (L - 1.0 + math.exp(-L))
             assert abs(sb.value - ref) <= 1e-13 * ref
 
+    @pytest.mark.parametrize("c", [0.2, 1.0, 3.0, 1 + 1j])
+    def test_box_sweep_within_tail_bound(self, c):
+        # against the 40-digit closed form |c|^2 (L - 1 + e^{-L}); without a
+        # rounding term in tail_bound, 11 of these 44 boxes fell outside it
+        # (box:1,3 was 3.1e-15 off against a bound of 2.2e-15)
+        for L in (0.1, 0.3, 0.5, 1.0, 1.7, 2.0, 3.0, 5.0, 8.0, 13.0, 40.0):
+            sb = sobolev_h_minus1(build_potential("box", c, L))
+            with mp.workdps(40):
+                ref = float(abs(mp.mpc(c)) ** 2 * (mp.mpf(L) - 1 + mp.exp(-mp.mpf(L))))
+            assert abs(sb.value - ref) <= sb.tail_bound, L
+
     def test_gaussian_erf_double_integral(self):
         ref = _gaussian_H(1.0, 1.0)
         sb = sobolev_h_minus1(GAUSS)

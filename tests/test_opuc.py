@@ -47,6 +47,15 @@ class TestRecursion:
         with pytest.raises(ValueError):
             VerblunskySeq(np.array([1.2]))
 
+    def test_nan_rejected(self):
+        # NaN fails |alpha| < 1 too: max|alpha| >= 1 is False for it
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+            VerblunskySeq(np.array([np.nan]))
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+            VerblunskySeq(np.array([0.5, np.nan + 0.1j]))
+        with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+            VerblunskySeq.from_rule("gaussian", math.nan, 5)
+
 
 class TestCircleIdentities:
     def test_modulus_identity_on_circle(self):
