@@ -12,9 +12,10 @@ JQ = R (-2 psi Z) R^T for one fixed rotation R, so E is that of psi: one
 sampled pass over delta(t) = int_{2r}^{2t} psi by a sixth-order rule,
 whose sums on every other node give its error estimate; D is that of psi
 too. For figure1, past the point where sampling gets expensive, E and D
-come from the asymptotic expansion of its tail integral. A coefficient
-whose phase may vary takes a complex pass for D and the transfer-matrix
-ODE for E: det int N^T N - 4 over the window, N started from I at r. As
+come from the asymptotic expansion of its tail integral, and the H^-1
+norm from that of its e^x-weighted integral. A coefficient whose phase
+may vary takes a complex pass for D and the transfer-matrix ODE for E:
+det int N^T N - 4 over the window, N started from I at r. As
 det N = 1 this does not depend on where N starts, and N^T N is the Krein
 system's Gram at lambda = 0 (the entropy of Bessonov and Denisov, "A
 spectral Szego theorem on the real line", Adv. Math. 2020). The other
@@ -39,6 +40,7 @@ from .kernel import (
     Grid,
     InsufficientDataError,
     KernelError,
+    _FIT_FLOOR,
     _gauss_panel,
     boole_weights,
     breakpoint_segments,
@@ -50,6 +52,7 @@ from .kernel import (
     row_gram,
     simpson_weights,
 )
+from .krein import _TOL
 from .potentials import Potential
 
 # oscillation-resolving sample budget: nodes per period, floor and hard cap
@@ -68,25 +71,27 @@ _EXPANSION_REL = 1e-7
 # a sampled E moves by at most this fraction of itself between h and 2h,
 # beyond its rounding floor
 _ROUTE_REL = 1e-6
-# step tolerance of the transfer-matrix ODE route, and of n_matrix
+# step tolerance of the transfer-matrix ODE route (n_matrix takes that of a
+# Krein solve, krein's _TOL)
 _ODE_TOL = 1e-11
-_N_MATRIX_TOL = 1e-10
 # a ratio E/D is reported where D is above _RATIO_FLOOR; the decay fits take
-# the values above _FIT_FLOOR
+# the values above fit_decay's default floor, kernel's _FIT_FLOOR
 _RATIO_FLOOR = 1e-12
-_FIT_FLOOR = 1e-13
-# H^-1 norm: nodes per period, and the L2 mass left past an effective support
-_SOBOLEV_NODES_PER_PERIOD = 48
+# H^-1 norm: fewest nodes, steps per chunk of the pass, L2 mass left past an
+# effective support, and figure1's end of sampling
+_SOBOLEV_NODES = 16385
+_H_CHUNK = 2 ** 16
 _MASS_TOL = 1e-16
+_F1_SPLIT = 4.0
 # figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
 # i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
 _F1_TERMS = 8
 # figure1 windows built in one pass: at most 2^16 Gauss nodes
 _F1_CHUNK = 1024
-# error of a tail difference (a window's oscillating integral) per unit of
-# sup|g| on the amplitudes used here
-# (measured at most 2e-15 against Gauss panels in u = e^x, and at most 1e-15
-# on Phi^3, Phi^4, rho^2 Phi and rho^2 Phi^2 from x = 5 against mpmath)
+# error of a tail, or of a window's difference of two, per unit of sup|g| on
+# the amplitudes used here (measured at most 2e-15 against Gauss panels in
+# u = e^x, at most 1e-15 on Phi^3, Phi^4, rho^2 Phi and rho^2 Phi^2 from x = 5
+# and 5e-16 on the two H^-1 tail amplitudes from x = 4, against mpmath)
 _F1_QUAD = 1e-13
 
 
@@ -173,44 +178,43 @@ def _jq(p: Potential):
 
 
 def n_matrix(p: Potential, r: float) -> np.ndarray:
-    """Transfer matrix N(r): solution of N' = J Q N, N(0) = identity, at _N_MATRIX_TOL."""
+    """Transfer matrix N(r): solution of N' = J Q N, N(0) = identity, at
+    krein's _TOL."""
     if r < 0:
         raise ValueError("r must be >= 0")
     gen, breaks = _jq(p)
-    return propagate(gen, np.eye(2), 0.0, r, _N_MATRIX_TOL, breaks).y
+    return propagate(gen, np.eye(2), 0.0, r, _TOL, breaks).y
 
 
-def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float,
-                   nodes_per_period: int = _NODES_PER_PERIOD):
+def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float):
     """Node count that resolves the oscillation of a(arg_scale * t) on [lo, hi]
-    (the defaults are sized for the sixth-order rule of _sampled_sums)."""
+    (sized for the sixth-order rule of _sampled_sums)."""
     if p.osc_rate(arg_scale * hi) == 0.0:
         return _NODES_MIN
     # for exponential phases the accumulated phase is the rate difference
     phase = max(p.osc_rate(arg_scale * hi) - p.osc_rate(arg_scale * lo), 1.0)
-    return max(_NODES_MIN, int(phase / (2.0 * math.pi) * nodes_per_period))
+    return max(_NODES_MIN, int(phase / (2.0 * math.pi) * _NODES_PER_PERIOD))
 
 
-def _one_sided(f, panel: np.ndarray) -> np.ndarray:
-    """Evaluate f on panel nodes with endpoints nudged inward, so that value
-    jumps located exactly at panel boundaries are sampled one-sidedly."""
-    x = panel.copy()
-    eps = 1e-12 * (panel[-1] - panel[0]) + 1e-300
-    x[0] += eps
-    x[-1] -= eps
-    return f(x)
-
-
-def _panels(lo, hi, breaks, n_total, group=8):
-    """Uniform panels of [lo, hi] cut at breaks, n_total nodes in all; each
-    has n >= 17 nodes with n - 1 a multiple of group, so that every other
-    node is a Boole (group 8) or Simpson (group 4) grid too."""
-    out = []
+def _panels(f, lo, hi, breaks, n_total, group=8, chunk=None):
+    """Nodes x and values f(x) on uniform panels of [lo, hi] cut at breaks,
+    n_total nodes in all; each has n >= 17 nodes with n - 1 a multiple of
+    group, so that every other node is a Boole (group 8) or Simpson (group
+    4) grid too. Each panel's end nodes are nudged inward for f, so that
+    value jumps located exactly at panel boundaries are sampled one-sidedly.
+    With chunk, a multiple of group, a panel comes in pieces of at most
+    chunk + 1 nodes that share their end nodes."""
     for a, b in breakpoint_segments(lo, hi, breaks):
         n = max(17, int(round(n_total * (b - a) / (hi - lo))))
         n += (1 - n) % group
-        out.append(np.linspace(a, b, n))
-    return out
+        step, eps = (b - a) / (n - 1), 1e-12 * (b - a) + 1e-300
+        for j in range(0, n - 1, chunk or n):
+            k = min(j + (chunk or n), n - 1)
+            x = np.linspace(a + j * step, b if k == n - 1 else a + k * step, k - j + 1)
+            v = x.copy()
+            v[0] += eps if j == 0 else 0.0
+            v[-1] -= eps if k == n - 1 else 0.0
+            yield x, f(v)
 
 
 def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
@@ -225,8 +229,7 @@ def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
     parts = ([], [])
     offset = [0.0, 0.0]
     nodes = 0
-    for panel in _panels(lo, hi, breaks, n_total):
-        vals = _one_sided(f, panel)
+    for panel, vals in _panels(f, lo, hi, breaks, n_total):
         nodes += panel.size
         for j, step in enumerate((1, 2)):
             x = panel[::step]
@@ -287,48 +290,49 @@ def _entropy_ode(p: Potential, r: float):
 # (the asymptotic method of Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383)
 # ---------------------------------------------------------------------------
 
-def _f1_amplitude_polys(n):
+def _f1_amplitude_polys(n, shift):
     """Rows q_0 .. q_n of coefficients in s = 1/(1+x), lowest power first.
-    Integrating trig(e^y) e^{-ky} q_k from x to infinity by parts in u = e^y
-    leaves the boundary term e^{-(k+1)x} q_k(x) and the integrand
-    e^{-(k+1)y} q_{k+1} with q_{k+1} = q_k' - (k+1) q_k, where
-    d/dx s^m = -m s^{m+1}; q_0 = s is the amplitude of a itself."""
+    Integrating trig(u) u^-(k+shift) q_k, u = e^y, by parts leaves the boundary
+    term e^{-(k+shift)x} q_k and the integrand with q_{k+1} = q_k' - (k+shift)
+    q_k, where d/dx s^m = -m s^{m+1}; q_0 = s. Shift 1 expands T = int_x^inf a
+    (Phi), shift 0 int e^y a (Psi)."""
     q = np.zeros((n + 1, n + 2))
     q[0, 1] = 1.0
     powers = np.arange(n + 1)
     for k in range(n):
         q[k + 1, 1:] = -powers * q[k, :-1]
-        q[k + 1] -= (k + 1) * q[k]
+        q[k + 1] -= (k + shift) * q[k]
     return q
 
 
-_F1_Q = _f1_amplitude_polys(_F1_TERMS + 1)
-# Horner coefficients of i^k q_k, k < _F1_TERMS, for s^{k+1} .. s^1: the
-# sign of i^k taken in, its i left to the part (phi1 for even k, phi2 for odd)
-_F1_HORNER = [tuple(float((-1) ** (k // 2) * c) for c in _F1_Q[k, k + 1:0:-1])
-              for k in range(_F1_TERMS)]
+_F1_Q = _f1_amplitude_polys(_F1_TERMS + 1, 1)
+_F1_P = _f1_amplitude_polys(_F1_TERMS, 0)
+# Horner coefficients of i^k q_k, k < _F1_TERMS, for s^{k+1} .. s^1, by shift:
+# the sign of i^k taken in, its i left to the part (phi1 for even k, phi2 for odd)
+_F1_HORNER = {shift: [tuple(float((-1) ** (k // 2) * c) for c in q[k, k + 1:0:-1])
+                      for k in range(_F1_TERMS)] for shift, q in ((0, _F1_P), (1, _F1_Q))}
 
 
-def _f1_phi(x):
-    """The complex amplitude Phi = phi1 + i phi2 at x. With
-    E_k = e^{-(k+1)x} q_k, the boundary terms give T = Re(e^{ie^x} Phi),
-    Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + E_4 ..., phi2 = E_1 - E_3 + ...
+def _f1_phi(x, shift=1):
+    """The complex amplitude Phi = phi1 + i phi2 at x (i Psi with shift 0, see
+    _f1_h_tail). With E_k = e^{-(k+1)x} q_k, the boundary terms give
+    T = Re(e^{ie^x} Phi), Phi = sum_k i^k E_k: phi1 = E_0 - E_2 + ..., phi2 = E_1 - ...
     Elementwise: each q_k by Horner in s = 1/(1+x), e^{-(k+1)x} as running
     products of one exp, so that the value at a node does not depend on the
     array that holds it."""
     x = np.asarray(x, dtype=float)
     s = 1.0 / (1.0 + x)
     decay = np.exp(-x)
-    e = 1.0
+    e = decay if shift else 1.0
     parts = [0.0, 0.0]
-    for k, coeffs in enumerate(_F1_HORNER):
-        e = e * decay
+    for k, coeffs in enumerate(_F1_HORNER[shift]):
         q = coeffs[0] * s
         for c in coeffs[1:]:
             q += c
             q *= s
         q *= e
         parts[k % 2] += q
+        e = e * decay
     return parts[0] + 1j * parts[1]
 
 
@@ -664,89 +668,103 @@ def entropy_sum(p: Potential, N: int) -> EntropySum:
     return _sum_of(_windows(p, [float(n) for n in range(N + 1)], [])[0])
 
 
-def _figure1_tail(x: float) -> float:
-    """Bound on |int_x^inf a conj(C)| for figure1. In u = e^t the integrand is
-    sin(u) B(u)/((1 + ln u) u^2), B(u) = int_1^u sin(v)/(1 + ln v) dv; split B
-    into its limit (at most 2), cos(u)/(1 + ln u) and a rest of order 1/u, and
-    bound each integral of sin against a decreasing phi by 2 phi(U)/omega."""
-    k = 1.0 / (1.0 + x)
-    return math.exp(-2.0 * x) * k * (4.0 + 0.5 * k + 2.0 * k * k)
-
-
 def _truncation(p: Potential) -> tuple[float, float]:
     """Truncation point X of the H^-1 integral and a bound on the part past
     it: 0 past a support bound, however long; m (|a|_2 / 2 + m) with m the
     L2 norm of a past X (Cauchy-Schwarz and Young), where X is an effective
-    support plus 1 and m is below _MASS_TOL; for figure1, _figure1_tail at
-    the first quarter step below 1e-10. X is never clamped: a coefficient too
-    long to sample is refused by sobolev_h_minus1's node budget."""
+    support plus 1 and m is below _MASS_TOL. figure1 has none: its part past
+    the sampled range comes from _f1_h_tail. X is never clamped: a
+    coefficient too long to sample is refused by sobolev_h_minus1's node budget."""
     if p.support_bound is not None:
         return p.support_bound, 0.0
     if (eff := p.effective_support(_MASS_TOL)) is not None:
         return eff + 1.0, _MASS_TOL * (0.5 * p.l2_norm + _MASS_TOL)
-    if p.family == "figure1":
-        x = 1.0
-        while _figure1_tail(x) > 1e-10:
-            x += 0.25
-        return x, _figure1_tail(x)
     if p.family == "gaussian":
         raise KernelError("the gaussian's L2 tail stays above "
                           f"{_MASS_TOL:g} at every finite point")
     raise ValueError(f"no truncation point known for the {p.family} coefficient")
 
 
-def _h_minus1_sum(panels, values) -> float:
-    """Simpson sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy carried
-    across panels, from cumulative Simpson of a(y) e^{y - x_j} on chunks from a
-    node x_j of about unit length, at most a panel, so no e^{y - x_j} exceeds e."""
-    total, c = 0.0, 0.0
-    for x, a in zip(panels, values):
-        h = (x[-1] - x[0]) / (x.size - 1)
-        m = min(2 * max(1, int(0.5 / h)), x.size)
-        grow = np.exp(h * np.arange(m + 1))
-        C = np.empty(a.shape, dtype=np.result_type(a, c))
-        for j in range(0, a.size - 1, m):
-            g = grow[:min(m + 1, a.size - j)]
-            C[j:j + g.size] = (c + cumulative_simpson(a[j:j + g.size] * g, h)) / g
-            c = C[j + g.size - 1]
-        total += float(np.real(np.sum(simpson_weights(x) * a * np.conj(C))))
-    return total
+def _h_minus1_sum(x, a, total, c):
+    """total plus the Simpson sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy
+    = c at x[0], and C at x[-1]: cumulative Simpson of a(y) e^{y - x_j} on
+    runs of about unit length from a node x_j, so no e^{y - x_j} exceeds e."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    m = min(2 * max(1, int(0.5 / h)), x.size)
+    grow = np.exp(h * np.arange(m + 1))
+    C = np.empty(a.shape, dtype=np.result_type(a, c))
+    for j in range(0, a.size - 1, m):
+        g = grow[:min(m + 1, a.size - j)]
+        C[j:j + g.size] = (c + cumulative_simpson(a[j:j + g.size] * g, h)) / g
+        c = C[j + g.size - 1]
+    return total + float(np.real(np.sum(simpson_weights(x) * a * np.conj(C)))), c
+
+
+def _f1_h_tail(x0: float):
+    """figure1's H^-1 integral past x0 as part(C(x0)) -> (value, bound). Past
+    x0, C = e^{x0-x} C(x0) + e^{-x} S with S = int_x0^x e^y a = Im(e^{ie^x} Psi)
+    - sigma0 + rest, Psi = -i sum_{k<K} i^k e^{-kx} p_k(s) (_f1_amplitude_polys),
+    sigma0 that term at x0, |rest| <= R = e^{-(K-1)x0} |p_K|(s0) / (K-1). As
+    2 sin(e^x) Im(e^{ie^x} Psi) = Re Psi - Re(e^{2ie^x} Psi), the value is
+    (C(x0) - sigma0 e^{-x0}) Im int e^{ie^x} e^{x0-x} / (1+x) plus int e^{-x}
+    (Re Psi - Re(e^{2ie^x} Psi)) / 2(1+x), whose smooth part is summed on unit
+    Gauss panels to EXP_PHASE_MAX. The bound is R e^{-x0} s0 plus each tail's
+    _F1_QUAD sup|g| and rounding of its phase."""
+    s0, decay = 1.0 / (1.0 + x0), math.exp(-x0)
+    psi0 = -1j * _f1_phi(x0, 0)
+    sigma0 = (cmath.exp(1j * math.exp(x0)) * psi0).imag
+    t1 = exp_phase_tail(lambda x: np.exp(x0 - x) / (1.0 + x), x0).imag
+    osc = exp_phase_tail(lambda x: np.exp(-x) * -1j * _f1_phi(x, 0) / (1.0 + x), x0, 2.0)
+    lo = x0 + np.arange(math.ceil(EXP_PHASE_MAX - x0))
+    smooth = np.sum(_gauss_panel(lambda x: np.exp(-x) * _f1_phi(x, 0).imag / (1.0 + x),
+                                 lo, lo + 1.0))
+    rest = math.exp(-_F1_TERMS * x0) * polyval(s0, np.abs(_F1_P[-1])) / (_F1_TERMS - 1) * s0
+
+    def part(c0):
+        lead = c0 - sigma0 * decay
+        quad = _F1_QUAD * s0 * (abs(lead) + 0.5 * decay * abs(psi0))
+        phase = math.exp(x0) * np.finfo(float).eps * (abs(lead * t1) + 2.0 * abs(osc))
+        return float(lead * t1 + 0.5 * (smooth - osc.real)), rest + quad + phase
+    return part
 
 
 # SobolevNorm rejects the non-finite value of an overflow; no numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def sobolev_h_minus1(p: Potential, cutoff=None) -> SobolevNorm:
+def sobolev_h_minus1(p: Potential, cutoff=None, *, _split=_F1_SPLIT) -> SobolevNorm:
     """H^-1 norm int |Fa|^2/(1+xi^2) dxi, F normalised by 1/sqrt(2 pi), in
     direct space: 1/2 int int a(x) conj(a(y)) e^{-|x-y|} dx dy, as the
     inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Simpson pass over
-    panels of [0, X] (see _truncation) with max(oscillation budget,
-    2048 X, 16385) nodes. tail_bound is the error estimate: the change from
-    the same sum on every other node, plus the bound on the part past X,
-    plus _ROUNDING_ULPS ulps of the value.
+    panels of [0, X] (see _truncation) with max(2048 X, _SOBOLEV_NODES)
+    nodes, in chunks of _H_CHUNK steps; figure1's part past X = _split comes
+    from its expansion (see _f1_h_tail). tail_bound is the error estimate:
+    the change from the same sum on every other node, plus the bound on the
+    part past X, plus _ROUNDING_ULPS ulps of the value.
     ``cutoff`` is accepted and ignored. Raises ValueError if a is not in L2
     (an uncut constant) or has no known truncation point, KernelError if the
     node count exceeds _N_CAP or the sums overflow (as where |a|_2 does)."""
     if p.family == "constant" and p.support_bound is None:
         raise ValueError("the H^-1 norm needs a square-integrable coefficient")
-    hi, truncated = _truncation(p)
+    hi, truncated = (_split, 0.0) if p.family == "figure1" else _truncation(p)
     if p.l2_norm == 0.0 or hi <= 0.0:
         return SobolevNorm(0.0, 0.0)
-    n = max(_window_budget(p, 0.0, hi, 1.0, _SOBOLEV_NODES_PER_PERIOD),
-            2048.0 * hi, 16385)
+    n = max(2048.0 * hi, _SOBOLEV_NODES)
     if n > _N_CAP:
         raise KernelError(f"the H^-1 integral over [0, {hi:g}] needs {n:.3g} nodes; "
                           f"the limit is {_N_CAP}")
-    panels = _panels(0.0, hi, p.breakpoints(), math.ceil(n), 4)
-    values = [np.asarray(_one_sided(p, x)) for x in panels]
-    value = _h_minus1_sum(panels, values)
-    coarse = _h_minus1_sum([x[::2] for x in panels], [a[::2] for a in values])
+    sums = [(0.0, 0.0)] * 2     # (sum, C) on all nodes, on every other node
+    for x, a in _panels(p, 0.0, hi, p.breakpoints(), math.ceil(n), 4, _H_CHUNK):
+        sums = [_h_minus1_sum(x[::k], a[::k], *sc) for k, sc in zip((1, 2), sums)]
+    (value, c), (coarse, c_coarse) = sums
+    if p.family == "figure1":
+        (tail, truncated), (tail_coarse, _) = map(_f1_h_tail(hi), (c, c_coarse))
+        value, coarse = value + tail, coarse + tail_coarse
     rounding = _ROUNDING_ULPS * np.finfo(float).eps * abs(value)
     return SobolevNorm(value=value, tail_bound=abs(value - coarse) + truncated + rounding)
 
 
 def _fit_or_flag(r: np.ndarray, m: np.ndarray) -> DecayFit:
     try:
-        return fit_decay(np.column_stack([r, m]), floor=_FIT_FLOOR)
+        return fit_decay(np.column_stack([r, m]))
     except InsufficientDataError:
         return DecayFit(alpha_hat=math.nan, c_hat=math.nan, offset=math.nan,
                         residual=math.inf, window=(float(r[0]), float(r[-1])),
@@ -773,4 +791,4 @@ def classify_alpha(p: Potential, r_grid) -> DecayFit:
     for the entropy decay class)."""
     grid = Grid.coerce(r_grid)
     D = np.array(_windows(p, [], grid.points)[1])
-    return fit_decay(np.column_stack([grid.points, np.abs(D)]), floor=_FIT_FLOOR)
+    return fit_decay(np.column_stack([grid.points, np.abs(D)]))

@@ -572,6 +572,7 @@ def fold_mirrors(x: np.ndarray, image: np.ndarray, use_image: np.ndarray):
 # the rounding of an RSS in eps sqrt(RSS Syy), Syy = sum (y - mean y)^2:
 # each residual carries about 2 eps |y - mean y| of it (Cauchy-Schwarz)
 _RSS_ROUNDING = 4.0
+_FIT_FLOOR = 1e-13      # fit_decay's default magnitude floor
 
 
 def _decay_rss(alpha, r, y):
@@ -589,7 +590,7 @@ def _decay_rss(alpha, r, y):
     return np.sum(res * res, axis=-1), c[..., 0], beta[..., 0]
 
 
-def fit_decay(samples, floor: float = 1e-13) -> DecayFit:
+def fit_decay(samples, floor: float = _FIT_FLOOR) -> DecayFit:
     """Fit a stretched-exponential decay class to (r, magnitude) samples.
 
     Model: -log m = c r^alpha + offset, solved by a deterministic scan over

@@ -267,10 +267,15 @@ def check_entropy_band(rng):
     worst = 0.0
     for name in ("box11", "box052", "gaussian", "figure1"):
         pot = _catalog()[name]
-        ratio = ent.entropy_sum(pot, 30).total / float(ent.sobolev_h_minus1(pot))
+        at = ent.sobolev_h_minus1(pot)
+        ratio = ent.entropy_sum(pot, 30).total / at.value
         worst = max(worst, ratio / 100.0, 0.01 / ratio)
+    past = ent.sobolev_h_minus1(pot, _split=ent._F1_SPLIT + 1.0)    # pot is figure1
+    gap = abs(at.value - past.value) / (at.tail_bound + past.tail_bound)
     return [_result("entropy.band", worst, 1.0,
-                    "sum-vs-Sobolev ratio inside [1/100, 100] (ratio to band edge)")]
+                    "sum-vs-Sobolev ratio inside [1/100, 100] (ratio to band edge)"),
+            _result("entropy.figure1_sobolev_split", gap, 1.0, "H^-1 sampled to 4 "
+                    "and to 5, the rest expanded (gap to the sum of the bounds)")]
 
 def check_alpha_agreement(rng):
     from .potentials import oscillation_classify
@@ -389,7 +394,7 @@ _GROUPS = [
       "entropy.varying_phase_reference"), check_entropy_references),
     (("entropy.support_zero",), check_entropy_support),
     (("entropy.D_scaling",), check_entropy_scaling),
-    (("entropy.band",), check_entropy_band),
+    (("entropy.band", "entropy.figure1_sobolev_split"), check_entropy_band),
     (("entropy.alpha_agreement", "entropy.support_flag"), check_alpha_agreement),
     (("opuc.weight_normalization", "opuc.gram_offdiag"), check_opuc_weight),
     (("opuc.orders_factorial", "opuc.orders_finite_flag"), check_opuc_orders),

@@ -194,7 +194,8 @@ class TestRealPass:
         # the injected error is 1.4e-6, was 5e-6); the pass on every other
         # node skips it
         r = 1.625
-        panel = ent_mod._panels(r, r + 2.0, (), ent_mod._window_budget(GAUSS, r, r + 2.0, 2.0))[0]
+        budget = ent_mod._window_budget(GAUSS, r, r + 2.0, 2.0)
+        panel = next(ent_mod._panels(np.exp, r, r + 2.0, (), budget))[0]
         x_odd = 2.0 * panel[101]
         bad = Potential("closed-form", "gaussian",
                         lambda x: np.exp(-x * x) + np.where(x == x_odd, 1.4e-6, 0.0),
@@ -279,6 +280,19 @@ class TestFigure1Expansion:
         assert phi.shape == x.shape
         assert np.all(np.abs(phi - terms) <= 8 * np.finfo(float).eps * np.abs(terms))
         assert ent_mod._f1_phi(5.0) == phi.ravel()[20]
+
+    def test_psi_rows_are_derivatives(self):
+        # f(u) = 1/(1 + ln u) has f^(k)(u) = e^{-ky} p_k(1/(1+y)), u = e^y: the
+        # rows of _F1_P against mpmath's derivatives
+        with mp.workdps(30):
+            f = lambda u: 1 / (1 + mp.log(u))
+            for y in (0.5, 4.0, 7.0):
+                s = 1 / (1 + mp.mpf(y))
+                for k in range(ent_mod._F1_TERMS + 1):
+                    ref = mp.diff(f, mp.exp(y), k)
+                    row = mp.exp(-k * y) * mp.polyval(
+                        [mp.mpf(c) for c in ent_mod._F1_P[k][::-1]], s)
+                    assert abs(row - ref) <= mp.mpf(1e-20) * abs(ref), (y, k)
 
     @pytest.mark.parametrize("r", [2.5, 2.75, 3.5, 3.75, 4.0])
     def test_E_matches_sampling(self, r):
@@ -493,6 +507,34 @@ def _gaussian_H(c, scale):
     return abs(c) ** 2 * val
 
 
+def _figure1_H(U=2e4):
+    """H for figure1 after u = e^x: with B(u) = int_1^u sin v / (1 + ln v) dv,
+    the integrand sin(u) B(u) / ((1 + ln u) u^2) is (B^2/2)' / u^2, so by parts
+    H = int_1^inf B^2 / u^3 du, an integrand of one sign. Half-period
+    16-point Gauss panels to U, B at a node from a Gauss rule on its part
+    panel; past U, B^2 = B_inf^2 + 2 B_inf cos u / (1 + ln u)
+    + cos^2 u / (1 + ln u)^2 + O(1 / (u ln^2 u)), whose non-oscillating
+    terms give B_inf^2 / 2U^2 + int_U^inf du / (2 (1 + ln u)^2 u^3); the rest
+    is O(U^-3 / ln U)."""
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    f = lambda v: np.sin(v) / (1.0 + np.log(v))
+    edges = np.concatenate([[1.0], np.arange(1, math.ceil(U / math.pi) + 1) * math.pi])
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * gx
+    whole = half * (f(nodes) @ gw)
+    starts = np.concatenate([[0.0], np.cumsum(whole)[:-1]])
+    sub_half = 0.5 * (nodes - lo[:, None])
+    sub = (0.5 * (nodes + lo[:, None]))[:, :, None] + sub_half[:, :, None] * gx
+    B = starts[:, None] + sub_half * (f(sub) @ gw)
+    body = float(np.sum(half * ((B * B / nodes ** 3) @ gw)))
+    U = edges[-1]
+    b_inf = starts[-1] + whole[-1] + math.cos(U) / (1.0 + math.log(U))
+    rest, _ = quad(lambda x: math.exp(-2.0 * x) / (2.0 * (1.0 + x) ** 2), math.log(U),
+                   math.inf, epsabs=0.0, epsrel=1e-12)
+    return body + b_inf ** 2 / (2.0 * U * U) + rest
+
+
 class TestSobolev:
     def test_zero(self):
         assert float(sobolev_h_minus1(ZERO, 200.0)) == 0.0
@@ -524,12 +566,33 @@ class TestSobolev:
         assert abs(sz.value - _gaussian_H(c, 1.0)) <= 1e-12 * ref
         assert abs(sz.value - abs(c) ** 2 * sb.value) <= 1e-12 * sz.value
 
-    def test_figure1_doubled_nodes(self, monkeypatch):
+    def test_figure1_against_reference(self):
+        # sampled on [0, 4], the rest from the expansion: within its bound of
+        # a reference good to about 1e-14 (a Gauss-panel reference with the
+        # O(U^-2) tail dropped is 4.8e-12 high)
         sb = sobolev_h_minus1(FIG)
-        monkeypatch.setattr(ent_mod, "_SOBOLEV_NODES_PER_PERIOD",
-                            2 * ent_mod._SOBOLEV_NODES_PER_PERIOD)
-        fine = sobolev_h_minus1(FIG)
-        assert abs(fine.value - sb.value) <= sb.tail_bound
+        assert sb.tail_bound <= 1e-12
+        assert abs(sb.value - _figure1_H()) <= sb.tail_bound
+
+    @pytest.mark.parametrize("split", [3.5, 5.0])
+    def test_figure1_split_and_nodes(self, split, monkeypatch):
+        # the sampled range ends elsewhere, on twice the nodes; the value
+        # moves by less than the two bounds
+        sb = sobolev_h_minus1(FIG)
+        monkeypatch.setattr(ent_mod, "_SOBOLEV_NODES", 2 * ent_mod._SOBOLEV_NODES - 1)
+        moved = sobolev_h_minus1(FIG, _split=split)
+        assert abs(moved.value - sb.value) <= sb.tail_bound + moved.tail_bound
+
+    def test_long_pass_in_chunks(self, monkeypatch):
+        # box:1,40 on 81 921 nodes, two pieces; in pieces of 2^10 steps it
+        # moves by rounding only, and stays within its bound of the closed form
+        ref = 40.0 - 1.0 + math.exp(-40.0)
+        sb = sobolev_h_minus1(build_potential("box", 1, 40))
+        monkeypatch.setattr(ent_mod, "_H_CHUNK", 2 ** 10)
+        small = sobolev_h_minus1(build_potential("box", 1, 40))
+        assert abs(small.value - sb.value) <= 1e-14 * ref
+        assert abs(small.tail_bound - sb.tail_bound) <= 1e-14 * ref
+        assert abs(sb.value - ref) <= sb.tail_bound
 
     def test_quadratic_homogeneity(self):
         v1 = float(sobolev_h_minus1(BOX, 200.0))

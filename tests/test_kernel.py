@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from kreinlab import kernel as kernel_mod, krein
-from kreinlab.entropy import _F1_Q, _F1_TERMS, _f1_phi
+from kreinlab.entropy import _F1_P, _F1_Q, _F1_QUAD, _F1_TERMS, _f1_phi
 from kreinlab.kernel import (
     _write_csv,
     DecayFit,
@@ -93,6 +93,14 @@ def _mpmath_phi(mp, x):
                    for k in range(_F1_TERMS))
 
 
+def _mpmath_psi(mp, x):
+    """figure1's amplitude Psi = -i sum_k i^k e^{-kx} p_k(1/(1+x)) in mpmath."""
+    s = 1 / (1 + x)
+    return -mp.mpc(0, 1) * mp.fsum(mp.mpc(0, 1) ** k * mp.exp(-k * x)
+                                   * mp.polyval([mp.mpf(c) for c in _F1_P[k][::-1]], s)
+                                   for k in range(_F1_TERMS))
+
+
 class TestOscillatoryTail:
     def test_against_references(self):
         g = lambda x: 1.0 / (1.0 + x)
@@ -116,6 +124,45 @@ class TestOscillatoryTail:
         ref = _mpmath_exp_phase_tail(mp, g_mp, x0, omega)
         tol = 1e-14 + 4.0 * omega * math.exp(x0) * np.finfo(float).eps
         assert abs(exp_phase_tail(g, x0, omega) - ref) <= tol * abs(ref)
+
+    @pytest.mark.parametrize("case", ["lead", "psi"])
+    def test_h_minus1_tail_amplitudes_against_mpmath(self, case):
+        # the two tails of figure1's H^-1 past x0 = 4 (see _f1_h_tail), within
+        # the quadrature bound its tail_bound takes, _F1_QUAD sup|g|, plus the
+        # rounding of the phase
+        mp = pytest.importorskip("mpmath")
+        x0 = 4.0
+        g, g_mp, omega = {
+            "lead": (lambda x: np.exp(x0 - x) / (1.0 + x),
+                     lambda x: mp.exp(x0 - x) / (1 + x), 1.0),
+            "psi": (lambda x: np.exp(-x) * -1j * _f1_phi(x, 0) / (1.0 + x),
+                    lambda x: mp.exp(-x) * _mpmath_psi(mp, x) / (1 + x), 2.0),
+        }[case]
+        ref = _mpmath_exp_phase_tail(mp, g_mp, x0, omega)
+        tol = (_F1_QUAD * abs(g(np.array(x0)))
+               + omega * math.exp(x0) * np.finfo(float).eps * abs(ref))
+        assert abs(exp_phase_tail(g, x0, omega) - ref) <= tol
+
+    def test_weighted_integral_from_psi(self):
+        # S(x) = int_4^x e^y a = int sin u / (1 + ln u) du over [e^4, e^x] is
+        # Im(e^{ie^x} Psi(x)) - sigma0 up to the rest R of the expansion; the
+        # reference is the difference of two mpmath tails
+        mp = pytest.importorskip("mpmath")
+        x0, K = 4.0, _F1_TERMS
+        s0 = 1.0 / (1.0 + x0)
+        rest = (math.exp(-(K - 1) * x0) / (K - 1)
+                * np.polynomial.polynomial.polyval(s0, np.abs(_F1_P[K])))
+
+        def ref_tail(x):
+            return _mpmath_exp_phase_tail(mp, lambda y: mp.exp(y) / (1 + y), x, 1.0)
+
+        def boundary(x):
+            return (np.exp(1j * math.exp(x)) * -1j * _f1_phi(x, 0)).imag
+
+        head = ref_tail(x0)
+        for x in (4.5, 6.0, 10.0):
+            ref = (head - ref_tail(x)).imag
+            assert abs(boundary(x) - boundary(x0) - ref) <= rest, x
 
     def test_production_matches_panel_oracle(self):
         # integral of sin(e^x)/(1+x) over [2, 40]; the tail beyond 40 is ~1e-19
