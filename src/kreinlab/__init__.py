@@ -11,11 +11,9 @@ from .kernel import (
     OdeStepError,
     Propagation,
     exp_phase_tail,
-    cumulative_simpson,
     fit_decay,
     propagate,
     series_coeffs_from_samples,
-    simpson,
 )
 from .potentials import (
     Potential,

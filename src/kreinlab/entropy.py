@@ -45,12 +45,10 @@ from .kernel import (
     boole_weights,
     breakpoint_segments,
     cumulative_boole,
-    cumulative_simpson,
     exp_phase_tail,
     fit_decay,
     propagate,
     row_gram,
-    simpson_weights,
 )
 from .krein import _TOL
 from .potentials import Potential
@@ -196,17 +194,17 @@ def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float):
     return max(_NODES_MIN, int(phase / (2.0 * math.pi) * _NODES_PER_PERIOD))
 
 
-def _panels(f, lo, hi, breaks, n_total, group=8, chunk=None):
+def _panels(f, lo, hi, breaks, n_total, chunk=None):
     """Nodes x and values f(x) on uniform panels of [lo, hi] cut at breaks,
     n_total nodes in all; each has n >= 17 nodes with n - 1 a multiple of
-    group, so that every other node is a Boole (group 8) or Simpson (group
-    4) grid too. Each panel's end nodes are nudged inward for f, so that
-    value jumps located exactly at panel boundaries are sampled one-sidedly.
-    With chunk, a multiple of group, a panel comes in pieces of at most
-    chunk + 1 nodes that share their end nodes."""
+    8, so that every other node is a Boole grid too. Each panel's end nodes
+    are nudged inward for f, so that value jumps located exactly at panel
+    boundaries are sampled one-sidedly. With chunk, a multiple of 8, a
+    panel comes in pieces of at most chunk + 1 nodes that share their end
+    nodes."""
     for a, b in breakpoint_segments(lo, hi, breaks):
         n = max(17, int(round(n_total * (b - a) / (hi - lo))))
-        n += (1 - n) % group
+        n += (1 - n) % 8
         step, eps = (b - a) / (n - 1), 1e-12 * (b - a) + 1e-300
         for j in range(0, n - 1, chunk or n):
             k = min(j + (chunk or n), n - 1)
@@ -686,18 +684,19 @@ def _truncation(p: Potential) -> tuple[float, float]:
 
 
 def _h_minus1_sum(x, a, total, c):
-    """total plus the Simpson sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy
-    = c at x[0], and C at x[-1]: cumulative Simpson of a(y) e^{y - x_j} on
-    runs of about unit length from a node x_j, so no e^{y - x_j} exceeds e."""
+    """total plus the Boole sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy
+    = c at x[0], and C at x[-1]: cumulative Boole of a(y) e^{y - x_j} on
+    runs of a multiple of 4 steps and about unit length from a node x_j, so
+    no e^{y - x_j} exceeds e (x has 4k + 1 nodes)."""
     h = (x[-1] - x[0]) / (x.size - 1)
-    m = min(2 * max(1, int(0.5 / h)), x.size)
+    m = min(4 * max(1, int(0.25 / h)), x.size)
     grow = np.exp(h * np.arange(m + 1))
     C = np.empty(a.shape, dtype=np.result_type(a, c))
     for j in range(0, a.size - 1, m):
         g = grow[:min(m + 1, a.size - j)]
-        C[j:j + g.size] = (c + cumulative_simpson(a[j:j + g.size] * g, h)) / g
+        C[j:j + g.size] = (c + cumulative_boole(a[j:j + g.size] * g, h)) / g
         c = C[j + g.size - 1]
-    return total + float(np.real(np.sum(simpson_weights(x) * a * np.conj(C)))), c
+    return total + float(np.real(np.sum(boole_weights(x) * a * np.conj(C)))), c
 
 
 def _f1_h_tail(x0: float):
@@ -733,7 +732,7 @@ def _f1_h_tail(x0: float):
 def sobolev_h_minus1(p: Potential, cutoff=None, *, _split=_F1_SPLIT) -> SobolevNorm:
     """H^-1 norm int |Fa|^2/(1+xi^2) dxi, F normalised by 1/sqrt(2 pi), in
     direct space: 1/2 int int a(x) conj(a(y)) e^{-|x-y|} dx dy, as the
-    inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Simpson pass over
+    inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Boole pass over
     panels of [0, X] (see _truncation) with max(2048 X, _SOBOLEV_NODES)
     nodes, in chunks of _H_CHUNK steps; figure1's part past X = _split comes
     from its expansion (see _f1_h_tail). tail_bound is the error estimate:
@@ -752,7 +751,7 @@ def sobolev_h_minus1(p: Potential, cutoff=None, *, _split=_F1_SPLIT) -> SobolevN
         raise KernelError(f"the H^-1 integral over [0, {hi:g}] needs {n:.3g} nodes; "
                           f"the limit is {_N_CAP}")
     sums = [(0.0, 0.0)] * 2     # (sum, C) on all nodes, on every other node
-    for x, a in _panels(p, 0.0, hi, p.breakpoints(), math.ceil(n), 4, _H_CHUNK):
+    for x, a in _panels(p, 0.0, hi, p.breakpoints(), math.ceil(n), _H_CHUNK):
         sums = [_h_minus1_sum(x[::k], a[::k], *sc) for k, sc in zip((1, 2), sums)]
     (value, c), (coarse, c_coarse) = sums
     if p.family == "figure1":

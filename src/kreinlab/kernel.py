@@ -1,6 +1,6 @@
 """Shared numerical primitives.
 
-Simpson and Boole rules, a fourth-order Magnus propagator for linear 2x2
+Boole's rule on uniform grids, a fourth-order Magnus propagator for linear 2x2
 systems (generators given as components tr I + ((e, o01), (o10, -e)) that
 broadcast over time and batch; maps held component-major),
 stretched-exponential decay fitting, power-series coefficient extraction
@@ -91,44 +91,8 @@ class DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# Simpson and Boole rules on uniform grids
+# Boole's rule on uniform grids
 # ---------------------------------------------------------------------------
-
-def simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights on a uniform grid with an odd node count."""
-    if x.size % 2 == 0:
-        raise ValueError("Simpson's rule needs an odd number of nodes")
-    h = (x[-1] - x[0]) / (x.size - 1)
-    w = np.ones(x.size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
-
-
-def simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson integral of samples y along axis 0 of the grid x."""
-    return np.tensordot(simpson_weights(x), y, axes=1)
-
-
-def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Integral of samples y (axis 0, spacing dx, at least 3 nodes) from the
-    first node to each node. Each interval takes the quadratic through it and
-    the next node (the last interval, through it and the one before), so the
-    values at even nodes are the composite Simpson sums."""
-    y = np.asarray(y)
-    if y.shape[0] < 3:
-        raise ValueError("cumulative Simpson needs at least 3 nodes")
-    # the node triples from each even node: the forward quadratic of interval
-    # 2k and the backward one of interval 2k + 1 go through the same three
-    f0, f1, f2 = y[:-2:2], y[1:-1:2], y[2::2]
-    parts = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=np.result_type(y, dx))
-    parts[:-1:2] = dx / 3 * (5 * f0 / 4 + 2 * f1 - f2 / 4)
-    parts[1::2] = dx / 3 * (5 * f2 / 4 + 2 * f1 - f0 / 4)
-    parts[-1] = dx / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
-    out = np.zeros(y.shape, dtype=parts.dtype)
-    np.cumsum(parts, axis=0, out=out[1:])
-    return out
-
 
 # the quartic through nodes 4k .. 4k + 4 integrated from node 4k to node
 # 4k + j, j = 1 .. 4, in units of the spacing; row 4 is Boole's rule
@@ -146,16 +110,18 @@ def boole_weights(x: np.ndarray) -> np.ndarray:
 
 
 def cumulative_boole(y: np.ndarray, dx: float) -> np.ndarray:
-    """Integral of samples y (1-d, spacing dx, 4k + 1 nodes) from the first
-    node to each node, by the quartic through each group of five nodes from
-    a node 4k; an einsum, not a BLAS product (see _gauss_panel)."""
-    groups = np.lib.stride_tricks.sliding_window_view(y, 5)[::4]
-    parts = dx * np.einsum("kj,ij->ki", groups, _BOOLE_PARTIAL)
+    """Integral of samples y (along axis 0, spacing dx, 4k + 1 nodes) from
+    the first node to each node, by the quartic through each group of five
+    nodes from a node 4k; an einsum, not a BLAS product (see _gauss_panel)."""
+    # the groups of five nodes from each node 4k, as a view: (k, 5, ...)
+    groups = np.lib.stride_tricks.as_strided(y, ((y.shape[0] - 1) // 4, 5) + y.shape[1:],
+                                             (4 * y.strides[0],) + y.strides)
+    parts = dx * np.einsum("kj...,ij->ki...", groups, _BOOLE_PARTIAL)
     out = np.empty(y.shape, dtype=parts.dtype)
     out[0] = 0.0
-    body = out[1:].reshape(-1, 4)
+    body = out[1:].reshape((-1, 4) + y.shape[1:])
     body[...] = parts
-    body[1:] += np.cumsum(parts[:-1, 3])[:, None]
+    body[1:] += np.cumsum(parts[:-1, 3], axis=0)[:, None]
     return out
 
 

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from .kernel import (SeriesTailWarning, cumulative_simpson, fold_mirrors, propagate, row_gram,
-                     simpson, simpson_weights)
+from .kernel import (SeriesTailWarning, boole_weights, cumulative_boole, fold_mirrors, propagate,
+                     row_gram)
 
 N_GRID = 4097
-# grid of diagonal_a_n's double integral
-_DIAGONAL_GRID = 2049
 # random_coeff_pair's modes and norm range, random_admissible_family's norms
 _N_MODES = 3
 _NORM_RANGE = (0.3, 0.95)
@@ -30,13 +28,17 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _grid(n: int) -> np.ndarray:
-    if n % 2 == 0:
-        n += 1
-    return np.linspace(0.0, 1.0, n)
+    """Uniform grid of [0, 1] with n nodes rounded up to 4k + 1, a Boole grid."""
+    return np.linspace(0.0, 1.0, n + (1 - n) % 4)
 
 
 def _cum(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return cumulative_simpson(y, x[1] - x[0])
+    return cumulative_boole(y, x[1] - x[0])
+
+
+def _int(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Boole integral of samples y along axis 0 of the grid x."""
+    return np.tensordot(boole_weights(x), y, axes=1)
 
 
 @dataclass
@@ -117,7 +119,7 @@ def _chain_mean(vals: list[np.ndarray], x: np.ndarray) -> float:
     acc = _cum(vals[-1], x)
     for v in vals[-2::-1]:
         acc = _cum(v * acc, x)
-    return float(simpson(acc, x))
+    return float(_int(acc, x))
 
 
 def _series_terms(A: CoeffPair, n_terms: int):
@@ -214,7 +216,7 @@ def f_of_s(A: CoeffPair, s: complex | np.ndarray, n_grid: int | None = None,
         out = np.ones_like(ss)
     elif A.p_is_zero or A.q_is_zero:
         gs = np.outer(gq if A.p_is_zero else gp, ss)
-        out = simpson(np.exp(2.0 * gs), x) * simpson(np.exp(-2.0 * gs), x)
+        out = _int(np.exp(2.0 * gs), x) * _int(np.exp(-2.0 * gs), x)
     else:
         g = propagate(_sa_gen(A, ss), _sa_start(ss), 0.0, 1.0, ode_tol,
                       integrand=row_gram).integral
@@ -242,7 +244,7 @@ def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
             # M_m M_{k-m}^T: entry (i, j) is sum_l M_m[i, l] M_{k-m}[j, l]
             X, Y = terms[m], terms[k - m]
             Nk += X[:, :, None, 0] * Y[:, None, :, 0] + X[:, :, None, 1] * Y[:, None, :, 1]
-        L.append(simpson(Nk, x))
+        L.append(_int(Nk, x))
     out = np.zeros(n_max + 1)
     out[0] = 1.0
     for n in range(1, n_max // 2 + 1):
@@ -257,15 +259,18 @@ def taylor_a(A: CoeffPair, n_max: int = 8) -> np.ndarray:
 
 def diagonal_a_n(g: Callable, n: int) -> float:
     """Coefficient a_n for a diagonal generator with antiderivative g:
-    (2^n / n!) * double integral of (g(x) - g(y))^n over the unit square, by
-    Simpson's rule on _DIAGONAL_GRID nodes a side."""
+    (2^n / n!) * double integral of (g(x) - g(y))^n over the unit square,
+    which by the binomial expansion is sum_k C(n, k) (-1)^k m_{n-k} m_k
+    with the moments m_j = int (g - mean g)^j, by Boole's rule on N_GRID
+    nodes. The terms k and n - k cancel exactly for odd n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = _grid(_DIAGONAL_GRID)
+    x = _grid(N_GRID)
     gv = np.asarray(g(x), dtype=float)
-    w = simpson_weights(x)
-    diff = gv[:, None] - gv[None, :]
-    total = float(w @ (diff ** n) @ w)
+    w = boole_weights(x)
+    d = gv - w @ gv
+    m = [float(w @ d ** j) for j in range(n + 1)]
+    total = math.fsum(math.comb(n, k) * (-1) ** k * (m[n - k] * m[k]) for k in range(n + 1))
     return 2.0 ** n / math.factorial(n) * total
 
 
@@ -274,7 +279,7 @@ def a2_variation(A: CoeffPair) -> float:
     x, _, _, gp, gq = A._tables()
 
     def D(g):
-        return simpson(g * g, x) - simpson(g, x) ** 2
+        return _int(g * g, x) - _int(g, x) ** 2
 
     return float(4.0 * D(gp) + 4.0 * D(gq))
 
@@ -348,7 +353,7 @@ def family_gamma(fs: Sequence[Callable]) -> float:
     for f in fs:
         fv = np.asarray(f(x), dtype=float)
         Fv = _cum(fv, x)
-        mean = simpson(Fv, x)
-        eps = max(eps, float(simpson(Fv * Fv, x) - mean ** 2))
-        delta = max(delta, float(math.sqrt(simpson(fv * fv, x))))
+        mean = _int(Fv, x)
+        eps = max(eps, float(_int(Fv * Fv, x) - mean ** 2))
+        delta = max(delta, float(math.sqrt(_int(fv * fv, x))))
     return math.sqrt(max(eps, 0.0)) + max(eps, 0.0) ** 0.25 * math.sqrt(delta)

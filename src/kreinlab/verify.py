@@ -15,7 +15,7 @@ import numpy as np
 from . import entropy as ent
 from . import krein
 from . import opuc
-from .kernel import exp_phase_tail, series_coeffs_from_samples, simpson
+from .kernel import boole_weights, exp_phase_tail, series_coeffs_from_samples
 from .ordered_exp import (
     J,
     CoeffPair,
@@ -272,10 +272,19 @@ def check_entropy_band(rng):
         worst = max(worst, ratio / 100.0, 0.01 / ratio)
     past = ent.sobolev_h_minus1(pot, _split=ent._F1_SPLIT + 1.0)    # pot is figure1
     gap = abs(at.value - past.value) / (at.tail_bound + past.tail_bound)
+    # the box c 1_[0, L] has the H^-1 norm |c|^2 (L - 1 + e^{-L})
+    closed = 0.0
+    for c, size in ((1.0, 1.0), (0.5, 2.0), (1.0 + 1.0j, 3.0)):
+        h = ent.sobolev_h_minus1(build_potential("box", c, size))
+        closed = max(closed, abs(h.value - abs(c) ** 2 * (size - 1.0 + math.exp(-size)))
+                     / h.tail_bound)
     return [_result("entropy.band", worst, 1.0,
                     "sum-vs-Sobolev ratio inside [1/100, 100] (ratio to band edge)"),
             _result("entropy.figure1_sobolev_split", gap, 1.0, "H^-1 sampled to 4 "
-                    "and to 5, the rest expanded (gap to the sum of the bounds)")]
+                    "and to 5, the rest expanded (gap to the sum of the bounds)"),
+            _result("entropy.sobolev_closed_form", closed, 1.0, "H^-1 of box:1,1, "
+                    "box:0.5,2 and box:1+1i,3 against |c|^2 (L - 1 + e^-L) "
+                    "(gap to tail_bound)")]
 
 def check_alpha_agreement(rng):
     from .potentials import oscillation_classify
@@ -349,7 +358,7 @@ def check_figure1(rng):
         U = math.pi * math.ceil(3.2e4 / math.pi)
         u = np.linspace(math.exp(r), U, 2 ** 20 + 1)
         w = 1.0 / (u * (1.0 + np.log(u)))
-        body = float(simpson(np.sin(u) * w, u))
+        body = float(boole_weights(u) @ (np.sin(u) * w))
         wU = 1.0 / (U * (1.0 + math.log(U)))
         wpU = -(2.0 + math.log(U)) / (U * (1.0 + math.log(U))) ** 2
         oracle = body + math.cos(U) * wU - math.sin(U) * wpU
@@ -394,7 +403,8 @@ _GROUPS = [
       "entropy.varying_phase_reference"), check_entropy_references),
     (("entropy.support_zero",), check_entropy_support),
     (("entropy.D_scaling",), check_entropy_scaling),
-    (("entropy.band", "entropy.figure1_sobolev_split"), check_entropy_band),
+    (("entropy.band", "entropy.figure1_sobolev_split", "entropy.sobolev_closed_form"),
+     check_entropy_band),
     (("entropy.alpha_agreement", "entropy.support_flag"), check_alpha_agreement),
     (("opuc.weight_normalization", "opuc.gram_offdiag"), check_opuc_weight),
     (("opuc.orders_factorial", "opuc.orders_finite_flag"), check_opuc_orders),

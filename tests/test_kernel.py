@@ -1,5 +1,5 @@
-"""Numerics-kernel tests: oscillatory tails, Simpson, ODE, decay fits, series
-coefficients."""
+"""Numerics-kernel tests: oscillatory tails, Boole's rule, ODE, decay fits,
+series coefficients."""
 
 import csv
 import importlib
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import newton_cotes
-from scipy.integrate import simpson as scipy_simpson
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -31,13 +30,11 @@ from kreinlab.kernel import (
     boole_weights,
     breakpoint_segments,
     cumulative_boole,
-    cumulative_simpson,
     exp_phase_tail,
     fit_decay,
     fold_mirrors,
     propagate,
     series_coeffs_from_samples,
-    simpson,
 )
 from kreinlab.potentials import build_potential
 
@@ -561,31 +558,6 @@ def test_write_csv_is_csv_writers_bytes(tmp_path):
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-class TestSimpson:
-    def test_matches_scipy_bit_for_bit(self):
-        rng = np.random.default_rng(3)
-        y = rng.normal(size=101) + 1j * rng.normal(size=101)
-        ours = cumulative_simpson(y, 0.01)
-        theirs = scipy_cumulative_simpson(y, dx=0.01, initial=0.0)
-        assert np.array_equal(ours, theirs)
-        x = np.linspace(0.0, 1.0, 101)
-        assert simpson(y, x) == pytest.approx(scipy_simpson(y, x=x), abs=1e-14)
-
-    def test_every_small_node_count_matches_scipy(self):
-        # odd and even counts (the last interval of an even count takes the
-        # backward quadratic), real, complex and 2-D along axis 0
-        rng = np.random.default_rng(5)
-        for n in range(3, 41):
-            real = rng.normal(size=n)
-            for y in (real, real + 1j * rng.normal(size=n), rng.normal(size=(n, 3))):
-                theirs = scipy_cumulative_simpson(y, dx=0.37, axis=0, initial=0.0)
-                assert np.array_equal(cumulative_simpson(y, 0.37), theirs), (n, y.shape, y.dtype)
-
-    def test_even_node_count_rejected(self):
-        with pytest.raises(ValueError):
-            simpson(np.ones(4), np.linspace(0.0, 1.0, 4))
-
-
 class TestBoole:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_cumulative_rule_is_exact_on_quartics(self, degree):
@@ -629,6 +601,30 @@ class TestBoole:
                                rtol=0.0, atol=1e-15)
         assert np.array_equal(cumulative_boole(y[::2], 0.2),
                               cumulative_boole(y[::2].copy(), 0.2))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacks_along_axis_0(self, dtype):
+        # an (n, 2, 2) stack is integrated column by column: exact on quartics,
+        # and within rounding of the 1-d call on each column (the stacked
+        # einsum may sum in another order, so not bitwise)
+        poly = np.polynomial.polynomial
+        x = np.linspace(0.0, 1.5, 41)
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=(5, 2, 2)).astype(dtype)
+        if dtype is complex:
+            coeffs += 1j * rng.normal(size=(5, 2, 2))
+        quartics = np.stack([poly.polyval(t, coeffs) for t in x])
+        ours = cumulative_boole(quartics, x[1] - x[0])
+        assert ours.shape == quartics.shape and ours.dtype == np.dtype(dtype)
+        antider = poly.polyint(coeffs)
+        exact = np.stack([poly.polyval(t, antider) - poly.polyval(x[0], antider) for t in x])
+        assert np.max(np.abs(ours - exact)) <= 1e-14
+        waves = np.exp(1j * np.outer(x, [1.0, -2.0, 3.0, 0.5])).reshape(-1, 2, 2)
+        for y in (quartics, waves if dtype is complex else waves.real):
+            stack = cumulative_boole(y, x[1] - x[0])
+            for i, j in np.ndindex(2, 2):
+                col = cumulative_boole(y[:, i, j].copy(), x[1] - x[0])
+                assert np.max(np.abs(stack[:, i, j] - col)) <= 1e-15 * np.max(np.abs(col))
 
     @pytest.mark.parametrize("n", [4, 6, 7])
     def test_node_count_not_4k_plus_1_rejected(self, n):

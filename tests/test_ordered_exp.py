@@ -1,16 +1,18 @@
 """Ordered-exponential tests: iterated integrals, series vs ODE, Gram
 determinant routes, explicit low-order coefficients, smallness bounds."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from kreinlab.kernel import (SeriesTailWarning, propagate, row_gram, series_coeffs_from_samples,
-                             simpson)
+from kreinlab.kernel import (SeriesTailWarning, boole_weights, propagate, row_gram,
+                             series_coeffs_from_samples)
 from kreinlab.ordered_exp import (
     J,
     CoeffPair,
+    _grid,
     _sa_gen,
     _sa_start,
     a2_variation,
@@ -26,8 +28,15 @@ from kreinlab.ordered_exp import (
     taylor_a,
 )
 
+# the module, which the package's ordered_exp function shadows
+ordered_exp_mod = importlib.import_module("kreinlab.ordered_exp")
 ONE = lambda t: np.ones_like(np.asarray(t, dtype=float))
 IDENT = lambda t: np.asarray(t, dtype=float)
+
+
+@pytest.mark.parametrize("n", [1022, 1023, 1024, 1025])
+def test_grid_rounds_up_to_a_boole_grid(n):
+    assert np.array_equal(_grid(n), np.linspace(0.0, 1.0, 1025))
 
 
 class TestIteratedIntegral:
@@ -163,14 +172,15 @@ class TestGramDeterminant:
         assert np.max(np.abs(batch - (g[:, 0] * g[:, 2] - g[:, 1] * g[:, 1]))) < 1e-14
 
     def test_conjugate_pairs_on_the_one_component_path(self):
-        # the Simpson sums of e^{+-2sg} over a batch of another width round
-        # differently, by up to 3e-14 here
+        # the Boole sums of e^{+-2sg} over a batch of another width round
+        # differently, by up to 6e-16 here
         A = CoeffPair.constant(0.0, 0.7, n_grid=1025)
         batch = f_of_s(A, self.SS)
         self._pairs_are_conjugates(batch)
         x, _, _, _, gq = A._tables()
         gs = np.outer(gq, self.SS)
-        whole = simpson(np.exp(2.0 * gs), x) * simpson(np.exp(-2.0 * gs), x)
+        w = boole_weights(x)
+        whole = (w @ np.exp(2.0 * gs)) * (w @ np.exp(-2.0 * gs))
         assert np.max(np.abs(batch - whole)) < 1e-13
 
 
@@ -221,6 +231,22 @@ class TestDiagonalFormula:
         g = lambda t: np.asarray(t, dtype=float)
         assert diagonal_a_n(g, 2) == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert diagonal_a_n(g, 4) == pytest.approx(2.0 / 45.0, abs=1e-8)
+
+    @pytest.mark.parametrize("g", [IDENT, np.sin, np.square, np.exp],
+                             ids=["t", "sin", "t2", "exp"])
+    def test_moments_against_double_integral(self, g, monkeypatch):
+        # the double integral w (g(x) - g(y))^n w on a 513-node grid with the
+        # same Boole weights, which the binomial sum of moments regroups: the
+        # two agree to rounding of the largest term, (2^n / n!) max|g(x) - g(y)|^n
+        monkeypatch.setattr(ordered_exp_mod, "N_GRID", 513)
+        x = np.linspace(0.0, 1.0, 513)
+        w = boole_weights(x)
+        diff = g(x)[:, None] - g(x)[None, :]
+        for n in range(2, 6):
+            scale = 2.0 ** n / math.factorial(n)
+            ref = scale * float(w @ diff ** n @ w)
+            err = abs(diagonal_a_n(g, n) - ref)
+            assert err <= 1e-15 * scale * np.max(np.abs(diff)) ** n, n
 
     def test_odd_vanishes(self):
         for g in (lambda t: np.sin(np.asarray(t)), lambda t: np.asarray(t) ** 2):
