@@ -194,12 +194,9 @@ def cmd_entropy(args) -> int:
         "E": [_provenance(r, v) for r, v in sorted(E.items())],
         "D": [_provenance(r, v) for r, v in zip(grid.points, D)],
     })
-    if esum.total == 0.0 or sob.value == 0.0:
-        verdict = "trivial"
-        ratio = None
-    else:
-        ratio = esum.total / sob.value
-        verdict = "in-band" if 0.01 <= ratio <= 100.0 else "out-of-band"
+    ratio = None if esum.total == 0.0 or sob.value == 0.0 else esum.total / sob.value
+    verdict = ("trivial" if ratio is None
+               else "in-band" if 0.01 <= ratio <= 100.0 else "out-of-band")
     summary = {
         "command": "entropy",
         "potential": args.potential,

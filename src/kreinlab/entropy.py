@@ -22,6 +22,10 @@ spectral Szego theorem on the real line", Adv. Math. 2020). The other
 order N N^T depends on the start and is a different functional: its
 det int - 4 is 4 (F - 1) for the ordered-exponential bridge F of
 ordered_exp.f_of_s.
+
+Every sampled pass, of E, D or the H^-1 norm, takes its nodes and values
+from one generator (_blocks), in blocks of at most _BLOCK + 1 nodes, and
+carries its state from block to block in panel order.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from .kernel import (
     InsufficientDataError,
     KernelError,
     _FIT_FLOOR,
+    _GL_X,
     _gauss_panel,
     boole_weights,
-    breakpoint_segments,
     cumulative_boole,
     exp_phase_tail,
     fit_decay,
@@ -75,17 +79,17 @@ _ODE_TOL = 1e-11
 # a ratio E/D is reported where D is above _RATIO_FLOOR; the decay fits take
 # the values above fit_decay's default floor, kernel's _FIT_FLOOR
 _RATIO_FLOOR = 1e-12
-# H^-1 norm: fewest nodes, steps per chunk of the pass, L2 mass left past an
-# effective support, and figure1's end of sampling
+# steps in one block of a sampled pass (see _blocks), and Gauss nodes in one
+# pass that builds figure1's windows (see _f1_plan)
+_BLOCK = 2 ** 16
+# H^-1 norm: fewest nodes, L2 mass left past an effective support, and
+# figure1's end of sampling
 _SOBOLEV_NODES = 16385
-_H_CHUNK = 2 ** 16
 _MASS_TOL = 1e-16
 _F1_SPLIT = 4.0
 # figure1: T(x) = int_x^inf a = Re(e^{ie^x} Phi) + rest, with the amplitudes
 # i^k e^{-(k+1)x} q_k(1/(1+x)), k < _F1_TERMS, in Phi
 _F1_TERMS = 8
-# figure1 windows built in one pass: at most 2^16 Gauss nodes
-_F1_CHUNK = 1024
 # error of a tail, or of a window's difference of two, per unit of sup|g| on
 # the amplitudes used here (measured at most 2e-15 against Gauss panels in
 # u = e^x, at most 1e-15 on Phi^3, Phi^4, rho^2 Phi and rho^2 Phi^2 from x = 5
@@ -187,55 +191,69 @@ def n_matrix(p: Potential, r: float) -> np.ndarray:
 def _window_budget(p: Potential, lo: float, hi: float, arg_scale: float):
     """Node count that resolves the oscillation of a(arg_scale * t) on [lo, hi]
     (sized for the sixth-order rule of _sampled_sums)."""
-    if p.osc_rate(arg_scale * hi) == 0.0:
-        return _NODES_MIN
     # for exponential phases the accumulated phase is the rate difference
     phase = max(p.osc_rate(arg_scale * hi) - p.osc_rate(arg_scale * lo), 1.0)
     return max(_NODES_MIN, int(phase / (2.0 * math.pi) * _NODES_PER_PERIOD))
 
 
-def _panels(f, lo, hi, breaks, n_total, chunk=None):
-    """Nodes x and values f(x) on uniform panels of [lo, hi] cut at breaks,
-    n_total nodes in all; each has n >= 17 nodes with n - 1 a multiple of
-    8, so that every other node is a Boole grid too. Each panel's end nodes
-    are nudged inward for f, so that value jumps located exactly at panel
-    boundaries are sampled one-sidedly. With chunk, a multiple of 8, a
-    panel comes in pieces of at most chunk + 1 nodes that share their end
-    nodes."""
-    for a, b in breakpoint_segments(lo, hi, breaks):
-        n = max(17, int(round(n_total * (b - a) / (hi - lo))))
+def _blocks(f, lo, hi, breaks, n_total):
+    """The node count of a pass over uniform panels of [lo, hi] cut at the
+    increasing breaks, n_total nodes in all, each of n >= 17 nodes with n - 1
+    a multiple of 8 (every other node is a Boole grid too); and its blocks in
+    panel order: nodes x and values f(x) as (P, n) stacks of at most
+    _BLOCK + 1 nodes, of consecutive panels of one n or of one piece of a
+    longer panel (pieces share their end nodes). Each panel's end nodes are
+    nudged inward for f, so that a jump at a panel boundary is sampled
+    one-sidedly. Raises KernelError past _N_CAP nodes."""
+    if n_total > _N_CAP:
+        raise KernelError(f"a pass over [{lo:g}, {hi:g}] needs {n_total:.3g} nodes; "
+                          f"the limit is {_N_CAP}")
+    cuts = [float(lo), *(c for c in breaks if lo < c < hi), float(hi)]
+    rows, nodes = [], 0         # (start, stop, nodes, nudges) of each panel or piece
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = max(17, int(round(n_total * (b - a) / (cuts[-1] - cuts[0]))))
         n += (1 - n) % 8
         step, eps = (b - a) / (n - 1), 1e-12 * (b - a) + 1e-300
-        for j in range(0, n - 1, chunk or n):
-            k = min(j + (chunk or n), n - 1)
-            x = np.linspace(a + j * step, b if k == n - 1 else a + k * step, k - j + 1)
-            v = x.copy()
-            v[0] += eps if j == 0 else 0.0
-            v[-1] -= eps if k == n - 1 else 0.0
-            yield x, f(v)
+        nodes += n
+        for j in range(0, n - 1, _BLOCK):
+            k = min(j + _BLOCK, n - 1)
+            rows.append((a + j * step, b if k == n - 1 else a + k * step, k - j + 1,
+                         eps if j == 0 else 0.0, eps if k == n - 1 else 0.0))
+
+    def blocks():
+        for size, run in itertools.groupby(rows, lambda row: row[2]):
+            run = list(run)
+            per = (_BLOCK + 1) // size
+            for i in range(0, len(run), per):
+                start, stop, _, nudge0, nudge1 = np.array(run[i:i + per]).T[:, :, None]
+                x = np.arange(size) * ((stop - start) / (size - 1)) + start   # as np.linspace
+                x[:, -1:] = stop
+                v = x.copy()
+                v[:, :1] += nudge0
+                v[:, -1:] -= nudge1
+                yield x, f(v)
+    return nodes, blocks()
 
 
 def _sampled_sums(f, lo: float, hi: float, breaks, n_total: int, moments):
     """Boole sums over [lo, hi] of each array in moments(G), G(t) the
-    cumulative integral of f from lo (see cumulative_boole), on panels cut
-    at breaks: row 0 on all nodes, row 1 on every other node, off by about
-    64 times row 0's sixth-order error. Returns the rows and the node count.
-    Raises KernelError past _N_CAP nodes."""
-    if n_total > _N_CAP:
-        raise KernelError(f"window [{lo}, {hi}] oscillates too fast to resolve "
-                          f"({n_total} nodes needed)")
-    parts = ([], [])
-    offset = [0.0, 0.0]
-    nodes = 0
-    for panel, vals in _panels(f, lo, hi, breaks, n_total):
-        nodes += panel.size
-        for j, step in enumerate((1, 2)):
-            x = panel[::step]
-            G = cumulative_boole(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
-            offset[j] = G[-1]
-            w = boole_weights(x)
-            parts[j].append([np.sum(w * m) for m in moments(G)])
-    return np.array([np.sum(rows, axis=0) for rows in parts]), nodes
+    cumulative integral of f from lo (see cumulative_boole), on the blocks
+    of _blocks: row 0 on all nodes, row 1 on every other node, off by about
+    64 times row 0's sixth-order error; G's offset carries across panels in
+    panel order. Returns the rows and the node count."""
+    nodes, blocks = _blocks(f, lo, hi, breaks, n_total)
+    parts, offset = ([], []), [0.0, 0.0]
+    for x, vals in blocks:
+        span = x[:, -1] - x[:, 0]
+        for j in (0, 1):
+            G = cumulative_boole(vals[:, ::j + 1].T, span / ((x.shape[1] - 1) >> j))
+            ends = np.add.accumulate(np.concatenate(([offset[j]], G[-1])))
+            offset[j] = ends[-1]
+            # (P, n) in row order, so that each panel's sum is its own pairwise sum
+            G, w = np.add(G.T, ends[:-1, None], order="C"), boole_weights(x[:, ::j + 1])
+            parts[j].append(np.array([np.add.reduce(w * m, -1) for m in moments(G)], order="F").T)
+    # the panels' sums added in panel order, on the rows of a (panels, moments) array
+    return np.array([np.add.reduce(np.concatenate(rows), axis=0) for rows in parts]), nodes
 
 
 def _entropy_sampled(p: Potential, r: float, n_total: int):
@@ -366,24 +384,15 @@ def _f1_windows(spans) -> list:
                                        _f1_rest(x0).tolist(), *rho.T.tolist())]
 
 
-def _f1_plan(E_at, D_at):
-    """The window (x0, x1) -> _F1Window of the E windows at E_at, then the D
-    windows at D_at, asked for in that order: each is built on first use
-    together with the _F1_CHUNK - 1 windows after it (see _f1_windows), so
-    that the windows a scan never asks for are mostly not built."""
-    spans = itertools.chain(((2.0 * r, 2.0 * r + 4.0) for r in E_at),
-                            ((r, r + 2.0) for r in D_at))
-    built = {}
-
-    def window(x0: float, x1: float):
-        if (x0, x1) not in built:
-            for span in spans:       # skip the windows not asked for
-                if span == (x0, x1):
-                    break
-            chunk = [(x0, x1), *itertools.islice(spans, _F1_CHUNK - 1)]
-            built.update(zip(chunk, _f1_windows(chunk)))
-        return built[(x0, x1)]
-    return window
+def _f1_plan(p: Potential, E_at, D_at) -> dict:
+    """The window (x0, x1) -> _F1Window of each E window at E_at and each D
+    window at D_at, built in passes of at most _BLOCK Gauss nodes (see
+    _f1_windows); not those from where tail_sup is 0, as E and D are 0 there."""
+    spans = ([(2.0 * r, 2.0 * r + 4.0) for r in E_at if p.tail_sup(2.0 * r) != 0.0]
+             + [(r, r + 2.0) for r in D_at if p.tail_sup(r) != 0.0])
+    per = _BLOCK // (4 * _GL_X.size)      # E's windows, of 4 unit panels, are widest
+    return {span: w for i in range(0, len(spans), per)
+            for span, w in zip(spans[i:i + per], _f1_windows(spans[i:i + per]))}
 
 
 def _f1_harmonic(omega: int, x):
@@ -425,8 +434,7 @@ class _F1Tails:
                 self.rows[omega] = dict(zip(xs, tails.real))
 
     def __call__(self, omega: int, x0: float, x1: float):
-        rows = self.rows[omega]
-        return rows[x0] - rows[x1]
+        return self.rows[omega][x0] - self.rows[omega][x1]
 
 
 class _F1Window:
@@ -454,12 +462,8 @@ class _F1Window:
         self.tb = tb = abs(phi0) + tau
         self.smooth2 = 0.5 * rho2
         self.smooth4 = 0.375 * rho4
-
-        def osc(amplitude, w):
-            return 2.0 * 2.0 * 2.0 * math.exp(-x0) * amplitude / w
-
-        self.osc1 = osc(tb, 1.0)
-        self.osc2 = osc(0.5 * tb * tb, 2.0)
+        self.osc1, self.osc2 = (8.0 * math.exp(-x0) * amplitude / w
+                                for amplitude, w in ((tb, 1.0), (0.5 * tb * tb, 2.0)))
         self.computed = x0 <= EXP_PHASE_MAX
         # the rest of the expansion: |T - T_K| <= tau, |T^2 - T_K^2| <= 2 tau tb
         self.err1 = span * tau + (2.0 * _F1_QUAD * tb if self.computed else self.osc1)
@@ -513,7 +517,7 @@ def _f1_E_job(p: Potential, r: float, plan):
     where a sampled window needs 202 569 nodes."""
     x0 = 2.0 * r
     span = 4.0
-    w = plan(x0, x0 + span)
+    w = plan[(x0, x0 + span)]
     m = 2.0 * p.tail_sup(x0)
     if w.computed:
         dc = w.tau + 2.0 * math.exp(x0) * np.finfo(float).eps * w.tb
@@ -552,7 +556,7 @@ def _f1_D_job(r: float, plan):
     _f1_E_job), or None where the error bound exceeds _EXPANSION_REL D. With
     g = T(r) - T on [r, r+2], D = 2 int g^2 - (int g)^2 = 2 I2 - I1^2
     exactly: T(r) cancels."""
-    w = plan(r, r + 2.0)
+    w = plan[(r, r + 2.0)]
     err = 2.0 * w.err2 + 2.0 * w.abs1 * w.err1 + w.err1 ** 2
     lower = 2.0 * (w.smooth2 - w.osc2 - w.err2) - (w.abs1 + w.err1) ** 2
     if not err <= _EXPANSION_REL * lower:
@@ -650,7 +654,7 @@ def _windows(p: Potential, E_at, D_at) -> tuple[list, list]:
     one tail table (see _F1Tails). Raises ValueError for an r below 0."""
     if not all(r >= 0 for r in itertools.chain(E_at, D_at)):
         raise ValueError("r must be >= 0")
-    plan = _f1_plan(E_at, D_at)
+    plan = _f1_plan(p, E_at, D_at) if p.family == "figure1" else {}
     E = [_E_window(p, r, plan) for r in E_at]
     D = [_D_window(p, r, plan) for r in D_at]
     # what is left pending is a (window, omega, value) job, not a WindowValue
@@ -684,19 +688,28 @@ def _truncation(p: Potential) -> tuple[float, float]:
 
 
 def _h_minus1_sum(x, a, total, c):
-    """total plus the Boole sum of Re a conj(C), C(x) = int_0^x a(y) e^{-(x-y)} dy
-    = c at x[0], and C at x[-1]: cumulative Boole of a(y) e^{y - x_j} on
-    runs of a multiple of 4 steps and about unit length from a node x_j, so
-    no e^{y - x_j} exceeds e (x has 4k + 1 nodes)."""
-    h = (x[-1] - x[0]) / (x.size - 1)
-    m = min(4 * max(1, int(0.25 / h)), x.size)
-    grow = np.exp(h * np.arange(m + 1))
-    C = np.empty(a.shape, dtype=np.result_type(a, c))
-    for j in range(0, a.size - 1, m):
-        g = grow[:min(m + 1, a.size - j)]
-        C[j:j + g.size] = (c + cumulative_boole(a[j:j + g.size] * g, h)) / g
-        c = C[j + g.size - 1]
-    return total + float(np.real(np.sum(boole_weights(x) * a * np.conj(C)))), c
+    """total plus the Boole sums of Re a conj(C) on each panel of a block, C(x)
+    = int_0^x a(y) e^{-(x-y)} dy = c at the first node, and C at the last: by
+    cumulative Boole of a(y) e^{y - x_j} on runs of 4k steps and about unit
+    length from a node x_j, so that no e^{y - x_j} exceeds e. C and total
+    carry across runs in panel order."""
+    n = x.shape[1]
+    h = (x[:, -1] - x[:, 0]) / (n - 1)
+    sums, rows = [], slice(0, 0)
+    for m, group in itertools.groupby(min(4 * max(1, int(0.25 / v)), n - 1) for v in h):
+        rows = slice(rows.stop, rows.stop + len(list(group)))   # panels of run length m
+        grow = np.exp(h[rows, None] * np.arange(m + 1))
+        runs = [slice(j, min(j + m, n - 1) + 1) for j in range(0, n - 1, m)]
+        B = [cumulative_boole((a[rows, r] * grow[:, :r.stop - r.start]).T, h[rows]).T for r in runs]
+        cs = list(itertools.accumulate(zip(np.stack([b[:, -1] for b in B], -1).ravel(),
+                                           grow[:, [b.shape[1] - 1 for b in B]].ravel()),
+                                       lambda c, t: (c + t[0]) / t[1], initial=c))
+        c = cs.pop()
+        C = np.empty(B[0].shape[:1] + (n,), dtype=B[0].dtype)
+        for r, b, c0 in zip(runs, B, np.reshape(cs, (len(B), -1), order="F")):
+            C[:, r] = (c0[:, None] + b) / grow[:, :r.stop - r.start]
+        sums.append(np.add.reduce(boole_weights(x[rows]) * a[rows] * np.conj(C), axis=-1).real)
+    return float(np.cumsum(np.concatenate(([total], *sums)))[-1]), c
 
 
 def _f1_h_tail(x0: float):
@@ -733,8 +746,8 @@ def sobolev_h_minus1(p: Potential, cutoff=None, *, _split=_F1_SPLIT) -> SobolevN
     """H^-1 norm int |Fa|^2/(1+xi^2) dxi, F normalised by 1/sqrt(2 pi), in
     direct space: 1/2 int int a(x) conj(a(y)) e^{-|x-y|} dx dy, as the
     inverse transform of 1/(1+xi^2) is pi e^{-|x|}; one Boole pass over
-    panels of [0, X] (see _truncation) with max(2048 X, _SOBOLEV_NODES)
-    nodes, in chunks of _H_CHUNK steps; figure1's part past X = _split comes
+    the blocks (see _blocks) of [0, X] (see _truncation) with
+    max(2048 X, _SOBOLEV_NODES) nodes; figure1's part past X = _split comes
     from its expansion (see _f1_h_tail). tail_bound is the error estimate:
     the change from the same sum on every other node, plus the bound on the
     part past X, plus _ROUNDING_ULPS ulps of the value.
@@ -746,13 +759,10 @@ def sobolev_h_minus1(p: Potential, cutoff=None, *, _split=_F1_SPLIT) -> SobolevN
     hi, truncated = (_split, 0.0) if p.family == "figure1" else _truncation(p)
     if p.l2_norm == 0.0 or hi <= 0.0:
         return SobolevNorm(0.0, 0.0)
-    n = max(2048.0 * hi, _SOBOLEV_NODES)
-    if n > _N_CAP:
-        raise KernelError(f"the H^-1 integral over [0, {hi:g}] needs {n:.3g} nodes; "
-                          f"the limit is {_N_CAP}")
     sums = [(0.0, 0.0)] * 2     # (sum, C) on all nodes, on every other node
-    for x, a in _panels(p, 0.0, hi, p.breakpoints(), math.ceil(n), _H_CHUNK):
-        sums = [_h_minus1_sum(x[::k], a[::k], *sc) for k, sc in zip((1, 2), sums)]
+    n = math.ceil(max(2048.0 * hi, _SOBOLEV_NODES))
+    for x, a in _blocks(p, 0.0, hi, p.breakpoints(), n)[1]:
+        sums = [_h_minus1_sum(x[:, ::k], a[:, ::k], *sc) for k, sc in zip((1, 2), sums)]
     (value, c), (coarse, c_coarse) = sums
     if p.family == "figure1":
         (tail, truncated), (tail_coarse, _) = map(_f1_h_tail(hi), (c, c_coarse))

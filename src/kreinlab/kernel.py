@@ -60,9 +60,7 @@ class Grid:
 
     @classmethod
     def coerce(cls, obj) -> "Grid":
-        if isinstance(obj, Grid):
-            return obj
-        return cls(np.asarray(obj, dtype=float))
+        return obj if isinstance(obj, Grid) else cls(np.asarray(obj, dtype=float))
 
     def __len__(self):
         return self.points.size
@@ -101,12 +99,14 @@ _BOOLE_PARTIAL = np.array([[251, 646, -264, 106, -19], [232, 992, 192, 32, -8],
 
 
 def boole_weights(x: np.ndarray) -> np.ndarray:
-    """Composite Boole weights on a uniform grid of 4k + 1 nodes."""
-    if x.size % 4 != 1:
+    """Composite Boole weights on a uniform grid of 4k + 1 nodes, or on each
+    row of a stack of such grids (along the last axis)."""
+    n = x.shape[-1]
+    if n % 4 != 1:
         raise ValueError("Boole's rule needs 4k + 1 nodes")
-    w = np.tile([14.0, 32.0, 12.0, 32.0], x.size // 4 + 1)[:x.size]
+    w = np.tile([14.0, 32.0, 12.0, 32.0], n // 4 + 1)[:n]
     w[[0, -1]] = 7.0
-    return w * (2.0 * (x[-1] - x[0]) / (x.size - 1) / 45.0)
+    return w * (2.0 * (x[..., -1:] - x[..., :1]) / (n - 1) / 45.0)
 
 
 def cumulative_boole(y: np.ndarray, dx: float) -> np.ndarray:
@@ -271,12 +271,6 @@ def _magnus(gen: Callable, a: np.ndarray, b: np.ndarray, batch: tuple) -> np.nda
         return _expm(tau, half * (ep + eq), sym + anti, sym - anti, shape)
     return _expm(tau, half * (ep + eq) + k * (bq * cp - bp * cq),
                  half * (bp + bq) + anti, half * (cp + cq) + 2.0 * k * (cq * ep - cp * eq), shape)
-
-
-def breakpoint_segments(lo: float, hi: float, breaks) -> list[tuple[float, float]]:
-    """[lo, hi] cut at the increasing ``breaks`` that lie strictly inside it."""
-    cuts = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def row_gram(X: np.ndarray) -> np.ndarray:

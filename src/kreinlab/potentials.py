@@ -53,7 +53,7 @@ class Potential:
         if self.family in ("box", "constant") and self.support_bound is not None:
             return (self.support_bound,)
         if self.kind == "sampled":
-            return tuple(self.sample_grid)
+            return tuple(self.sample_grid.tolist())
         return ()
 
     def osc_rate(self, x: float) -> float:
@@ -165,10 +165,7 @@ def build_potential(family: str, *params) -> Potential:
         is_real = c.imag == 0.0
         if is_real:
             c = c.real
-        if cutoff is None:
-            l2 = math.inf
-        else:
-            l2 = abs(c) * math.sqrt(cutoff)
+        l2 = math.inf if cutoff is None else abs(c) * math.sqrt(cutoff)
         return Potential("closed-form", family,
                          lambda r, c=c: np.full_like(r, c, dtype=complex if not is_real else float),
                          support_bound=cutoff, l2_norm=l2,

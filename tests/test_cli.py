@@ -409,13 +409,16 @@ class TestInputValidation:
         (ENTROPY + ["--potential", "box:1,50"], EXIT_OK),
         (ENTROPY + ["--potential", "box:1,1e300"], EXIT_CHECK_FAILED),
         (ENTROPY + ["--potential", "constant:1,1e9"], EXIT_CHECK_FAILED),
-        # a step of 6e-305: the Sobolev chunk stays within its panel
+        # a step of 6e-305: the Sobolev block stays within its panel
         (ENTROPY + ["--potential", "box:1,1e-300"], EXIT_OK),
         (ENTROPY + ["--potential", "box:1,-1"], EXIT_USAGE),
         (ENTROPY + ["--potential", "gaussian:1,nan"], EXIT_USAGE),
         # square-integrable, but |c| sqrt(L) overflows: numerical failure
         (ENTROPY + ["--potential", "box:1e308,50"], EXIT_CHECK_FAILED),
         (ENTROPY + ["--potential", "constant:1e308,50"], EXIT_CHECK_FAILED),
+        # figure1 windows so far out that x0 + 4 == x0: E and D are exactly 0
+        # there, and no expansion window is built for them
+        (ENTROPY + ["--potential", "figure1", "--rmax", "1e300", "--dr", "1e299"], EXIT_OK),
     ])
     def test_exit_code_in_bounded_time(self, args, code, tmp_path, capsys):
         start = time.perf_counter()
@@ -456,16 +459,17 @@ _FUZZ_ARGS = st.one_of(
               st.sampled_from(["factorial", "gaussian"]),
               st.sampled_from([-1, 0, 1, 10, 200, 5000, MAX_GRID_POINTS + 1])),
     # complex sampled CSVs c e^{ikx} on n points of [0, 3], of varying phase
-    # where k > 0; at most 61 points, as the sampled passes cut a panel at
-    # each point
+    # where k > 0: uniform grids of a few points, and non-uniform ones of a
+    # few hundred, on which the passes stack panels of several node counts
     st.builds(lambda c, k, n: (["entropy", "--potential", "sampled:{out}/a.csv",
-                                "--rmax", "1", "--nsum", "1"], _csv(c, k, n)),
+                                "--rmax", "1", "--nsum", "1"], _csv(c, k, *n)),
               st.sampled_from([1e-300, 0.3, 1 + 1j, 5.0, 1e200, 1e308]),
-              st.sampled_from([0.0, 1.0, 30.0]), st.sampled_from([2, 7, 61])))
+              st.sampled_from([0.0, 1.0, 30.0]),
+              st.sampled_from([(2, 1), (7, 1), (61, 1), (200, 2), (400, 3)])))
 
 
-def _csv(c, k, n):
-    x = np.linspace(0.0, 3.0, n)
+def _csv(c, k, n, power=1):
+    x = 3.0 * np.linspace(0.0, 1.0, n) ** power
     a = c * np.exp(1j * k * x)
     return "r,re,im\n" + "".join(f"{t!r},{v.real!r},{v.imag!r}\n"
                                   for t, v in zip(x.tolist(), a.tolist()))

@@ -21,8 +21,18 @@ from kreinlab.entropy import (
     sobolev_h_minus1,
     variation_D,
 )
-from kreinlab.kernel import KernelError, propagate
-from kreinlab.potentials import Potential, build_potential, oscillation_classify
+from kreinlab.kernel import (
+    KernelError,
+    boole_weights,
+    cumulative_boole,
+    propagate,
+)
+from kreinlab.potentials import (
+    Potential,
+    build_potential,
+    oscillation_classify,
+    read_potential_csv,
+)
 
 ZERO = build_potential("zero")
 BOX = build_potential("box", 1, 1)
@@ -195,8 +205,8 @@ class TestRealPass:
         # node skips it
         r = 1.625
         budget = ent_mod._window_budget(GAUSS, r, r + 2.0, 2.0)
-        panel = next(ent_mod._panels(np.exp, r, r + 2.0, (), budget))[0]
-        x_odd = 2.0 * panel[101]
+        nodes = next(ent_mod._blocks(np.exp, r, r + 2.0, (), budget)[1])[0]
+        x_odd = 2.0 * nodes[0, 101]
         bad = Potential("closed-form", "gaussian",
                         lambda x: np.exp(-x * x) + np.where(x == x_odd, 1.4e-6, 0.0),
                         support_bound=None, l2_norm=GAUSS.l2_norm, params=GAUSS.params)
@@ -373,16 +383,24 @@ class TestFigure1Expansion:
 
     def test_windows_are_built_in_vectorised_passes(self, monkeypatch):
         # a scan builds its windows in one pass; in passes of three windows
-        # the values are bitwise the same
+        # (192 Gauss nodes, three of the widest) the values are bitwise the
+        # same
         grid = np.arange(0.0, 8.01, 0.25)
         passes = []
-        build = ent_mod._f1_windows
+        build, plan = ent_mod._f1_windows, ent_mod._f1_plan
         monkeypatch.setattr(ent_mod, "_f1_windows",
                             lambda spans: passes.append(len(spans)) or build(spans))
         E, D = ent_mod._windows(FIG, grid, grid)
         assert passes == [66]
         passes.clear()
-        monkeypatch.setattr(ent_mod, "_F1_CHUNK", 3)
+
+        def small_passes(*args):
+            # the cap of the planning passes only: the sampled windows keep theirs
+            with monkeypatch.context() as m:
+                m.setattr(ent_mod, "_BLOCK", 192)
+                return plan(*args)
+
+        monkeypatch.setattr(ent_mod, "_f1_plan", small_passes)
         E3, D3 = ent_mod._windows(FIG, grid, grid)
         assert passes == [3] * 22
         for one, three in zip(E + D, E3 + D3):
@@ -394,7 +412,7 @@ class TestFigure1Expansion:
         # less than its rounding: they are left to their bound, which E's
         # error carries, and the table holds the window to omega = 2 only
         x0 = 2.0 * r
-        w, omega, value = ent_mod._E_window(FIG, r, ent_mod._f1_plan([r], []))
+        w, omega, value = ent_mod._E_window(FIG, r, ent_mod._f1_plan(FIG, [r], []))
         full = w.moments(ent_mod._F1Tails([(w, 4)]), 4)
         left_out = w.moments(ent_mod._F1Tails([(w, 2)]), 4, harmonics=False)
         # each harmonic's integral is at most 8 e^{-x0} tb^omega / omega
@@ -584,15 +602,21 @@ class TestSobolev:
         assert abs(moved.value - sb.value) <= sb.tail_bound + moved.tail_bound
 
     def test_long_pass_in_chunks(self, monkeypatch):
-        # box:1,40 on 81 921 nodes, two pieces; in pieces of 2^10 steps it
-        # moves by rounding only, and stays within its bound of the closed form
+        # box:1,40 on 81 921 nodes, two pieces; figure1's E at r = 2.25 on
+        # 122 865 nodes, two pieces, and D at r = 3.75 on 6 921, one panel. In
+        # pieces of 2^10 steps each moves by rounding only: the norm stays
+        # within its bound of the closed form, E and D within their errors
         ref = 40.0 - 1.0 + math.exp(-40.0)
         sb = sobolev_h_minus1(build_potential("box", 1, 40))
-        monkeypatch.setattr(ent_mod, "_H_CHUNK", 2 ** 10)
+        E, D = entropy_E(FIG, 2.25), variation_D(FIG, 3.75)
+        monkeypatch.setattr(ent_mod, "_BLOCK", 2 ** 10)
         small = sobolev_h_minus1(build_potential("box", 1, 40))
         assert abs(small.value - sb.value) <= 1e-14 * ref
         assert abs(small.tail_bound - sb.tail_bound) <= 1e-14 * ref
         assert abs(sb.value - ref) <= sb.tail_bound
+        for one, pieced in ((E, entropy_E(FIG, 2.25)), (D, variation_D(FIG, 3.75))):
+            assert (pieced.route, pieced.nodes) == ("sampled", one.nodes)
+            assert abs(pieced - one) <= min(1e-13 * one, one.error)
 
     def test_quadratic_homogeneity(self):
         v1 = float(sobolev_h_minus1(BOX, 200.0))
@@ -632,7 +656,7 @@ class TestSobolev:
             sobolev_h_minus1(build_potential("box", 1, 1e6))
 
     def test_tiny_step(self):
-        # a step of 6e-305: the chunk of the O(n) pass stays within its panel;
+        # a step of 6e-305: the runs of the O(n) pass stay within their panel;
         # the norm c^2 (L - 1 + e^{-L}) ~ L^2 / 2 underflows to 0
         sb = sobolev_h_minus1(build_potential("box", 1, 1e-300))
         assert sb.value == 0.0 and sb.tail_bound == 0.0
@@ -647,6 +671,130 @@ class TestSobolev:
                       support_bound=None, l2_norm=math.sqrt(0.5))
         with pytest.raises(ValueError, match="no truncation point"):
             sobolev_h_minus1(p)
+
+
+# ---------------------------------------------------------------------------
+# the sampled passes one panel at a time, as they ran before the block
+# engine: the reference that the blocks must match bit for bit
+# ---------------------------------------------------------------------------
+
+def _loop_panels(f, lo, hi, breaks, n_total, chunk=None):
+    """Nodes x and values f(x) of each panel of [lo, hi] cut at breaks (see
+    entropy._blocks), one at a time; with chunk, in pieces of at most
+    chunk + 1 nodes that share their end nodes."""
+    cuts = [lo, *(b for b in breaks if lo < b < hi), hi]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = max(17, int(round(n_total * (b - a) / (hi - lo))))
+        n += (1 - n) % 8
+        step, eps = (b - a) / (n - 1), 1e-12 * (b - a) + 1e-300
+        for j in range(0, n - 1, chunk or n):
+            k = min(j + (chunk or n), n - 1)
+            x = np.linspace(a + j * step, b if k == n - 1 else a + k * step, k - j + 1)
+            v = x.copy()
+            v[0] += eps if j == 0 else 0.0
+            v[-1] -= eps if k == n - 1 else 0.0
+            yield x, f(v)
+
+
+def _loop_sums(f, lo, hi, breaks, n_total, moments):
+    """entropy._sampled_sums, two Boole passes per panel with the running
+    offset of G carried from panel to panel."""
+    parts = ([], [])
+    offset = [0.0, 0.0]
+    nodes = 0
+    for panel, vals in _loop_panels(f, lo, hi, breaks, n_total):
+        nodes += panel.size
+        for j, step in enumerate((1, 2)):
+            x = panel[::step]
+            G = cumulative_boole(vals[::step], (x[-1] - x[0]) / (x.size - 1)) + offset[j]
+            offset[j] = G[-1]
+            w = boole_weights(x)
+            parts[j].append([np.sum(w * m) for m in moments(G)])
+    return np.array([np.sum(rows, axis=0) for rows in parts]), nodes
+
+
+def _loop_h_sum(x, a, total, c):
+    """entropy._h_minus1_sum on one panel or piece, one run at a time."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    m = min(4 * max(1, int(0.25 / h)), x.size)
+    grow = np.exp(h * np.arange(m + 1))
+    C = np.empty(a.shape, dtype=np.result_type(a, c))
+    for j in range(0, a.size - 1, m):
+        g = grow[:min(m + 1, a.size - j)]
+        C[j:j + g.size] = (c + cumulative_boole(a[j:j + g.size] * g, h)) / g
+        c = C[j + g.size - 1]
+    return total + float(np.real(np.sum(boole_weights(x) * a * np.conj(C)))), c
+
+
+def _one_panel_at_a_time(monkeypatch):
+    """Run the sampled passes through the reference loops above: H^-1 in
+    pieces of 2^16 steps, as blocks of one row."""
+    monkeypatch.setattr(ent_mod, "_sampled_sums", _loop_sums)
+    monkeypatch.setattr(ent_mod, "_blocks", lambda *args: (None, (
+        (x[None], v[None]) for x, v in _loop_panels(*args, chunk=2 ** 16))))
+    monkeypatch.setattr(ent_mod, "_h_minus1_sum",
+                        lambda x, a, total, c: _loop_h_sum(x[0], a[0], total, c))
+
+
+def _sampled_csv(tmp_path, kind):
+    """A coefficient from a CSV of a few hundred points: e^{-x^2/4}, times
+    0.6 + 0.8i (constant phase) or e^{ix} (varying phase); "nonuniform" on a
+    grid of three spacings in random order and three intervals longer than a
+    unit, so that blocks stack panels of several node counts and H^-1 panels
+    hold several runs."""
+    if kind == "nonuniform":
+        steps = np.random.default_rng(0).choice([0.01, 0.02, 0.05], 250)
+        x = np.concatenate([[0.0], np.cumsum(steps)])
+        x = np.concatenate([x, x[-1] + np.array([1.5, 3.0, 6.75])])
+    else:
+        x = np.linspace(0.0, 6.0, 301)
+    a = np.exp(-x * x / 4.0) * {"real": 1.0, "nonuniform": 1.0, "constant_phase": 0.6 + 0.8j,
+                                "varying_phase": np.exp(1j * x)}[kind]
+    a = np.asarray(a, dtype=complex)
+    path = tmp_path / "a.csv"
+    path.write_text("r,re,im\n" + "".join(f"{t!r},{v.real!r},{v.imag!r}\n"
+                                          for t, v in zip(x.tolist(), a.tolist())))
+    return read_potential_csv(path)
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("kind", ["real", "constant_phase", "varying_phase", "nonuniform"])
+    def test_bitwise_the_panel_loop(self, kind, tmp_path, monkeypatch):
+        # E (real coefficients only: a complex sampled one takes the ODE), D
+        # with its fine and coarse rows, and the H^-1 value and tail_bound
+        p = _sampled_csv(tmp_path, kind)
+        E_at = [0.0, 0.4, 1.1] if p.is_real else []
+        D_at = [0.0, 0.7, 2.5]
+
+        def values():
+            return ([ent_mod._entropy_sampled(p, r, 4097) for r in E_at]
+                    + [ent_mod._variation_sampled(p, r, 4097) for r in D_at],
+                    sobolev_h_minus1(p))
+
+        (windows, sb) = values()
+        _one_panel_at_a_time(monkeypatch)
+        (ref_windows, ref_sb) = values()
+        assert windows == ref_windows
+        assert (sb.value, sb.tail_bound) == (ref_sb.value, ref_sb.tail_bound)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_run_lengths_differ_within_a_block(self, dtype):
+        # two panels of 4 097 nodes whose runs are 2 048 and 2 044 steps long
+        x = np.stack([np.linspace(0.0, 2.0, 4097), np.linspace(2.0, 4.001, 4097)])
+        a = np.exp(-x) * np.cos(3.0 * x) + (1j * np.sin(x) if dtype is complex else 0.0)
+        c0 = dtype(0.25)
+        total, c = ent_mod._h_minus1_sum(x, a, 0.5, c0)
+        ref = _loop_h_sum(x[1], a[1], *_loop_h_sum(x[0], a[0], 0.5, c0))
+        assert (total, c) == ref
+
+    @pytest.mark.parametrize("length", [40, 50])
+    def test_long_box_norm_bitwise(self, length, monkeypatch):
+        # box:1,40 and box:1,50 run in pieces of 2^16 steps, as before
+        p = build_potential("box", 1, length)
+        sb = sobolev_h_minus1(p)
+        _one_panel_at_a_time(monkeypatch)
+        ref = sobolev_h_minus1(p)
+        assert (sb.value, sb.tail_bound) == (ref.value, ref.tail_bound)
 
 
 class TestEquivalenceScan:

@@ -28,7 +28,6 @@ from kreinlab.kernel import (
     KernelError,
     OdeStepError,
     boole_weights,
-    breakpoint_segments,
     cumulative_boole,
     exp_phase_tail,
     fit_decay,
@@ -265,7 +264,8 @@ def krein_dop853(p, lams, ts):
 
     y = np.concatenate([np.ones(2 * k), np.zeros(k)]).astype(complex)
     rows = [y]
-    for lo, hi in breakpoint_segments(ts[0], ts[-1], p.breakpoints()):
+    cuts = [ts[0], *(b for b in p.breakpoints() if ts[0] < b < ts[-1]), ts[-1]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         seg = ts[(ts > lo) & (ts <= hi)]
         stops = seg if seg.size and seg[-1] == hi else np.append(seg, hi)
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13, atol=1e-15,
