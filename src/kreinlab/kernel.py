@@ -12,6 +12,7 @@ Every routine but the CSV writer is a pure, deterministic function of its argume
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -673,16 +674,14 @@ def series_coeffs_from_samples(f: Callable, degree: int, radius: float = 1.0,
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-# half-period panels of an oscillatory tail, and the averagings of their
-# partial sums (see exp_phase_tail)
+# half periods of an oscillatory tail and averagings of its partial sums
 _OSC_PANELS = 64
 _OSC_AVERAGINGS = 14
 # past this x the ulp of e^x is about 0.5, so e^x has no usable phase
 EXP_PHASE_MAX = 36.0
 # past this u = omega e^x the panel indices u / pi leave the int64 range
 _OSC_PHASE_CAP = 2.0 ** 62
-# nodes in one vectorised pass of exp_phase_tail over many x0: bounds a
-# pass's memory
+# nodes in one vectorised pass of exp_phase_tail over many x0: bounds its memory
 _OSC_PASS_NODES = 2 ** 16
 
 
@@ -698,57 +697,58 @@ def _gauss_panel(w: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half.reshape(half.shape + (1,) * (sums.ndim - 1)) * sums
 
 
+@functools.cache
+def _osc_rule():
+    """12-point Gauss-Legendre t, w on [0, 1], and pi w e^{i pi t} (see exp_phase_tail)."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    return 0.5 * (1.0 + x), 0.5 * w, 0.5j * math.pi * w * np.exp(0.5j * math.pi * x)
+
+
 def exp_phase_tail(g: Callable, x0, omega: float = 1.0):
     """Convergent value of integral_{x0}^inf e^{i omega e^x} g(x) dx.
 
-    Substitutes u = omega e^x, sums _OSC_PANELS half-period Gauss panels of
-    e^{iu} g(log(u/omega))/u and averages the last 15 partial sums (all that
-    reach the last entry) _OSC_AVERAGINGS times. Designed for slowly varying
-    g, which may be complex and must accept numpy arrays: on each amplitude
-    the program integrates, 32 panels are within 1e-14 of 8000 and 64 keep a
-    margin, above the rounding of the phase, about e^{x0} omega eps relative.
-    The real and imaginary parts are the cos and sin integrals. Past
-    EXP_PHASE_MAX that rounding leaves no correct digit: the value is then
-    only bounded, by 65 pi max|g| / (omega e^{x0}). Past omega e^{x0} = 2^62
-    raises KernelError.
+    In u = omega e^x: e^{iu} g(log(u/omega))/u on the head [omega e^{x0}, k0 pi]
+    in four panels and on _OSC_PANELS half periods [k pi, (k+1) pi], each by
+    12-point Gauss-Legendre (816 evaluations of g per x0), then the last 15
+    partial sums averaged _OSC_AVERAGINGS times. A half period's weights
+    carry its exact phase, (-1)^k e^{i pi t} at u = (k + t) pi; only the head
+    rounds its phase, by e^{x0} omega eps relative. For slowly varying g,
+    complex or real, that accepts numpy arrays: on each amplitude the program
+    integrates, 32 panels are within 1e-14 plus 4 times that rounding of 64,
+    which keep a margin. Past EXP_PHASE_MAX that rounding leaves no correct digit:
+    the value is only bounded, by 65 pi max|g| / (omega e^{x0}). Past
+    omega e^{x0} = 2^62 raises KernelError.
 
     A g that returns a trailing axis of m values (shape x.shape + (m,))
-    stacks m amplitudes on one set of nodes: the result is then an array of
-    their m integrals. A complex amplitude's is bitwise its own call's; a
-    real one, divided as a complex one there, can differ by rounding.
-
-    x0 may be a 1-d array: the result then holds one value, or one stacked
-    row, per x0. The tails share vectorised passes of at most
-    _OSC_PASS_NODES nodes; for a g that acts elementwise each is bitwise
-    the scalar call's.
+    stacks m amplitudes on one set of nodes, and gives their m integrals: a
+    complex amplitude's bitwise its own call's, a real one's within rounding
+    (it is divided as a complex one). x0 may be a 1-d array, or empty: one
+    value, or stacked row, per x0, in passes of at most _OSC_PASS_NODES
+    nodes; for a g that acts elementwise each is bitwise the scalar call's.
     """
-
-    def w(u):
-        v = g(np.log(u / omega))
-        phase = np.exp(1j * u)
-        if np.ndim(v) > u.ndim:
-            phase, u = phase[..., None], u[..., None]
-        return phase * (v / u)
-
+    t, w, phased = _osc_rule()
     x = np.asarray(x0, dtype=float)
     x_max = math.log(_OSC_PHASE_CAP / omega)
     if not np.all(x <= x_max):
         raise KernelError(f"e^x has no usable phase past x={x_max:.4g}")
-    # u = omega e^{x0} by math.exp: np.exp can be an ulp off it, and an ulp
-    # of the phase moves a tail by e^{x0} omega eps relative
+    # by math.exp: np.exp can be an ulp off, moving a tail by e^{x0} omega eps
     a = np.array([omega * math.exp(v) for v in x.ravel()])
-    # panels end at multiples of pi, the zero spacing of sin and cos; the head
-    # [a, k0 pi] is cut in four for the steep 1/u factor near small a
     k0 = np.floor(a / math.pi).astype(np.int64) + 1
-    step = (k0 * math.pi - a) / 4.0
-    edges = np.concatenate([np.arange(4.0) * step[:, None] + a[:, None],
-                            (k0[:, None] + np.arange(_OSC_PANELS + 1)) * math.pi], axis=1)
-    per_pass = max(1, _OSC_PASS_NODES // (_GL_X.size * (edges.shape[1] - 1)))
+    per_pass = max(1, _OSC_PASS_NODES // (t.size * (4 + _OSC_PANELS)))
     tails = []
-    for e in np.split(edges, range(per_pass, a.size, per_pass)):
-        panels = _gauss_panel(w, e[:, :-1].ravel(), e[:, 1:].ravel())
-        arr = np.cumsum(panels.reshape(e.shape[0], -1, *panels.shape[1:]),
-                        axis=1)[:, -(_OSC_AVERAGINGS + 1):]
+    for i in range(0, max(a.size, 1), per_pass):
+        lo, k = a[i:i + per_pass, None], k0[i:i + per_pass, None] + np.arange(_OSC_PANELS)
+        step = (k[:, :1] * math.pi - lo) / 4.0   # the head in four, for the steep 1/u near small a
+        u = np.concatenate([(np.arange(4.0) * step + lo)[..., None] + step[..., None] * t,
+                            (k[..., None] + t) * math.pi], axis=1)
+        v = g(np.log(u / omega))
+        extra = (1,) * (np.ndim(v) - u.ndim)        # the axis of stacked amplitudes
+        u, step, sign = (z.reshape(z.shape + extra) for z in (u, step, 1 - 2 * (k & 1)))
+        v = v / u
+        panels = np.concatenate([
+            step * np.einsum("ipj...,j->ip...", np.exp(1j * u[:, :4]) * v[:, :4], w),
+            sign * np.einsum("ipj...,j->ip...", v[:, 4:], phased)], axis=1)
+        arr = np.cumsum(panels, axis=1)[:, -(_OSC_AVERAGINGS + 1):]
         for _ in range(_OSC_AVERAGINGS):
             arr = 0.5 * (arr[:, :-1] + arr[:, 1:])
         tails.append(arr[:, -1])

@@ -303,6 +303,22 @@ def check_alpha_agreement(rng):
                     "support-bounded tail flagged identically zero")]
 
 
+def check_figure1_routes(rng):
+    fig = _catalog()["figure1"]
+    worst = 0.0
+    # the first windows past the switch to the expansion; the sampled route
+    # as _E_window and _D_window would take it
+    for window, sampled, r, scale in ((ent.entropy_E, ent._entropy_sampled, 2.5, 2.0),
+                                      (ent.entropy_E, ent._entropy_sampled, 2.75, 2.0),
+                                      (ent.variation_D, ent._variation_sampled, 4.0, 1.0)):
+        expansion = window(fig, r)
+        fine, coarse, floor, _ = sampled(fig, r, ent._window_budget(fig, r, r + 2.0, scale))
+        gap = abs(expansion - fine) / (expansion.error + abs(fine - coarse) + floor)
+        worst = max(worst, gap if expansion.route == "expansion" else math.inf)
+    return [_result("entropy.figure1_routes", worst, 1.0, "figure1's expansion against "
+                    "its sampled windows, E at 2.5 and 2.75, D at 4 (gap to the sum of the errors)")]
+
+
 # --- unit circle ------------------------------------------------------------
 
 def check_opuc_weight(rng):
@@ -406,6 +422,7 @@ _GROUPS = [
     (("entropy.band", "entropy.figure1_sobolev_split", "entropy.sobolev_closed_form"),
      check_entropy_band),
     (("entropy.alpha_agreement", "entropy.support_flag"), check_alpha_agreement),
+    (("entropy.figure1_routes",), check_figure1_routes),
     (("opuc.weight_normalization", "opuc.gram_offdiag"), check_opuc_weight),
     (("opuc.orders_factorial", "opuc.orders_finite_flag"), check_opuc_orders),
     (("opuc.circle_modulus", "opuc.growth_bound"), check_opuc_modulus),

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from kreinlab import kernel as kernel_mod, krein
-from kreinlab.entropy import _F1_P, _F1_Q, _F1_QUAD, _F1_TERMS, _f1_phi
+from kreinlab.entropy import _F1_P, _F1_Q, _F1_QUAD, _F1_TERMS, _f1_harmonic, _f1_phi
 from kreinlab.kernel import (
     _write_csv,
     DecayFit,
@@ -103,7 +103,7 @@ class TestOscillatoryTail:
         for r, ref in T_REF.items():
             assert abs(exp_phase_tail(g, r).imag - ref) < 1e-9
 
-    @pytest.mark.parametrize("case", ["l2_norm", "tail_integral", "phi", "phi^4"])
+    @pytest.mark.parametrize("case", ["l2_norm", "tail_integral", "phi", "phi^4", "phi^2_x0_20"])
     def test_against_mpmath(self, case):
         # the amplitudes the program integrates, against mpmath at 30 digits;
         # the tolerance allows the rounding of the phase, e^{x0} omega eps
@@ -116,6 +116,9 @@ class TestOscillatoryTail:
             # the highest harmonic of figure1's int T^4
             "phi^4": (lambda x: _f1_phi(x) ** 4, lambda x: _mpmath_phi(mp, x) ** 4,
                       9.0, 4.0),
+            # the far end of the default scan's tail table (E at r = 8)
+            "phi^2_x0_20": (lambda x: _f1_phi(x) ** 2, lambda x: _mpmath_phi(mp, x) ** 2,
+                            20.0, 2.0),
         }[case]
         ref = _mpmath_exp_phase_tail(mp, g_mp, x0, omega)
         tol = 1e-14 + 4.0 * omega * math.exp(x0) * np.finfo(float).eps
@@ -207,8 +210,8 @@ class TestOscillatoryTail:
     @pytest.mark.parametrize("omega", [1.0, 2.0, 4.0])
     def test_array_x0_is_bitwise_the_scalar_calls(self, omega, monkeypatch):
         # an elementwise amplitude, alone and stacked, at x0 up to 40, in
-        # passes of three x0 (68 panels of 16 nodes each) and a shorter last
-        monkeypatch.setattr(kernel_mod, "_OSC_PASS_NODES", 3 * 68 * 16)
+        # passes of three x0 (68 panels of 12 nodes each) and a shorter last
+        monkeypatch.setattr(kernel_mod, "_OSC_PASS_NODES", 3 * 68 * 12)
         phi2 = lambda x: _f1_phi(x) ** 2
         stacked = lambda x: np.stack([_f1_phi(x), 1.0 / (1.0 + x) + 0j], -1)
         x0 = np.concatenate([np.arange(0.0, 40.01, 2.5), [0.3, 7.77, 39.9]])
@@ -216,6 +219,34 @@ class TestOscillatoryTail:
             tails = exp_phase_tail(g, x0, omega)
             assert tails.shape[0] == x0.size
             assert np.array_equal(tails, [exp_phase_tail(g, x, omega) for x in x0])
+
+    def test_half_the_panels_stay_within_the_tolerance(self, monkeypatch):
+        # each amplitude of figure1's tail table (see _F1Tails) on 32 panels
+        # against 64, within test_against_mpmath's tolerance: 64 keep a margin
+        x0 = np.array([4.0, 10.0, 20.0])
+        tol = 1e-14 + 4.0 * np.exp(x0) * np.finfo(float).eps
+        tails = {}
+        for panels in (64, 32):
+            monkeypatch.setattr(kernel_mod, "_OSC_PANELS", panels)
+            tails[panels] = [exp_phase_tail(lambda x, w=omega: _f1_harmonic(w, x), x0, omega)
+                             for omega in (1, 2, 3, 4)]
+        for omega, half, full in zip((1, 2, 3, 4), tails[32], tails[64]):
+            gap = np.abs(half - full).reshape(x0.size, -1)
+            assert np.all(gap <= (omega * tol)[:, None] * np.abs(full).reshape(x0.size, -1))
+
+    def test_evaluations_per_endpoint(self):
+        # four head panels and 64 half periods of 12 nodes each
+        sizes = []
+
+        def counting(x):
+            sizes.append(x.size)
+            return 1.0 / (1.0 + x)
+
+        exp_phase_tail(counting, np.array([0.0, 2.5, 7.75]))
+        assert sum(sizes) == 3 * 816
+
+    def test_empty_x0(self):
+        assert exp_phase_tail(lambda x: 1.0 / (1.0 + x), np.array([])).shape == (0,)
 
     def test_cos_kind_and_frequency(self):
         v = exp_phase_tail(lambda x: np.exp(-x), 1.0, omega=2.0)

@@ -98,6 +98,11 @@ class TestTailIntegral:
         with pytest.raises(KernelError, match="phase"):
             tail_integral(fig, np.array([1.0, 36.5]))
 
+    @pytest.mark.parametrize("spec", [("figure1",), ("box", 1.0, 1.0), ("gaussian", 1.0, 1.0)])
+    def test_empty_r_gives_an_empty_array(self, spec):
+        tails = tail_integral(build_potential(*spec), np.array([]))
+        assert tails.shape == (0,) and tails.dtype == float
+
     @pytest.mark.parametrize("spec", [("box", 1.0, 1.0), ("gaussian", 0.5 + 0.5j, 1.0)])
     def test_array_of_r_is_the_scalar_calls(self, spec):
         p = build_potential(*spec)

@@ -29,3 +29,16 @@ def test_diagonal_a4_fails_on_a_scaled_coefficient(monkeypatch):
     monkeypatch.setattr(verify, "diagonal_a_n", lambda g, n: 1.01 * exact(g, n))
     [faulty] = run_battery(0, only="ordered.diagonal_a4")
     assert healthy.passed and not faulty.passed
+
+
+def test_figure1_routes_fail_on_a_scaled_expansion(monkeypatch):
+    # figure1's expansion E and D x 1.01, its sampled route untouched
+    [healthy] = run_battery(0, only="entropy.figure1_routes")
+    for name in ("_f1_E_job", "_f1_D_job"):
+        def scaled(*args, job=getattr(ent, name)):
+            window, omega, value = job(*args)
+            return window, omega, lambda tails: ent.WindowValue(
+                1.01 * value(tails), "expansion", value(tails).error)
+        monkeypatch.setattr(ent, name, scaled)
+    [faulty] = run_battery(0, only="entropy.figure1_routes")
+    assert healthy.passed and not faulty.passed
